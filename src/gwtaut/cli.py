@@ -23,18 +23,45 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _config_target(config, where: str) -> TargetModel:
+    """Build a target from JSON data; any defect in the data is a usage error."""
+    if not isinstance(config, dict):
+        raise UsageError(f"bad {where}: expected a JSON object")
+    try:
+        return target_from_config(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {where}: {exc}") from exc
+
+
 def _load_target(args, config: dict | None = None) -> TargetModel:
     if config is not None:
         if "target" in config:
-            return target_from_config(config["target"])
+            return _config_target(config["target"], "spec target")
         if "r" in config:
-            return projective_space(int(config["r"]))
+            shortcut = {"type": "projective_space", "r": config["r"]}
+            return _config_target(shortcut, "spec 'r'")
         raise UsageError("spec needs a 'target' object or an 'r' shortcut")
     if getattr(args, "target", None):
         try:
-            return target_from_config(json.loads(args.target))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            config = json.loads(args.target)
+        except json.JSONDecodeError as exc:
             raise UsageError(f"bad --target config: {exc}") from exc
+        return _config_target(config, "--target config")
     if getattr(args, "r", None) is not None:
         return projective_space(args.r)
     raise UsageError("provide --target or --r")
@@ -164,11 +191,10 @@ def cmd_potential(args) -> int:
     spec = PotentialSpec(
         target, tuple(t_entries), tuple(s_entries), caps, args.qmax, args.total
     )
-    series = build_H_series(spec, jobs=args.jobs)
+    series = build_H_series(spec)
     if args.format == "json":
         print(json.dumps(series.to_json_dict()))
     else:
-        print(json.dumps(series.to_json_dict()))
         print(series.table())
     return 0
 
@@ -215,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--spec", help="JSON spec file")
     c.add_argument("--spec-json", help="inline JSON spec")
     c.add_argument("--target", help="target config as JSON")
-    c.add_argument("--r", type=int, help="projective-space dimension")
+    c.add_argument("--r", type=_int_at_least(1), help="projective-space dimension")
     c.add_argument("--degree", type=int, default=0)
     c.add_argument("--tau", action="append", help="a,alpha,mult (repeatable)")
     c.add_argument("--kappa", action="append", help="a,alpha,mult (repeatable)")
@@ -223,12 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="emit a truncated potential")
     p.add_argument("--target", help="target config as JSON")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=_int_at_least(1))
     p.add_argument("--vars", default="", help="comma list: x0,x1,s-1:1,s0:0,...")
-    p.add_argument("--qmax", type=int, default=2)
-    p.add_argument("--cap", type=int, default=6, help="per-variable exponent cap")
-    p.add_argument("--total", type=int, default=None, help="total-degree cap")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--qmax", type=_int_at_least(0), default=2)
+    p.add_argument("--cap", type=_int_at_least(0), default=6, help="per-variable exponent cap")
+    p.add_argument("--total", type=_int_at_least(0), default=None, help="total-degree cap")
     p.add_argument("--format", choices=["json", "text"], default="text")
 
     v = sub.add_parser("verify", help="run a property suite")
@@ -240,14 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--r",
         dest="r_list",
-        type=int,
+        type=_int_at_least(1),
         action="append",
         help="target dimension (repeatable)",
     )
-    v.add_argument("--qmax", type=int, default=3)
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--qmax", type=_int_at_least(1), default=3)
+    v.add_argument("--samples", type=_int_at_least(1), default=50)
     v.add_argument("--seed", type=int, default=20240913)
-    v.add_argument("--jobs", type=int, default=1)
     return parser
 
 

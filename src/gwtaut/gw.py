@@ -177,22 +177,18 @@ def gw_potential_series(
     trunc = Truncation(tuple(x_caps) + (q_cap,), total_cap)
 
     terms = {}
-    for d in range(q_cap + 1):
-        for exps in product(*(range(c + 1) for c in x_caps)):
-            if total_cap is not None and sum(exps) > total_cap:
-                continue
-            classes = tuple(
-                alpha for alpha, k in enumerate(exps) for _ in range(k)
-            )
-            if d == 0 and len(classes) < 3:
-                continue
-            if not selection_holds(target, classes, d):
-                continue
-            value = _pure_gw(target, classes, d)
-            if value == 0:
-                continue
-            weight = Fraction(1)
-            for k in exps:
-                weight /= factorial(k)
-            terms[exps + (d,)] = value * weight
+    for exps in trunc.graded_exponents(registry, 2 * (target.dim_complex - 3)):
+        *x_exps, d = exps
+        classes = tuple(
+            alpha for alpha, k in enumerate(x_exps) for _ in range(k)
+        )
+        if d == 0 and len(classes) < 3:
+            continue
+        value = _pure_gw(target, classes, d)
+        if value == 0:
+            continue
+        weight = Fraction(1)
+        for k in x_exps:
+            weight /= factorial(k)
+        terms[exps] = value * weight
     return QSeries(registry, trunc, terms)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .correlators import CorrelatorKey, MultiIndex, evaluate
@@ -88,18 +88,12 @@ def cp1_spec(q_cap: int = 3, var_cap: int = 6, total_cap: int | None = 6) -> Pot
 
 def _spec_cells(spec: PotentialSpec):
     registry, trunc = spec.context()
-    target = spec.target
-    target_grading = 2 * (target.dim_complex - 3)
+    target_grading = 2 * (spec.target.dim_complex - 3)
     n_t = len(spec.t_entries)
     n_s = len(spec.s_entries)
-    gradings = [v.grading for v in registry]
     cells = []
-    for exps in product(*(range(c + 1) for c in trunc.caps)):
-        if all(e == 0 for e in exps):
-            continue
-        if spec.total_cap is not None and sum(exps[:-1]) > spec.total_cap:
-            continue
-        if sum(e * g for e, g in zip(exps, gradings)) != target_grading:
+    for exps in trunc.graded_exponents(registry, target_grading):
+        if not any(exps):
             continue
         m = MultiIndex(
             tuple(
@@ -120,30 +114,19 @@ def _spec_cells(spec: PotentialSpec):
     return registry, trunc, cells
 
 
-def build_H_series(spec: PotentialSpec, jobs: int = 1) -> QSeries:
+def build_H_series(spec: PotentialSpec) -> QSeries:
     """Assemble the twisted potential over the spec's window.
 
-    Every monomial with the correct homogeneity is filled with the exact
-    correlator value weighted by 1/m! 1/p!.
+    Every monomial with the correct homogeneity is filled, in exponent
+    order and on the calling thread, with the exact correlator value
+    weighted by 1/m! 1/p!.
     """
     registry, trunc, cells = _spec_cells(spec)
-    target = spec.target
-
-    def cell_value(cell):
-        exps, m, p, d = cell
-        value = evaluate(CorrelatorKey(target, m, p, d))
-        if value == 0:
-            return exps, ZERO
-        return exps, value / (m.factorial() * p.factorial())
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell_value, cells))
-    else:
-        results = [cell_value(cell) for cell in cells]
-    terms = {exps: coeff for exps, coeff in results if coeff != 0}
+    terms = {}
+    for exps, m, p, d in cells:
+        value = evaluate(CorrelatorKey(spec.target, m, p, d))
+        if value != 0:
+            terms[exps] = value / (m.factorial() * p.factorial())
     return QSeries(registry, trunc, terms)
 
 

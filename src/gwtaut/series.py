@@ -154,6 +154,44 @@ class Truncation:
         totals = [t.total_cap for t in truncs if t.total_cap is not None]
         return Truncation(caps, min(totals) if totals else None)
 
+    def graded_exponents(self, registry: VarRegistry, grading: int) -> Iterator[Exponents]:
+        """Admitted exponent vectors of total ``grading``, in ``itertools.product`` order.
+
+        The variables are walked depth first.  A branch is cut as soon as the
+        grading still needed lies outside the range the remaining variables
+        can reach within their caps, and each non-q exponent is clamped by
+        what is left of the total cap, so only the solutions are visited
+        rather than the whole box.
+        """
+        if len(self.caps) != len(registry):
+            raise ValueError("truncation caps do not match the registry")
+        gradings = [v.grading for v in registry]
+        qi = registry.q_index()
+        n = len(gradings)
+        # reach[i] = (lowest, highest) grading variables i.. add within their caps
+        reach = [(0, 0)] * (n + 1)
+        for i in reversed(range(n)):
+            lo, hi = reach[i + 1]
+            g = gradings[i] * self.caps[i]
+            reach[i] = (lo + min(g, 0), hi + max(g, 0))
+
+        def walk(i: int, prefix: Exponents, need: int, left: int | None):
+            if i == n:
+                yield prefix
+                return
+            lo, hi = reach[i + 1]
+            g = gradings[i]
+            bounded = left is not None and i != qi
+            top = min(self.caps[i], left) if bounded else self.caps[i]
+            for k in range(top + 1):
+                rest = need - k * g
+                if lo <= rest <= hi:
+                    yield from walk(i + 1, prefix + (k,), rest, left - k if bounded else left)
+
+        lo, hi = reach[0]
+        if lo <= grading <= hi:
+            yield from walk(0, (), grading, self.total_cap)
+
 
 class QSeries:
     """Immutable truncated series; supports +, -, * and exact helpers."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -241,3 +242,54 @@ def test_restrict_error_names_loosened_bound():
     f = QSeries.one(reg, tr)
     with pytest.raises(ValueError, match=r"x1 cap, total cap loosened"):
         f.restrict(Truncation((2, 3, 2, 2), None))
+
+
+def brute_graded(reg, tr, grading):
+    """Reference: walk the whole exponent box and filter it."""
+    qi = reg.q_index()
+    return [
+        exps
+        for exps in product(*(range(c + 1) for c in tr.caps))
+        if tr.admits(exps, qi) and reg.grading(exps) == grading
+    ]
+
+
+@pytest.mark.parametrize("total", [None, 0, 3, 5])
+@pytest.mark.parametrize("caps", [(4, 4, 4, 3), (2, 0, 3, 4), (0, 0, 0, 0)])
+def test_graded_exponents_match_box_walk(caps, total):
+    reg, tr = ctx(caps=caps, total=total)
+    for grading in range(-30, 2, 2):  # q grading -4, x0 -2: reaches down to -20
+        assert list(tr.graded_exponents(reg, grading)) == brute_graded(reg, tr, grading)
+
+
+def test_graded_exponents_mixed_signs_and_zero_q_grading():
+    # positive, negative and zero gradings; q graded 0 as for a target with
+    # c1_degree 0, so the q exponent never helps to meet the grading.
+    reg = VarRegistry(
+        [
+            Variable("t", 0, 0, -2),
+            Variable("t", 1, 1, 2),
+            Variable("s", -1, 1, 0),
+            Variable("s", 1, 0, 4),
+            Variable("q", 0, 0, 0),
+        ]
+    )
+    for caps, total in [((3, 3, 2, 2, 2), None), ((3, 3, 2, 2, 2), 4), ((5, 1, 0, 3, 1), 2)]:
+        tr = Truncation(caps, total)
+        for grading in range(-8, 16, 2):
+            assert list(tr.graded_exponents(reg, grading)) == brute_graded(reg, tr, grading)
+    tr = Truncation((3, 3, 2, 2, 2), None)
+    assert len(list(tr.graded_exponents(reg, 0))) > 1  # zero grading has solutions
+
+
+def test_graded_exponents_unreachable_grading_is_empty():
+    reg, tr = ctx()
+    assert list(tr.graded_exponents(reg, 2)) == []  # no variable has positive grading
+    assert list(tr.graded_exponents(reg, -1000)) == []
+    assert list(tr.graded_exponents(reg, -3)) == []  # odd: gradings are even
+
+
+def test_graded_exponents_checks_lengths():
+    reg, _ = ctx()
+    with pytest.raises(ValueError):
+        list(Truncation((1, 1), None).graded_exponents(reg, 0))
