@@ -27,7 +27,7 @@ from .potentials import (
     wdvv_residual,
     wdvv_residuals,
 )
-from .series import QSeries, Truncation, Variable, VarRegistry, ring_ops
+from .series import QSeries, Truncation, Variable, VarRegistry
 from .target import TargetModel, projective_space, target_from_config
 from .trees import (
     DecoratedTree,

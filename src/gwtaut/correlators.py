@@ -8,7 +8,8 @@ rationals, computed by the reduction machinery:
     insertion of level a for kappa insertions (``apply_puncture_dilaton``);
   * the topological recursion relations split off a boundary divisor,
     demoting a psi power or a kappa level by one (``apply_trr_psi``,
-    ``apply_trr_kappa``);
+    ``apply_trr_kappa``); both share one boundary-split loop, which emits
+    only dimension-balanced terms (each factor passes the selection rule);
   * keys carrying only level-(-1) kappa classes and plain evaluation
     insertions lift to pure Gromov-Witten invariants with extra marked
     points (``lift_kappa_minus_one``).
@@ -124,7 +125,7 @@ class MultiIndex:
         return out
 
     def splits(self):
-        """Yield (sub, complement, binomial) over all sub-multi-indices."""
+        """Yield (sub, complement, int binomial) over all sub-multi-indices."""
         keys = [key for key, _ in self.entries]
         mults = [m for _, m in self.entries]
         for counts in product(*(range(m + 1) for m in mults)):
@@ -135,7 +136,7 @@ class MultiIndex:
             mult = 1
             for m, c in zip(mults, counts):
                 mult *= comb(m, c)
-            yield sub, rest, Fraction(mult)
+            yield sub, rest, mult
 
     def nonneg_part(self) -> "MultiIndex":
         return MultiIndex(
@@ -227,14 +228,13 @@ def _keys_sort(keys):
 # -- dimension bookkeeping -------------------------------------------------------
 
 
+def _index_degree(gradings: tuple[int, ...], idx: MultiIndex) -> int:
+    return sum(mult * (2 * a + gradings[alpha]) for (a, alpha), mult in idx.entries)
+
+
 def degree_sum(key: CorrelatorKey) -> int:
-    t = key.target
-    total = 0
-    for (a, alpha), mult in key.m.entries:
-        total += mult * (2 * a + t.gradings[alpha])
-    for (a, alpha), mult in key.p.entries:
-        total += mult * (2 * a + t.gradings[alpha])
-    return total
+    gradings = key.target.gradings
+    return _index_degree(gradings, key.m) + _index_degree(gradings, key.p)
 
 
 def expected_dimension(key: CorrelatorKey) -> int:
@@ -296,34 +296,75 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> Combination:
     return out
 
 
+def _boundary_split(
+    key: CorrelatorKey,
+    m0: MultiIndex,
+    p0: MultiIndex,
+    left_tau: list[Entry],
+    left_kappa: list[Entry],
+    right_tau: tuple[Entry, ...],
+) -> Combination:
+    """Sum over the boundary divisors D(A|B) that split ``key`` in two.
+
+    The left factor carries a sub-multiset m1 of m0 and p1 of p0 plus the
+    fixed insertions ``left_tau``/``left_kappa``; the right factor carries
+    the complements plus ``right_tau``; the node carries
+    eta^{s1 s2} e_{s1} x e_{s2} and the curve degree splits as b1 + (d - b1).
+    Only dimension-balanced terms are emitted: the selection rule is checked
+    on the integer degree sums and point counts of both factors before any
+    key is built.  Every term it skips has a factor that vanishes outright.
+    """
+    target, d = key.target, key.d
+    g, c1, dim = target.gradings, target.c1_degree, target.dim_complex
+    pairs = target.eta_inverse_pairs()
+
+    def balanced(deg: int, n: int, b: int) -> bool:
+        return (b > 0 or n >= 3) and deg == 2 * (dim + n - 3 + b * c1)
+
+    left_m, left_p, right_m = (
+        MultiIndex.from_list([(a, alpha, 1) for a, alpha in side])
+        for side in (left_tau, left_kappa, right_tau)
+    )
+    m_deg, p_deg = _index_degree(g, m0), _index_degree(g, p0)
+    left_deg = _index_degree(g, left_m) + _index_degree(g, left_p)
+    right_deg = _index_degree(g, right_m)
+    p_sides = [
+        (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
+        for p1, p2, pbin in p0.splits()
+    ]
+    out = Combination()
+    for m1, m2, mbin in m0.splits():
+        left, right = m1.merge(left_m), m2.merge(right_m)
+        n1, n2 = left.size + 1, right.size + 1
+        dm1 = _index_degree(g, m1)
+        for p1, p2, pbin, dp1 in p_sides:
+            deg1 = left_deg + dm1 + dp1
+            deg2 = right_deg + m_deg - dm1 + p_deg - dp1
+            for s1, s2, w in pairs:
+                for b1 in range(d + 1):
+                    if balanced(deg1 + g[s1], n1, b1) and balanced(
+                        deg2 + g[s2], n2, d - b1
+                    ):
+                        k1 = CorrelatorKey(target, left.add(0, s1), p1, b1)
+                        k2 = CorrelatorKey(target, right.add(0, s2), p2, d - b1)
+                        out.add((k1, k2), mbin * pbin * w)
+    return out
+
+
 def apply_trr_psi(
     key: CorrelatorKey, pivot: Entry, copivots: tuple[Entry, Entry]
 ) -> Combination:
-    """Split psi^a at the pivot point off the two co-pivot points."""
+    """Split psi^a at the pivot point off the two co-pivot points.
+
+    Emits only dimension-balanced boundary terms (see ``_boundary_split``).
+    """
     a1, alpha1 = pivot
     if a1 < 1:
         raise ValueError("the psi recursion needs a pivot of level a >= 1")
     m0 = key.m.remove(a1, alpha1)
     for a, alpha in copivots:
         m0 = m0.remove(a, alpha)
-    target = key.target
-    out = Combination()
-    (a2, alpha2), (a3, alpha3) = copivots
-    pairs = target.eta_inverse_pairs()
-    for m1, m2, mbin in m0.splits():
-        left = m1.add(a1 - 1, alpha1)
-        right = m2.add(a2, alpha2).add(a3, alpha3)
-        lefts = {s1: left.add(0, s1) for s1, _, _ in pairs}
-        rights = {s2: right.add(0, s2) for _, s2, _ in pairs}
-        for b1 in range(key.d + 1):
-            if b1 == 0 and left.size + 1 < 3:
-                continue  # degree-0 factor below three points vanishes
-            for p1, p2, pbin in key.p.splits():
-                for s1, s2, w in pairs:
-                    k1 = CorrelatorKey(target, lefts[s1], p1, b1)
-                    k2 = CorrelatorKey(target, rights[s2], p2, key.d - b1)
-                    out.add((k1, k2), mbin * pbin * w)
-    return out
+    return _boundary_split(key, m0, key.p, [(a1 - 1, alpha1)], [], copivots)
 
 
 def apply_trr_kappa(
@@ -333,7 +374,8 @@ def apply_trr_kappa(
 
     For pivot level a >= 1 the class drops to kappa_{a-1}; at level 0 it
     drops to the lift-ready kappa_{-1} plus the cup-product correction
-    terms.  Two tau insertions serve as co-pivots.
+    terms.  Two tau insertions serve as co-pivots.  The boundary terms are
+    only the dimension-balanced ones (see ``_boundary_split``).
     """
     a1, alpha1 = pivot
     if key.p.mult(a1, alpha1) == 0:
@@ -350,23 +392,9 @@ def apply_trr_kappa(
         m0 = m0.remove(a, alpha)
     p0 = key.p.remove(a1, alpha1)
     target = key.target
-    out = Combination()
-    (a2, alpha2), (a3, alpha3) = copivots
-    pairs = target.eta_inverse_pairs()
-    for m1, m2, mbin in m0.splits():
-        right = m2.add(a2, alpha2).add(a3, alpha3)
-        lefts = {s1: m1.add(0, s1) for s1, _, _ in pairs}
-        rights = {s2: right.add(0, s2) for _, s2, _ in pairs}
-        for b1 in range(key.d + 1):
-            if b1 == 0 and m1.size + 1 < 3:
-                continue  # degree-0 factor below three points vanishes
-            for p1, p2, pbin in p0.splits():
-                demoted = p1.add(a1 - 1, alpha1)
-                for s1, s2, w in pairs:
-                    k1 = CorrelatorKey(target, lefts[s1], demoted, b1)
-                    k2 = CorrelatorKey(target, rights[s2], p2, key.d - b1)
-                    out.add((k1, k2), mbin * pbin * w)
+    out = _boundary_split(key, m0, p0, [], [(a1 - 1, alpha1)], copivots)
     if a1 == 0:
+        (a2, alpha2), (a3, alpha3) = copivots
         for (a, alpha), mult in m0.entries:
             for nu, c_nu in target.cup_product(alpha, alpha1).items():
                 shifted = (
@@ -375,10 +403,7 @@ def apply_trr_kappa(
                     .add(a2, alpha2)
                     .add(a3, alpha3)
                 )
-                out.add(
-                    (CorrelatorKey(target, shifted, p0, key.d),),
-                    Fraction(mult) * c_nu,
-                )
+                out.add((CorrelatorKey(target, shifted, p0, key.d),), mult * c_nu)
     return out
 
 

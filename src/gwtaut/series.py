@@ -465,17 +465,6 @@ class QSeries:
         return cls(registry, trunc, terms)
 
 
-def ring_ops(a: QSeries, b: QSeries, op: str) -> QSeries:
-    """Named ring operation entry point: op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown ring op {op!r}")
-
-
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 

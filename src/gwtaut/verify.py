@@ -337,9 +337,12 @@ def verify_trees() -> tuple[bool, list[str]]:
         ok = ok and good
         lines.append(f"{'ok  ' if good else 'FAIL'} {name}")
 
-    star = DecorationStar()
-    check("two identical tail-less legs swap", aut_order(star.symmetric) == 2)
-    check("distinct degrees break the swap", aut_order(star.asymmetric) == 1)
+    def star(betas):
+        """Three-vertex star, all tails at the centre."""
+        return DecoratedTree(betas, ((0, 1), (0, 2)), ((1, 0), (2, 0), (3, 0)))
+
+    check("two identical tail-less legs swap", aut_order(star((0, 1, 1))) == 2)
+    check("distinct degrees break the swap", aut_order(star((0, 1, 2))) == 1)
     pinned = two_vertex_tree((1, 2), (3,), 1, 1)
     check("labeled tails pin the vertices", aut_order(pinned) == 1)
 
@@ -395,28 +398,3 @@ def verify_trees() -> tuple[bool, list[str]]:
         len(enumerate_two_vertex_divisors(4, 0)) == 3,
     )
     return ok, lines
-
-
-class DecorationStar:
-    """Three-vertex stars used by the automorphism golden checks."""
-
-    def __init__(self):
-        self.symmetric = DecoratedTree(
-            betas=(0, 1, 1),
-            edges=((0, 1), (0, 2)),
-            tails=((1, 0), (2, 0), (3, 0)),
-        )
-        self.asymmetric = DecoratedTree(
-            betas=(0, 1, 2),
-            edges=((0, 1), (0, 2)),
-            tails=((1, 0), (2, 0), (3, 0)),
-        )
-
-
-SUITES = {
-    "wdvv": "associativity residuals of the pure potential",
-    "trr": "two-sided recursion-relation identities on random keys",
-    "dilaton": "comparison relation and special-value laws",
-    "cp1": "P^1 closed form, h-numbers and PDE residuals",
-    "trees": "tree-calculus golden checks",
-}

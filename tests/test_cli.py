@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gwtaut.cli import main
+from gwtaut.correlators import clear_caches
 from gwtaut.series import QSeries
 
 
@@ -73,3 +74,43 @@ def test_potential_text_is_the_table_only(capsys):
     assert code == 0
     assert not out_text.lstrip().startswith("{")
     assert out_text == series.table() + "\n"
+
+
+# -- golden output: the docstring promises byte-stable output ------------------------
+
+H3 = ("correlator", "--r", "1", "--degree", "3", "--kappa", "0,1,4")
+P2_PSI_KAPPA = (
+    "correlator", "--r", "2", "--degree", "2", "--tau", "0,1,2", "--tau", "1,2,1",
+    "--kappa", "2,1,1",
+)
+GOLDEN_CORRELATORS = {
+    (H3, "json"): '{"value": "4/1", "expected_dimension": 4, "reductions": 29}\n',
+    (H3, "csv"): "value,expected_dimension,reductions\n4/1,4,29\n",
+    (H3, "text"): "value 4/1\nexpected_dimension 4\nreductions 29\n",
+    (P2_PSI_KAPPA, "json"): '{"value": "-3/1", "expected_dimension": 8, "reductions": 21}\n',
+    (P2_PSI_KAPPA, "csv"): "value,expected_dimension,reductions\n-3/1,8,21\n",
+    (P2_PSI_KAPPA, "text"): "value -3/1\nexpected_dimension 8\nreductions 21\n",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(GOLDEN_CORRELATORS))
+def test_correlator_output_is_golden(capsys, argv, fmt):
+    clear_caches()  # "reductions" counts the work of a cold evaluation
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_CORRELATORS[argv, fmt]
+
+
+def test_potential_json_is_golden(capsys):
+    argv = ("potential", "--r", "1", "--vars", "x1,s0:1", "--cap", "2", "--qmax", "2")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"vars": [{"kind": "t", "a": 0, "alpha": 1, "grading": 0}, '
+        '{"kind": "s", "a": 0, "alpha": 1, "grading": 2}, '
+        '{"kind": "q", "a": 0, "alpha": 0, "grading": -4}], '
+        '"truncation": {"caps": [2, 2, 2], "total_cap": null}, '
+        '"terms": [{"exp": [0, 0, 1], "coef": "1/1"}, {"exp": [0, 2, 2], "coef": "1/4"}, '
+        '{"exp": [1, 0, 1], "coef": "1/1"}, {"exp": [1, 2, 2], "coef": "1/2"}, '
+        '{"exp": [2, 0, 1], "coef": "1/2"}, {"exp": [2, 2, 2], "coef": "1/2"}]}\n'
+    )

@@ -22,10 +22,11 @@ from gwtaut.correlators import (
 from gwtaut.gw import pure_gw
 from gwtaut.target import projective_space
 from gwtaut.trees import kappa_boundary_presentation, psi_boundary_presentation
-from gwtaut.verify import random_admissible_key
+from gwtaut.verify import random_admissible_key, sample_relation_keys
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+P3 = projective_space(3)
 
 
 def test_multi_index_bookkeeping():
@@ -38,6 +39,8 @@ def test_multi_index_bookkeeping():
     assert p.nonneg_part().entries == (((0, 1), 1),)
     assert p.neg_part().entries == (((-1, 1), 2),)
     assert len(list(m.splits())) == 6  # (2+1)*(1+1)
+    assert sorted(b for _, _, b in m.splits()) == [1, 1, 1, 1, 2, 2]
+    assert all(type(b) is int for _, _, b in m.splits())
 
 
 def test_multi_index_validation():
@@ -121,16 +124,57 @@ def test_trr_psi_on_unstable_splits_vanishes():
 
 def test_trr_binomial_bookkeeping():
     # background tau_0^1 x 2; splits sending one copy left carry binom(2,1) = 2
-    key = make_key(P1, tau=[(1, 0, 1), (0, 0, 2), (0, 1, 2)], d=1)
-    comb = apply_trr_psi(key, (1, 0), ((0, 0), (0, 0)))
-    left = make_key(P1, tau=[(0, 0, 1), (0, 1, 2)], d=1)
-    right = make_key(P1, tau=[(0, 0, 3), (0, 1, 1)], d=0)
+    key = make_key(P1, tau=[(3, 0, 1), (0, 0, 2), (0, 1, 2)], d=1)
+    assert selection(key)
+    comb = apply_trr_psi(key, (3, 0), ((0, 0), (0, 0)))
+    left = make_key(P1, tau=[(2, 0, 1), (0, 0, 1), (0, 1, 1)], d=1)
+    right = make_key(P1, tau=[(0, 0, 2), (0, 1, 2)], d=0)
     found = [
         coeff
         for keys, coeff in comb.items()
         if set(keys) == {left, right}
     ]
     assert found == [Fraction(2)]
+
+
+def _boundary_moves(key):
+    """The psi and kappa recursion moves whose preconditions the key meets."""
+    points = key.m.expand()
+    psi_pivots = [e for e in points if e[0] >= 1]
+    if psi_pivots and len(points) >= 3:
+        pivot = max(psi_pivots)
+        others = list(points)
+        others.remove(pivot)
+        yield apply_trr_psi(key, pivot, (others[0], others[1]))
+    if len(points) >= 2:
+        for pivot in sorted({e for e in key.p.expand() if e[0] >= 0}):
+            yield apply_trr_kappa(key, pivot)
+
+
+def test_boundary_moves_emit_only_balanced_terms():
+    moves = 0
+    for key in sample_relation_keys([P1, P2, P3], 24, seed=5, d_max=2):
+        # the kappa-first route trades kappa classes for psi powers by the
+        # comparison relation instead of demoting them by the kappa recursion
+        expected = evaluate_kappa_first(key)
+        for comb in _boundary_moves(key):
+            moves += 1
+            assert all(selection(k) for keys, _ in comb.items() for k in keys)
+            assert evaluate_combination(comb) == expected
+        # an extra unit insertion unbalances the key: no split balances both sides
+        unbalanced = CorrelatorKey(key.target, key.m.add(0, 0), key.p, key.d)
+        for comb in _boundary_moves(unbalanced):
+            assert all(len(keys) == 1 for keys, _ in comb.items())
+    assert moves >= 40
+    # both routes run the same split loop, so their agreement cannot catch a
+    # split that drops valid terms; anchor it on the dilaton equation
+    # <tau_1(e0) X>_d = (n - 2) <X>_d with X pure, whose split factors all
+    # lift to pure_gw without further moves
+    for target, classes, d in ((P1, (1, 1, 1), 1), (P2, (2,) * 5, 2), (P3, (3, 3, 1), 1)):
+        key = make_key(target, tau=[(1, 0, 1)] + [(0, c, 1) for c in classes], d=d)
+        comb = apply_trr_psi(key, (1, 0), ((0, classes[0]), (0, classes[1])))
+        expected = (len(classes) - 2) * pure_gw(target, classes, d)
+        assert evaluate_combination(comb) == expected != 0
 
 
 def test_trr_kappa_zero_reproduces_point_count():
