@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import correlators
-from .correlators import CorrelatorKey, MultiIndex, evaluate, expected_dimension, selection
+from .correlators import CorrelatorKey, MultiIndex, evaluate, expected_dimension
 from .potentials import PotentialSpec, build_H_series
 from .series import format_rational
 from .target import TargetModel, projective_space, target_from_config
@@ -122,6 +122,7 @@ def cmd_correlator(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    correlators.clear_caches()  # "reductions" counts the work of a cold evaluation
     before = correlators.reduction_count()
     value = evaluate(key)
     steps = correlators.reduction_count() - before

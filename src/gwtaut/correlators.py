@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial
 
-from .gw import pure_gw
+from .gw import _pure_gw, pure_gw
 from .target import TargetModel, check_degree
 from .trees import DecoratedTree, TreeSum, aut_order
 
@@ -116,12 +117,6 @@ class MultiIndex:
         out = 1
         for _, m in self.entries:
             out *= factorial(m)
-        return out
-
-    def binom(self, sub: "MultiIndex") -> int:
-        out = 1
-        for key, m_sub in sub.entries:
-            out *= comb(self.mult(*key), m_sub)
         return out
 
     def splits(self):
@@ -424,14 +419,7 @@ def lift_kappa_minus_one(key: CorrelatorKey) -> tuple[tuple[int, ...], int]:
 
 # -- evaluation --------------------------------------------------------------------
 
-_MEMO: dict[CorrelatorKey, Fraction] = {}
-_ALT_MEMO: dict[CorrelatorKey, Fraction] = {}
 _REDUCTIONS = 0
-
-
-def clear_caches():
-    _MEMO.clear()
-    _ALT_MEMO.clear()
 
 
 def reduction_count() -> int:
@@ -457,8 +445,6 @@ def evaluate_combination(comb: Combination, evaluator=None) -> Fraction:
 
 
 def _vanishes_outright(key: CorrelatorKey) -> bool:
-    if key.d == 0 and key.n < 3:
-        return True
     if not selection(key):
         return True
     # psi classes on a three-point degree-0 space are pulled back from a point
@@ -467,17 +453,9 @@ def _vanishes_outright(key: CorrelatorKey) -> bool:
     return False
 
 
+@cache
 def evaluate(key: CorrelatorKey) -> Fraction:
     """Exact correlator value via psi-first elimination."""
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = _evaluate(key)
-    _MEMO[key] = value
-    return value
-
-
-def _evaluate(key: CorrelatorKey) -> Fraction:
     if _vanishes_outright(key):
         return ZERO
     if key.m.max_level >= 1:
@@ -489,56 +467,39 @@ def _evaluate(key: CorrelatorKey) -> Fraction:
             pivot = max(k for k in key.p.expand() if k[0] >= 0)
             _count_reduction()
             return evaluate_combination(apply_trr_kappa(key, pivot))
-        return _divisor_trick(key, evaluate)
+        return _divisor_trick(key)
     classes, d = lift_kappa_minus_one(key)
     return pure_gw(key.target, classes, d)
 
 
-def _divisor_trick(key: CorrelatorKey, evaluator) -> Fraction:
+def _divisor_trick(key: CorrelatorKey) -> Fraction:
     """Solve for a tau-starved key from its divisor-augmented comparison.
 
-    Augment with tau_0 of a divisor class, apply the comparison relation
-    there, and isolate the term whose coefficient is the nonzero pairing
-    of the divisor with the curve class.
+    Augment with tau_0 of a divisor class D and apply the comparison
+    relation there.  Its p2 = empty term is the key with an extra
+    kappa_{-1}(D), with coefficient one because e_0 is the unit; that term
+    is worth the pairing of D with the curve class times the key.
     """
     target = key.target
     alpha_div, pairing = target.divisor_class(key.d)
     _count_reduction()
     augmented = CorrelatorKey(target, key.m.add(0, alpha_div), key.p, key.d)
-    total = evaluator(augmented)
-    neg = key.p.neg_part()
-    for p2, rest, binm in key.p.nonneg_part().splits():
-        if not p2.entries:
-            continue  # this is the pairing * target term being solved for
-        p1 = rest.merge(neg)
-        vec = _cup_power(target, p2)
-        if not vec:
-            continue
-        new_level = p2.weight - 1
-        for nu, c_nu in target.cup_vector(vec, alpha_div).items():
-            sub = CorrelatorKey(target, key.m, p1.add(new_level, nu), key.d)
-            total -= binm * c_nu * evaluator(sub)
-    return total / pairing
+    comb = apply_puncture_dilaton(augmented, (0, alpha_div))
+    solved = CorrelatorKey(target, key.m, key.p.add(-1, alpha_div), key.d)
+    comb.add((solved,), -ONE)
+    return (evaluate(augmented) - evaluate_combination(comb)) / pairing
 
 
+@cache
 def evaluate_kappa_first(key: CorrelatorKey) -> Fraction:
     """Cross-check evaluator: kappa classes out first, then the psi recursion.
 
     Kappa levels a >= 0 are removed by reading the comparison relation
     backwards (each step costs one kappa and buys one psi power), after
     which the psi powers are reduced by the topological recursion relation
-    with boundary splittings.  Low-point psi-laden leftovers fall back to
-    the shared divisor-augmentation tail.
+    with boundary splittings.  Psi powers on one or two points fall back to
+    ``apply_puncture_dilaton`` and the main route, ``evaluate``.
     """
-    cached = _ALT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = _evaluate_kappa_first(key)
-    _ALT_MEMO[key] = value
-    return value
-
-
-def _evaluate_kappa_first(key: CorrelatorKey) -> Fraction:
     if _vanishes_outright(key):
         return ZERO
     target = key.target
@@ -579,6 +540,20 @@ def _evaluate_kappa_first(key: CorrelatorKey) -> Fraction:
         return evaluate_combination(comb, evaluate)
     classes, d = lift_kappa_minus_one(key)
     return pure_gw(target, classes, d)
+
+
+# bound at import, so clearing still works if the module names are rebound
+_CACHE_CLEARS = (
+    evaluate.cache_clear,
+    evaluate_kappa_first.cache_clear,
+    _pure_gw.cache_clear,
+)
+
+
+def clear_caches():
+    """Empty the memos of ``evaluate``, ``evaluate_kappa_first`` and ``pure_gw``."""
+    for cache_clear in _CACHE_CLEARS:
+        cache_clear()
 
 
 # -- pairing boundary presentations with insertions -----------------------------------

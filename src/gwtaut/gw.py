@@ -18,19 +18,14 @@ Every value is an exact ``Fraction`` and every normalized key is memoized.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial
 
 from .series import QSeries, Truncation, Variable, VarRegistry
 from .target import TargetModel, check_degree
 
-_MEMO: dict[tuple, Fraction] = {}
-
 ZERO = Fraction(0)
-
-
-def clear_cache():
-    _MEMO.clear()
 
 
 def selection_holds(target: TargetModel, classes: tuple[int, ...], d: int) -> bool:
@@ -52,17 +47,8 @@ def pure_gw(target: TargetModel, classes, d: int) -> Fraction:
     return _pure_gw(target, key_classes, d)
 
 
+@cache
 def _pure_gw(target: TargetModel, classes: tuple[int, ...], d: int) -> Fraction:
-    key = (target, classes, d)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = _compute(target, classes, d)
-    _MEMO[key] = value
-    return value
-
-
-def _compute(target: TargetModel, classes: tuple[int, ...], d: int) -> Fraction:
     n = len(classes)
     if d == 0:
         if n != 3:
@@ -101,40 +87,36 @@ def _compute(target: TargetModel, classes: tuple[int, ...], d: int) -> Fraction:
 def _wdvv_step(target: TargetModel, classes: tuple[int, ...], d: int) -> Fraction:
     """Solve for ``classes`` from one associativity relation.
 
-    With s the smallest and M the largest inserted class, apply WDVV with
-    slots (e_1, e_{s-1} | e_M, e_E) where e_E is the second smallest and
-    the rest spectate.  The (d1=0, empty) term of the first pairing is the
-    target itself with coefficient one; all other terms are strictly
-    smaller in (d, n, -sum of squared class degrees).
+    With s the smallest, E the second smallest and M the largest inserted
+    class, apply WDVV to A = e_1, B = e_{s-1}, C = e_M, E' = e_E while the
+    rest spectate: pairing (B C | A E') minus pairing (A B | C E').  The
+    (d1=0, empty) term of (A B | C E') is the target itself with
+    coefficient one; all other terms are strictly smaller in
+    (d, n, -sum of squared class degrees).
     """
     s = classes[0]
     e_slot = classes[1]
     m_slot = classes[-1]
     spect = classes[2:-1]
 
+    # (sign, left slots, right slots) of (B C | A E') and (A B | C E')
+    pairings = (
+        (1, (s - 1, m_slot), (1, e_slot)),
+        (-1, (1, s - 1), (m_slot, e_slot)),
+    )
     total = ZERO
-    # pairing (B C | A E'): B = e_{s-1}, C = e_M, A = e_1, E' = e_E
-    for d1, g1, g2, mult in _splits(spect, d):
-        for mu, nu, w in target.eta_inverse_pairs():
-            f1 = _pure_gw(target, tuple(sorted((s - 1, m_slot) + g1 + (mu,))), d1)
-            if f1 == 0:
-                continue
-            f2 = _pure_gw(target, tuple(sorted((nu, 1, e_slot) + g2)), d - d1)
-            if f2 == 0:
-                continue
-            total += mult * w * f1 * f2
-    # pairing (A B | C E') without its (d1=0, empty) term, which is the target
-    for d1, g1, g2, mult in _splits(spect, d):
-        if d1 == 0 and not g1:
-            continue
-        for mu, nu, w in target.eta_inverse_pairs():
-            f1 = _pure_gw(target, tuple(sorted((1, s - 1) + g1 + (mu,))), d1)
-            if f1 == 0:
-                continue
-            f2 = _pure_gw(target, tuple(sorted((nu, m_slot, e_slot) + g2)), d - d1)
-            if f2 == 0:
-                continue
-            total -= mult * w * f1 * f2
+    for sign, left, right in pairings:
+        for d1, g1, g2, mult in _splits(spect, d):
+            if sign < 0 and d1 == 0 and not g1:
+                continue  # the target itself
+            for mu, nu, w in target.eta_inverse_pairs():
+                f1 = _pure_gw(target, tuple(sorted(left + g1 + (mu,))), d1)
+                if f1 == 0:
+                    continue
+                f2 = _pure_gw(target, tuple(sorted((nu,) + right + g2)), d - d1)
+                if f2 == 0:
+                    continue
+                total += sign * mult * w * f1 * f2
     return total
 
 

@@ -15,15 +15,18 @@ from .correlators import (
     apply_puncture_dilaton,
     apply_trr_kappa,
     apply_trr_psi,
+    degree_sum,
     evaluate,
     evaluate_combination,
     evaluate_kappa_first,
+    expected_dimension,
     make_key,
     selection,
 )
 from .gw import gw_potential_series
 from .potentials import (
     build_H_series,
+    cp1_closed_form_series,
     cp1_h_sequence,
     cp1_penult_residual,
     cp1_spec,
@@ -45,8 +48,6 @@ Entry = tuple[int, int]
 
 
 def _degree_gap(key: CorrelatorKey) -> int:
-    from .correlators import degree_sum, expected_dimension
-
     return degree_sum(key) - 2 * expected_dimension(key)
 
 
@@ -307,8 +308,6 @@ def verify_cp1(q_cap: int = 3, h_count: int = 8) -> tuple[bool, list[str]]:
         )
 
     spec = cp1_spec(q_cap=q_cap, var_cap=2 * q_cap, total_cap=2 * q_cap)
-    from .potentials import cp1_closed_form_series
-
     engine_series = build_H_series(spec)
     closed = cp1_closed_form_series(q_cap, spec)
     good = engine_series == closed

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from gwtaut.cli import main
-from gwtaut.correlators import clear_caches
 from gwtaut.series import QSeries
+from gwtaut.verify import verify_cp1
 
 
 def run(capsys, *argv):
@@ -95,10 +95,15 @@ GOLDEN_CORRELATORS = {
 
 @pytest.mark.parametrize("argv, fmt", sorted(GOLDEN_CORRELATORS))
 def test_correlator_output_is_golden(capsys, argv, fmt):
-    clear_caches()  # "reductions" counts the work of a cold evaluation
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == GOLDEN_CORRELATORS[argv, fmt]
+
+
+def test_correlator_reductions_do_not_depend_on_earlier_commands(capsys):
+    h4 = ("correlator", "--r", "1", "--degree", "4", "--kappa", "0,1,6")
+    assert json.loads(run(capsys, *h4)[1])["reductions"] == 87
+    assert json.loads(run(capsys, *H3)[1])["reductions"] == 29
 
 
 def test_potential_json_is_golden(capsys):
@@ -114,3 +119,29 @@ def test_potential_json_is_golden(capsys):
         '{"exp": [1, 0, 1], "coef": "1/1"}, {"exp": [1, 2, 2], "coef": "1/2"}, '
         '{"exp": [2, 0, 1], "coef": "1/2"}, {"exp": [2, 2, 2], "coef": "1/2"}]}\n'
     )
+
+
+# -- verify suites, on inputs small enough for the unit tests --------------------------
+
+
+@pytest.mark.parametrize(
+    "suite, extra",
+    [
+        ("trr", ("--samples", "8")),
+        ("dilaton", ("--samples", "8")),
+        ("paths", ("--samples", "8")),
+        ("wdvv", ("--r", "1", "--qmax", "2")),
+        ("trees", ()),
+    ],
+    ids=["trr", "dilaton", "paths", "wdvv", "trees"],
+)
+def test_verify_suite_passes(capsys, suite, extra):
+    code, out, err = run(capsys, "verify", "--suite", suite, *extra)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"suite {suite}: PASS"
+
+
+def test_verify_cp1_passes_on_a_small_window():
+    # the CLI suite evaluates up to h_8; h_5 and q <= 2 keep the same checks fast
+    ok, lines = verify_cp1(q_cap=2, h_count=5)
+    assert ok, "\n".join(lines)

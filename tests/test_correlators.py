@@ -33,7 +33,6 @@ def test_multi_index_bookkeeping():
     m = MultiIndex.from_list([(0, 1, 2), (1, 0, 1)])
     assert m.size == 3 and m.norm == 3 and m.weight == 1
     assert m.factorial() == 2
-    assert m.binom(MultiIndex.from_list([(0, 1, 1)])) == 2
     p = MultiIndex.from_list([(-1, 1, 2), (0, 1, 1)])
     assert p.size == 3 and p.norm == 1 and p.weight == 0
     assert p.nonneg_part().entries == (((0, 1), 1),)
@@ -242,6 +241,26 @@ def test_evaluate_paper_values():
     assert evaluate(make_key(P1, kappa=[(0, 1, 2)], d=2)) == Fraction(1, 2)
     assert evaluate(make_key(P1, kappa=[(0, 1, 2)], d=1)) == 0
     assert evaluate(make_key(P1, d=1)) == 1
+
+
+# Givental's J-function of P^2, z e^{tH/z} sum_d q^d e^{dt} / prod_{k=1}^{d} (H + kz)^3,
+# holds <tau_a(e_alpha)>_d as its q^d z^{-a-1} coefficient along the dual of e_alpha.
+J_FUNCTION_P2 = [
+    (1, 2, 1, Fraction(1)),
+    (4, 2, 2, Fraction(1, 8)),
+    (2, 1, 1, Fraction(-3)),
+    (3, 0, 1, Fraction(6)),
+]
+
+
+@pytest.mark.parametrize(
+    "evaluator", [evaluate, evaluate_kappa_first], ids=["main", "kappa_first"]
+)
+@pytest.mark.parametrize("a, alpha, d, value", J_FUNCTION_P2)
+def test_one_point_descendants_match_j_function(evaluator, a, alpha, d, value):
+    # the comparison relation turns tau_a(e_alpha) into a zero-point kappa key,
+    # which the divisor trick solves for
+    assert evaluator(make_key(P2, tau=[(a, alpha, 1)], d=d)) == value
 
 
 def test_evaluate_degree_zero_convention():
