@@ -12,10 +12,10 @@ import json
 import sys
 
 from . import correlators
-from .correlators import CorrelatorKey, MultiIndex, evaluate, expected_dimension
-from .potentials import PotentialSpec, build_H_series
+from .correlators import evaluate, expected_dimension, make_key
+from .potentials import build_H_series, make_spec
 from .series import format_rational
-from .target import TargetModel, projective_space, target_from_config
+from .target import TargetModel, json_int, projective_space, target_from_config
 from . import verify as verify_mod
 
 
@@ -72,16 +72,16 @@ def _parse_index_list(raw, what: str) -> list[tuple[int, int, int]]:
     if raw is None:
         return out
     for item in raw:
-        if isinstance(item, str):
-            parts = item.split(",")
-        else:
-            parts = list(item)
-        if len(parts) != 3:
-            raise UsageError(f"{what} entries need three components a,alpha,mult")
         try:
-            a, alpha, mult = (int(x) for x in parts)
+            if isinstance(item, str):
+                parts = [int(x) for x in item.split(",")]
+            else:
+                parts = [json_int(x, f"a {what} component") for x in item]
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad {what} entry {item!r}") from exc
+        if len(parts) != 3:
+            raise UsageError(f"{what} entries need three components a,alpha,mult")
+        a, alpha, mult = parts
         if mult < 0:
             raise UsageError(f"{what} multiplicity must be non-negative")
         out.append((a, alpha, mult))
@@ -109,16 +109,11 @@ def cmd_correlator(args) -> int:
         degree = args.degree
         tau = _parse_index_list(args.tau, "tau")
         kappa = _parse_index_list(args.kappa, "kappa")
-    if not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise UsageError("degree must be a non-negative integer")
 
     try:
-        key = CorrelatorKey(
-            target,
-            MultiIndex.from_list(tau),
-            MultiIndex.from_list(kappa),
-            degree,
-        )
+        key = make_key(target, tau, kappa, degree)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -186,11 +181,8 @@ def cmd_potential(args) -> int:
                 if a < -1:
                     raise UsageError("s variables need a >= -1")
                 s_entries.append((a, alpha))
-    t_entries = sorted(set(t_entries))
-    s_entries = sorted(set(s_entries))
-    caps = tuple([args.cap] * (len(t_entries) + len(s_entries)))
-    spec = PotentialSpec(
-        target, tuple(t_entries), tuple(s_entries), caps, args.qmax, args.total
+    spec = make_spec(
+        target, set(t_entries), set(s_entries), args.cap, args.qmax, args.total
     )
     series = build_H_series(spec)
     if args.format == "json":

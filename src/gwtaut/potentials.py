@@ -86,34 +86,6 @@ def cp1_spec(q_cap: int = 3, var_cap: int = 6, total_cap: int | None = 6) -> Pot
     )
 
 
-def _spec_cells(spec: PotentialSpec):
-    registry, trunc = spec.context()
-    target_grading = 2 * (spec.target.dim_complex - 3)
-    n_t = len(spec.t_entries)
-    n_s = len(spec.s_entries)
-    cells = []
-    for exps in trunc.graded_exponents(registry, target_grading):
-        if not any(exps):
-            continue
-        m = MultiIndex(
-            tuple(
-                (entry, exps[i])
-                for i, entry in enumerate(spec.t_entries)
-                if exps[i]
-            )
-        )
-        p = MultiIndex(
-            tuple(
-                (entry, exps[n_t + i])
-                for i, entry in enumerate(spec.s_entries)
-                if exps[n_t + i]
-            )
-        )
-        d = exps[n_t + n_s]
-        cells.append((exps, m, p, d))
-    return registry, trunc, cells
-
-
 def build_H_series(spec: PotentialSpec) -> QSeries:
     """Assemble the twisted potential over the spec's window.
 
@@ -121,10 +93,15 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
     order and on the calling thread, with the exact correlator value
     weighted by 1/m! 1/p!.
     """
-    registry, trunc, cells = _spec_cells(spec)
+    registry, trunc = spec.context()
+    n_t = len(spec.t_entries)
     terms = {}
-    for exps, m, p, d in cells:
-        value = evaluate(CorrelatorKey(spec.target, m, p, d))
+    for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
+        if not any(exps):
+            continue
+        m = MultiIndex(tuple(zip(spec.t_entries, exps)))
+        p = MultiIndex(tuple(zip(spec.s_entries, exps[n_t:])))
+        value = evaluate(CorrelatorKey(spec.target, m, p, exps[-1]))
         if value != 0:
             terms[exps] = value / (m.factorial() * p.factorial())
     return QSeries(registry, trunc, terms)
@@ -262,6 +239,27 @@ def _window(registry: VarRegistry, trunc: Truncation, drop: int) -> Truncation:
     return Truncation(caps, total)
 
 
+def _partials(series: QSeries, window: Truncation):
+    """``d(*variables)``: a partial derivative of ``series``, read on ``window``.
+
+    Each variable is a ``(kind, a, alpha)`` triple.  Partials commute and
+    each one lowers only its own cap, so the result is memoized by the
+    sorted variables and every partial is taken once.
+    """
+    memo: dict[tuple, QSeries] = {}
+
+    def d(*variables) -> QSeries:
+        key = tuple(sorted(variables))
+        if key not in memo:
+            out = series
+            for variable in key:
+                out = out.partial_derivative(*variable)
+            memo[key] = out.restrict(window)
+        return memo[key]
+
+    return d
+
+
 def wdvv_residuals(
     potential: QSeries, target: TargetModel
 ) -> dict[tuple[int, int, int, int], QSeries]:
@@ -273,16 +271,8 @@ def wdvv_residuals(
     registry = potential.registry
     rank = target.rank
     window = _window(registry, potential.trunc, 3)
-
-    third: dict[tuple[int, int, int], QSeries] = {}
-    for tri in combinations_with_replacement(range(rank), 3):
-        series = potential
-        for alpha in tri:
-            series = series.partial_derivative("t", 0, alpha)
-        third[tri] = series.restrict(window)
-
-    def d3(a, b, c):
-        return third[tuple(sorted((a, b, c)))]
+    d = _partials(potential, window)
+    x = [("t", 0, alpha) for alpha in range(rank)]
 
     out = {}
     pairs = target.eta_inverse_pairs()
@@ -293,8 +283,8 @@ def wdvv_residuals(
                     residual = QSeries.zero(registry, window)
                     for e, f, w in pairs:
                         residual = residual + (
-                            d3(a, b, e) * d3(f, c, dd)
-                            - d3(b, c, e) * d3(f, a, dd)
+                            d(x[a], x[b], x[e]) * d(x[f], x[c], x[dd])
+                            - d(x[b], x[c], x[e]) * d(x[f], x[a], x[dd])
                         ) * w
                     out[(a, b, c, dd)] = residual
     return out
@@ -319,103 +309,58 @@ def trr_pde_residuals(
     Instances are enumerated over the spec's active variables; an
     instance whose cross-reference variable is inactive is skipped,
     except that derivatives by s_{-1}^0 are identically zero (the
-    kappa_{-1} class of the unit vanishes).
+    kappa_{-1} class of the unit vanishes).  Every family needs all
+    t_0^sigma, so without them there are no instances.
     """
     target = spec.target
-    registry = h_series.registry
-    window = _window(registry, h_series.trunc, 3)
     t_act = set(spec.t_entries)
     s_act = set(spec.s_entries)
-    rank = target.rank
+    if any((0, sigma) not in t_act for sigma in range(target.rank)):
+        return []
+    registry = h_series.registry
+    window = _window(registry, h_series.trunc, 3)
+    d = _partials(h_series, window)
     pairs = target.eta_inverse_pairs()
-    sigma_ok = all((0, s) in t_act for s in range(rank))
 
-    def dt(series, entry):
-        return series.partial_derivative("t", *entry)
-
-    def ds(series, entry):
-        return series.partial_derivative("s", *entry)
-
-    def zero():
-        return QSeries.zero(registry, window)
-
-    co_pairs = list(combinations_with_replacement(sorted(t_act), 2))
-    out: list[tuple[str, QSeries]] = []
-
-    def eta_term(second_factor_fn, e2, e3):
-        acc = zero()
+    def eta_term(pivot, e2, e3):
+        acc = QSeries.zero(registry, window)
         for s1, s2, w in pairs:
-            left = second_factor_fn(s1)
-            if left is None:
-                return None
-            right = dt(dt(dt(h_series, (0, s2)), e2), e3).restrict(window)
-            acc = acc + (left * right) * w
+            acc = acc + (d(pivot, ("t", 0, s1)) * d(("t", 0, s2), e2, e3)) * w
         return acc
 
-    for (a2, alpha2), (a3, alpha3) in co_pairs:
-        e2, e3 = (a2, alpha2), (a3, alpha3)
-        if sigma_ok:
-            # family 1: psi pivots
-            for a1, alpha1 in sorted(t_act):
-                if a1 < 1 or (a1 - 1, alpha1) not in t_act:
+    out: list[tuple[str, QSeries]] = []
+    for (a2, alpha2), (a3, alpha3) in combinations_with_replacement(sorted(t_act), 2):
+        e2, e3 = ("t", a2, alpha2), ("t", a3, alpha3)
+        pair_name = f"|t{a2},{alpha2}|t{a3},{alpha3}"
+        # families 1 and 2: psi pivots, and kappa pivots of level >= 1
+        for kind, active in (("t", t_act), ("s", s_act)):
+            for a1, alpha1 in sorted(active):
+                if a1 < 1 or (a1 - 1, alpha1) not in active:
                     continue
-                lhs = dt(dt(dt(h_series, (a1, alpha1)), e2), e3).restrict(window)
-                rhs = eta_term(
-                    lambda s1: dt(dt(h_series, (a1 - 1, alpha1)), (0, s1)).restrict(
-                        window
-                    ),
-                    e2,
-                    e3,
-                )
-                out.append((f"t{a1},{alpha1}|t{a2},{alpha2}|t{a3},{alpha3}", lhs - rhs))
-            # family 2: kappa pivots of level >= 1
-            for a1, alpha1 in sorted(s_act):
-                if a1 < 1 or (a1 - 1, alpha1) not in s_act:
-                    continue
-                lhs = dt(dt(ds(h_series, (a1, alpha1)), e2), e3).restrict(window)
-                rhs = eta_term(
-                    lambda s1: ds(dt(h_series, (0, s1)), (a1 - 1, alpha1)).restrict(
-                        window
-                    ),
-                    e2,
-                    e3,
-                )
-                out.append((f"s{a1},{alpha1}|t{a2},{alpha2}|t{a3},{alpha3}", lhs - rhs))
-            # family 3: kappa pivots of level 0, with the cup correction
-            for a1, alpha1 in sorted(s_act):
-                if a1 != 0:
-                    continue
-                if (-1, alpha1) in s_act:
-                    rhs = eta_term(
-                        lambda s1: ds(dt(h_series, (0, s1)), (-1, alpha1)).restrict(
-                            window
-                        ),
-                        e2,
-                        e3,
-                    )
-                elif alpha1 == 0:
-                    rhs = zero()  # kappa_{-1} of the unit vanishes
-                else:
-                    continue
-                expressible = True
-                correction = zero()
-                for a, alpha in sorted(t_act):
-                    for nu, c_nu in target.cup_product(alpha, alpha1).items():
-                        if (a, nu) not in t_act:
-                            expressible = False
-                            break
-                        piece = dt(dt(dt(h_series, (a, nu)), e2), e3)
-                        piece = piece.multiply_variable("t", a, alpha)
-                        correction = correction + piece.restrict(window) * c_nu
-                    if not expressible:
-                        break
-                if not expressible or rhs is None:
-                    continue
-                lhs = dt(dt(ds(h_series, (0, alpha1)), e2), e3).restrict(window)
-                out.append(
-                    (
-                        f"s0,{alpha1}|t{a2},{alpha2}|t{a3},{alpha3}",
-                        lhs - rhs - correction,
-                    )
-                )
+                lhs = d((kind, a1, alpha1), e2, e3)
+                rhs = eta_term((kind, a1 - 1, alpha1), e2, e3)
+                out.append((f"{kind}{a1},{alpha1}{pair_name}", lhs - rhs))
+        # family 3: kappa pivots of level 0, with the cup correction
+        for a1, alpha1 in sorted(s_act):
+            if a1 != 0:
+                continue
+            cup = [
+                (a, alpha, nu, c_nu)
+                for a, alpha in sorted(t_act)
+                for nu, c_nu in target.cup_product(alpha, alpha1).items()
+            ]
+            if any((a, nu) not in t_act for a, _, nu, _ in cup):
+                continue
+            if (-1, alpha1) in s_act:
+                rhs = eta_term(("s", -1, alpha1), e2, e3)
+            elif alpha1 == 0:
+                rhs = QSeries.zero(registry, window)  # kappa_{-1} of the unit vanishes
+            else:
+                continue
+            correction = QSeries.zero(registry, window)
+            for a, alpha, nu, c_nu in cup:
+                piece = d(("t", a, nu), e2, e3).multiply_variable("t", a, alpha)
+                correction = correction + piece * c_nu
+            lhs = d(("s", 0, alpha1), e2, e3)
+            out.append((f"s0,{alpha1}{pair_name}", lhs - rhs - correction))
     return out

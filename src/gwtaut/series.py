@@ -75,7 +75,6 @@ class VarRegistry:
                 raise ValueError(f"duplicate variable {v.name}")
             index[v.key] = i
         self._index = index
-        self._names = {v.name: i for i, v in enumerate(self._vars)}
 
     def __len__(self) -> int:
         return len(self._vars)
@@ -97,12 +96,6 @@ class VarRegistry:
             return self._index[(kind, a, alpha)]
         except KeyError:
             raise ValueError(f"unknown variable ({kind},{a},{alpha})") from None
-
-    def index_of_name(self, name: str) -> int:
-        try:
-            return self._names[name]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r}") from None
 
     def q_index(self) -> int | None:
         return self._index.get(("q", 0, 0))
@@ -471,4 +464,7 @@ def format_rational(x: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)

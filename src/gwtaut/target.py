@@ -23,6 +23,13 @@ from .series import parse_rational
 FrMatrix = tuple[tuple[Fraction, ...], ...]
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input: an ``int`` that is not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_degree(d: int) -> int:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"curve degree must be a non-negative integer, got {d!r}")
@@ -81,9 +88,6 @@ class TargetModel:
     @property
     def dim_complex(self) -> int:
         return max(self.gradings) // 2
-
-    def grading(self, alpha: int) -> int:
-        return self.gradings[alpha]
 
     def cup_product(self, alpha: int, beta: int) -> dict[int, Fraction]:
         """e_alpha . e_beta as {nu: coefficient}, zero entries dropped."""
@@ -249,23 +253,29 @@ def target_from_config(config: dict) -> TargetModel:
     """
     kind = config.get("type")
     if kind == "projective_space":
-        return projective_space(int(config["r"]))
+        return projective_space(json_int(config["r"], "r"))
     if kind == "custom":
         def rat(x):
-            return parse_rational(x) if isinstance(x, str) else Fraction(x)
+            if isinstance(x, str):
+                return parse_rational(x)
+            return Fraction(json_int(x, "a rational entry (int or 'p/q')"))
 
-        gradings = tuple(int(g) for g in config["gradings"])
+        gradings = tuple(json_int(g, "a grading") for g in config["gradings"])
         eta = tuple(tuple(rat(x) for x in row) for row in config["eta"])
         cup = tuple(
             tuple(tuple(rat(x) for x in row) for row in plane)
             for plane in config["cup"]
         )
         pairings = tuple(
-            (int(alpha), rat(value))
+            (json_int(alpha, "a divisor class"), rat(value))
             for alpha, value in config.get("divisor_pairings", [])
         )
         seeds = tuple(
-            (tuple(int(c) for c in classes), int(d), rat(value))
+            (
+                tuple(json_int(c, "a seed class") for c in classes),
+                json_int(d, "a seed degree"),
+                rat(value),
+            )
             for classes, d, value in config.get("seeds", [])
         )
         return TargetModel(
@@ -273,7 +283,7 @@ def target_from_config(config: dict) -> TargetModel:
             gradings=gradings,
             eta=eta,
             cup=cup,
-            c1_degree=int(config["c1_degree"]),
+            c1_degree=json_int(config["c1_degree"], "c1_degree"),
             divisor_pairings=pairings,
             seeds=seeds,
         )

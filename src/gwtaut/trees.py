@@ -302,7 +302,6 @@ def _two_vertex_splits(
     d: int,
     pin_first: Iterable[int] = (),
     pin_second: Iterable[int] = (),
-    second_side_exact: bool = False,
 ):
     """Yield (first_tails, second_tails, b1, b2) for all stable splits."""
     pin_first = tuple(sorted(pin_first))
@@ -312,8 +311,7 @@ def _two_vertex_splits(
         if lab not in labels:
             raise ValueError(f"pinned tail {lab} outside 1..{n}")
     free = [lab for lab in labels if lab not in pin_first + pin_second]
-    subsets = [()] if second_side_exact else _subsets(free)
-    for extra in subsets:
+    for extra in _subsets(free):
         second = tuple(sorted(pin_second + extra))
         first = tuple(sorted(lab for lab in labels if lab not in second))
         for b2 in range(d + 1):
@@ -349,14 +347,11 @@ def enumerate_two_vertex_divisors(
     d: int,
     pin_first: Iterable[int] = (),
     pin_second: Iterable[int] = (),
-    second_side_exact: bool = False,
 ) -> list[DecoratedTree]:
     """All stable one-edge boundary strata, one tree per isomorphism class."""
     check_degree(d)
     seen: dict[DecoratedTree, None] = {}
-    for first, second, b1, b2 in _two_vertex_splits(
-        n, d, pin_first, pin_second, second_side_exact
-    ):
+    for first, second, b1, b2 in _two_vertex_splits(n, d, pin_first, pin_second):
         seen.setdefault(two_vertex_tree(first, second, b1, b2))
     return sorted(seen, key=lambda t: repr(t.canonical_key))
 

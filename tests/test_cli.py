@@ -48,6 +48,29 @@ def test_bad_numeric_input_is_usage_error(capsys, argv):
     assert "engine error" not in err
 
 
+CLONE_OF_P1 = (
+    '"type": "custom", "gradings": [0, 2], "eta": [[0, 1], [1, 0]], '
+    '"cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "c1_degree": 2'
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"r": 1.5, "degree": 1, "tau": [[0, 1, 2]]}',  # was read as P^1
+        '{"r": 1, "degree": true, "tau": [[0, 1, 2]]}',  # was read as degree 1
+        '{"r": 1, "degree": 1, "tau": [[0, 1.5, 1], [0, 1, 1]]}',  # was class 1
+        '{"target": {' + CLONE_OF_P1 + ', "divisor_pairings": [[1, "1/0"]]}, '
+        '"degree": 1, "tau": [[0, 1, 2]]}',  # was a ZeroDivisionError traceback
+    ],
+)
+def test_non_integer_json_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "correlator", "--spec-json", spec)
+    assert code == 2
+    assert out == ""
+    assert "engine error" not in err
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--qmax", "--total"])
 def test_negative_potential_bound_is_usage_error(capsys, flag):
     code, out, err = run(capsys, "potential", "--r", "1", "--vars", "x0", flag, "-1")

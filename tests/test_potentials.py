@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -101,63 +102,77 @@ def test_closed_form_satisfies_puncture_dilaton():
     assert dx1.restrict(shared) == exp_s00 * dsm.restrict(shared)
 
 
-def test_trr_pde_residuals_vanish():
-    spec = cp1_spec(q_cap=2, var_cap=5, total_cap=5)
-    series = build_H_series(spec)
-    residuals = trr_pde_residuals(series, spec)
-    assert len(residuals) == 6  # two kappa families times three t-pairs
+# (spec, residual count per family: psi pivots "t", kappa level >= 1 "s1",
+# kappa level 0 "s0"); the cp1 window has no level-one variables, and a
+# window without x0 has no instances at all
+TRR_WINDOWS = {
+    "cp1": (cp1_spec(q_cap=2, var_cap=5, total_cap=5), {"s0": 6}),
+    "level-one": (
+        make_spec(P1, [(0, 0), (0, 1), (1, 1)], [(-1, 1), (0, 1), (1, 1)], 4, 2, 4),
+        {"t": 6, "s1": 6, "s0": 6},
+    ),
+    "no-x0": (make_spec(P1, [(0, 1), (1, 1)], [(0, 1), (1, 1)], 4, 2, 4), {}),
+}
+
+
+def _family(name):
+    pivot = name.split("|")[0]
+    return "t" if pivot.startswith("t") else pivot.split(",")[0]
+
+
+@pytest.mark.parametrize("window", sorted(TRR_WINDOWS))
+def test_trr_pde_residuals_vanish(window):
+    spec, per_family = TRR_WINDOWS[window]
+    residuals = trr_pde_residuals(build_H_series(spec), spec)
+    assert Counter(_family(name) for name, _ in residuals) == per_family
     for name, residual in residuals:
         assert residual.is_zero(), name
 
 
-def test_trr_pde_residuals_detect_corruption():
-    spec = cp1_spec(q_cap=2, var_cap=5, total_cap=5)
+@pytest.mark.parametrize(
+    "window, bump, broken_pivots",
+    [
+        ("cp1", {"x1": 2, "s0,0": 1, "q": 1}, None),
+        ("level-one", {"x0": 1, "x1": 1, "t1,1": 1, "q": 1}, {"t1,1", "s1,1", "s0,1"}),
+    ],
+    ids=["cp1", "level-one"],
+)
+def test_trr_pde_residuals_detect_corruption(window, bump, broken_pivots):
+    spec, _ = TRR_WINDOWS[window]
     series = build_H_series(spec)
     reg = series.registry
-    bad_exps = tuple(
-        {"t0,1": 2, "s0,0": 1, "q": 1}.get(
-            f"{v.kind}{v.a},{v.alpha}" if v.kind != "q" else "q", 0
-        )
-        for v in reg
-    )
+    bad_exps = tuple(bump.get(v.name, 0) for v in reg)
     corrupted = series + QSeries(reg, series.trunc, {bad_exps: 1})
-    assert any(not r.is_zero() for _, r in trr_pde_residuals(corrupted, spec))
+    broken = {
+        name.split("|")[0]
+        for name, r in trr_pde_residuals(corrupted, spec)
+        if not r.is_zero()
+    }
+    assert broken
+    if broken_pivots is not None:
+        assert broken == broken_pivots
 
 
 def test_third_family_cup_term_one_coefficient():
-    # hand expansion: d/ds00 of H_{11} equals x0 H_{011} + x1 H_{111};
-    # read the q^1 x1 coefficient of both sides
-    spec = cp1_spec(q_cap=1, var_cap=4, total_cap=4)
-    series = build_H_series(spec)
+    # hand identity behind family 3 on P^1: d/ds00 H_11 = x0 H_011 + x1 H_111,
+    # read where all three third partials are exact
+    series = build_H_series(cp1_spec(q_cap=2, var_cap=5, total_cap=5))
 
-    def d(s, kind, a, alpha):
-        return s.partial_derivative(kind, a, alpha)
+    def d(*variables):
+        out = series
+        for v in variables:
+            out = out.partial_derivative(*v)
+        return out
 
-    lhs = d(d(d(series, "t", 0, 1), "t", 0, 1), "s", 0, 0)
-    h011 = d(d(d(series, "t", 0, 0), "t", 0, 1), "t", 0, 1)
-    h111 = d(d(d(series, "t", 0, 1), "t", 0, 1), "t", 0, 1)
-    reg = series.registry
-
-    def mono(**kw):
-        return tuple(
-            kw.get("q" if v.kind == "q" else f"{v.kind}{v.a},{v.alpha}", 0)
-            for v in reg
-        )
-
-    target_mono = mono(q=1)
-    lhs_c = lhs.coefficient(target_mono)
-    rhs_c = h111.coefficient(target_mono)  # x1 H_111 contributes its q-part
-    # x0 H_011 needs the x0-shifted coefficient
-    rhs_c2 = h011.coefficient(target_mono)
-    assert lhs_c == rhs_c2 * 0 + rhs_c * 0 + lhs_c  # structure sanity
-    # q x1 coefficient: lhs reads the q x1 monomial
-    target_mono2 = mono(**{"t0,1": 1, "q": 1})
-    assert lhs.coefficient(target_mono2) == (
-        h011.coefficient(mono(**{"t0,0": -1 + 1, "t0,1": 1, "q": 1})) * 0
-        + h111.coefficient(target_mono2) * 0
-        + h111.coefficient(mono(q=1))
-        + 0
-    )
+    x0, x1, s00 = ("t", 0, 0), ("t", 0, 1), ("s", 0, 0)
+    lhs, h011, h111 = d(x1, x1, s00), d(x0, x1, x1), d(x1, x1, x1)
+    shared = lhs.trunc.meet(h011.trunc, h111.trunc)
+    via_x0 = h011.restrict(shared).multiply_variable(*x0)
+    via_x1 = h111.restrict(shared).multiply_variable(*x1)
+    # both sides contribute, so dropping either one breaks the identity
+    assert len(list(via_x0.items())) == 1
+    assert len(list(via_x1.items())) == 4
+    assert lhs.restrict(shared) == via_x0 + via_x1
 
 
 def test_penult_residual():

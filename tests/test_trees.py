@@ -69,9 +69,7 @@ def test_stability_enforced():
 
 def test_enumerate_pinned_splits():
     # tail 1 alone on the second side forces its degree to be positive
-    trees = enumerate_two_vertex_divisors(
-        3, 2, pin_first=(2, 3), pin_second=(1,), second_side_exact=True
-    )
+    trees = enumerate_two_vertex_divisors(3, 2, pin_first=(2, 3), pin_second=(1,))
     assert len(trees) == 2
     assert sorted(t.betas[t.tail_vertex(1)] for t in trees) == [1, 2]
 
@@ -257,9 +255,7 @@ def test_psi_presentation_comparison_identity():
 def test_kappa_presentation_counts():
     p1 = projective_space(1)
     pres = kappa_boundary_presentation(p1, 2, 1, 1, 1)
-    pins = enumerate_two_vertex_divisors(
-        2, 1, pin_first=(1, 2), pin_second=(), second_side_exact=False
-    )
+    pins = enumerate_two_vertex_divisors(2, 1, pin_first=(1, 2), pin_second=())
     assert len(pres) == len(pins) == 1
 
 
