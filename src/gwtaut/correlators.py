@@ -19,6 +19,10 @@ rationals, computed by the reduction machinery:
 divisor insertion when fewer than two tau co-pivots are available);
 ``evaluate_kappa_first`` is an independently-ordered cross-check that
 removes the kappa classes first and then runs the psi-only recursion.
+
+Only ``MultiIndex.__post_init__`` normalizes a multi-index and only
+``CorrelatorKey.__post_init__`` validates a key (int degree, levels and
+basis indices); the selection rule is ``TargetModel.balanced``.
 """
 
 from __future__ import annotations
@@ -41,20 +45,24 @@ Entry = tuple[int, int]  # (level a, basis index alpha)
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Finitely supported multiplicity function on (level, basis index)."""
+    """Finitely supported multiplicity function on (level, basis index).
+
+    ``entries`` is a signed sum: repeated entries add up (they used to
+    raise), so a several-step edit is one construction.  Multiplicities
+    must be ints with non-negative totals; zeros drop, entries sort.
+    """
 
     entries: tuple[tuple[Entry, int], ...] = ()
 
     def __post_init__(self):
-        cleaned = tuple(
-            sorted((key, mult) for key, mult in self.entries if mult)
-        )
-        for (a, alpha), mult in cleaned:
-            if mult < 0:
-                raise ValueError("negative multiplicity")
-        keys = [key for key, _ in cleaned]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate multi-index entry")
+        acc: dict[Entry, int] = {}
+        for key, mult in self.entries:
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity must be an integer, got {mult!r}")
+            acc[key] = acc.get(key, 0) + mult
+        if any(mult < 0 for mult in acc.values()):
+            raise ValueError("negative multiplicity")
+        cleaned = tuple(sorted(item for item in acc.items() if item[1]))
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(self, "_cached_hash", hash(cleaned))
 
@@ -63,10 +71,7 @@ class MultiIndex:
 
     @classmethod
     def from_list(cls, items) -> "MultiIndex":
-        acc: dict[Entry, int] = {}
-        for a, alpha, mult in items:
-            acc[(a, alpha)] = acc.get((a, alpha), 0) + mult
-        return cls(tuple(acc.items()))
+        return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
 
     # -- size bookkeeping (norms count levels a >= 0 only) ---------------------
 
@@ -103,13 +108,10 @@ class MultiIndex:
         return tuple(out)
 
     def add(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
-        acc = dict(self.entries)
-        acc[(a, alpha)] = acc.get((a, alpha), 0) + k
-        return MultiIndex(tuple(acc.items()))
+        return MultiIndex(self.entries + (((a, alpha), k),))
 
     def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
-        have = self.mult(a, alpha)
-        if have < k:
+        if self.mult(a, alpha) < k:
             raise ValueError(f"entry ({a},{alpha}) not present {k} times")
         return self.add(a, alpha, -k)
 
@@ -144,10 +146,7 @@ class MultiIndex:
         )
 
     def merge(self, other: "MultiIndex") -> "MultiIndex":
-        acc = dict(self.entries)
-        for key, m in other.entries:
-            acc[key] = acc.get(key, 0) + m
-        return MultiIndex(tuple(acc.items()))
+        return MultiIndex(self.entries + other.entries)
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,12 @@ class CorrelatorKey:
 
     def __post_init__(self):
         check_degree(self.d)
-        if self.m.entries and self.m.min_level < 0:
-            raise ValueError("tau indices need levels a >= 0")
-        if self.p.entries and self.p.min_level < -1:
-            raise ValueError("kappa indices need levels a >= -1")
         rank = self.target.rank
-        for idx in (self.m, self.p):
+        for idx, lowest, kind in ((self.m, 0, "tau"), (self.p, -1, "kappa")):
             for (a, alpha), _ in idx.entries:
-                if not 0 <= alpha < rank:
+                if type(a) is not int or a < lowest:
+                    raise ValueError(f"{kind} indices need levels a >= {lowest}")
+                if type(alpha) is not int or not 0 <= alpha < rank:
                     raise ValueError(f"basis index {alpha} out of range")
         object.__setattr__(
             self,
@@ -206,7 +203,7 @@ class Combination:
             del self._terms[keys]
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda kv: _keys_sort(kv[0]))
+        return list(self._terms.items())
 
     def __len__(self):
         return len(self._terms)
@@ -214,10 +211,6 @@ class Combination:
 
 def _key_sort(key: CorrelatorKey):
     return (key.d, key.m.entries, key.p.entries)
-
-
-def _keys_sort(keys):
-    return tuple(_key_sort(k) for k in keys)
 
 
 # -- dimension bookkeeping -------------------------------------------------------
@@ -238,9 +231,7 @@ def expected_dimension(key: CorrelatorKey) -> int:
 
 def selection(key: CorrelatorKey) -> bool:
     """True when the integrand degree matches twice the moduli dimension."""
-    if key.d == 0 and key.n < 3:
-        return False
-    return degree_sum(key) == 2 * expected_dimension(key)
+    return key.target.balanced(degree_sum(key), key.n, key.d)
 
 
 # -- the four reduction moves ------------------------------------------------------
@@ -310,14 +301,10 @@ def _boundary_split(
     key is built.  Every term it skips has a factor that vanishes outright.
     """
     target, d = key.target, key.d
-    g, c1, dim = target.gradings, target.c1_degree, target.dim_complex
+    g, balanced = target.gradings, target.balanced
     pairs = target.eta_inverse_pairs()
-
-    def balanced(deg: int, n: int, b: int) -> bool:
-        return (b > 0 or n >= 3) and deg == 2 * (dim + n - 3 + b * c1)
-
     left_m, left_p, right_m = (
-        MultiIndex.from_list([(a, alpha, 1) for a, alpha in side])
+        MultiIndex(tuple((e, 1) for e in side))
         for side in (left_tau, left_kappa, right_tau)
     )
     m_deg, p_deg = _index_degree(g, m0), _index_degree(g, p0)
@@ -389,15 +376,10 @@ def apply_trr_kappa(
     target = key.target
     out = _boundary_split(key, m0, p0, [], [(a1 - 1, alpha1)], copivots)
     if a1 == 0:
-        (a2, alpha2), (a3, alpha3) = copivots
         for (a, alpha), mult in m0.entries:
             for nu, c_nu in target.cup_product(alpha, alpha1).items():
-                shifted = (
-                    m0.remove(a, alpha)
-                    .add(a, nu)
-                    .add(a2, alpha2)
-                    .add(a3, alpha3)
-                )
+                # m0 with e_alpha -> e_alpha . e_alpha1, plus the co-pivots
+                shifted = MultiIndex(key.m.entries + (((a, alpha), -1), ((a, nu), 1)))
                 out.add((CorrelatorKey(target, shifted, p0, key.d),), mult * c_nu)
     return out
 
@@ -635,17 +617,9 @@ def _evaluate_decorated_tree(
                 extra[v].append((0, s2))
             value = coeff
             for v in range(tree.n_vertices):
-                key = CorrelatorKey(
-                    target,
-                    MultiIndex.from_list(
-                        [(a, alpha, 1) for a, alpha in tau_at[v] + extra[v]]
-                    ),
-                    MultiIndex.from_list(
-                        [(a, alpha, 1) for a, alpha in kappa_at[v]]
-                    ),
-                    tree.betas[v],
-                )
-                value *= evaluate(key)
+                m = MultiIndex(tuple((e, 1) for e in tau_at[v] + extra[v]))
+                p = MultiIndex(tuple((e, 1) for e in kappa_at[v]))
+                value *= evaluate(CorrelatorKey(target, m, p, tree.betas[v]))
                 if value == 0:
                     break
             total += value

@@ -30,11 +30,7 @@ ZERO = Fraction(0)
 
 def selection_holds(target: TargetModel, classes: tuple[int, ...], d: int) -> bool:
     """Degree sum must equal twice the moduli dimension."""
-    n = len(classes)
-    if d == 0 and n < 3:
-        return False
-    degree_sum = sum(target.gradings[a] for a in classes)
-    return degree_sum == 2 * target.moduli_dimension(n, d)
+    return target.balanced(sum(target.gradings[a] for a in classes), len(classes), d)
 
 
 def pure_gw(target: TargetModel, classes, d: int) -> Fraction:
@@ -42,7 +38,7 @@ def pure_gw(target: TargetModel, classes, d: int) -> Fraction:
     check_degree(d)
     key_classes = tuple(sorted(classes))
     for a in key_classes:
-        if not 0 <= a < target.rank:
+        if type(a) is not int or not 0 <= a < target.rank:
             raise ValueError(f"basis index {a} out of range")
     return _pure_gw(target, key_classes, d)
 
@@ -164,8 +160,6 @@ def gw_potential_series(
         classes = tuple(
             alpha for alpha, k in enumerate(x_exps) for _ in range(k)
         )
-        if d == 0 and len(classes) < 3:
-            continue
         value = _pure_gw(target, classes, d)
         if value == 0:
             continue

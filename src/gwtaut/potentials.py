@@ -97,8 +97,6 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
     n_t = len(spec.t_entries)
     terms = {}
     for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
-        if not any(exps):
-            continue
         m = MultiIndex(tuple(zip(spec.t_entries, exps)))
         p = MultiIndex(tuple(zip(spec.s_entries, exps[n_t:])))
         value = evaluate(CorrelatorKey(spec.target, m, p, exps[-1]))
@@ -130,6 +128,23 @@ def cp1_h_sequence(n_terms: int) -> list[Fraction]:
     return hs
 
 
+def _cp1_sum(
+    arg: QSeries, s01: QSeries, q: QSeries, n_max: int, hs: list[Fraction]
+) -> QSeries:
+    """Sum over n = 1..n_max of q^n e^{n arg} s01^{2n-2} h_n / (2n-2)!."""
+    acc = QSeries.zero(q.registry, q.trunc)
+    q_power = QSeries.one(q.registry, q.trunc)
+    s01_sq = s01 * s01
+    s01_power = QSeries.one(q.registry, q.trunc)
+    for n in range(1, n_max + 1):
+        q_power = q_power * q
+        if n > 1:
+            s01_power = s01_power * s01_sq
+        term = q_power * (arg * n).exp() * s01_power
+        acc = acc + term * Fraction(hs[n - 1], factorial(2 * n - 2))
+    return acc
+
+
 def cp1_closed_form_series(
     n_terms: int,
     spec: PotentialSpec,
@@ -158,19 +173,9 @@ def cp1_closed_form_series(
     q = var("q", 0, 0)
 
     arg = sm11 + s00.exp() * (x1 + s01 * x0)
-    damp = (s00 * (-2)).exp()
     n_max = min(n_terms, spec.q_cap)
     hs = hs or cp1_h_sequence(max(n_max, 1))
-    acc = QSeries.zero(registry, trunc)
-    q_power = QSeries.one(registry, trunc)
-    s01_sq = s01 * s01
-    s01_power = QSeries.one(registry, trunc)
-    for n in range(1, n_max + 1):
-        q_power = q_power * q
-        if n > 1:
-            s01_power = s01_power * s01_sq
-        term = damp * q_power * (arg * n).exp() * s01_power
-        acc = acc + term * Fraction(hs[n - 1], factorial(2 * n - 2))
+    acc = (s00 * (-2)).exp() * _cp1_sum(arg, s01, q, n_max, hs)
     if include_classical:
         cubic = x0 * x0 * x1 * Fraction(1, 2) + x0 * x0 * x0 * s01 * Fraction(1, 6)
         acc = acc + s00.exp() * cubic
@@ -187,7 +192,6 @@ def cp1_penult_residual(
     """
     if n_terms < 1:
         raise ValueError("need at least one q order")
-    target = projective_space(1)
     registry = VarRegistry(
         [
             Variable("t", 0, 0, -2),
@@ -203,18 +207,8 @@ def cp1_penult_residual(
         return QSeries.variable(registry, trunc, kind, a, alpha)
 
     x0, x1, s01, q = var("t", 0, 0), var("t", 0, 1), var("s", 0, 1), var("q", 0, 0)
-    arg = x1 + s01 * x0
     hs = hs or cp1_h_sequence(n_terms)
-    h_tilde = QSeries.zero(registry, trunc)
-    q_power = QSeries.one(registry, trunc)
-    s01_power = QSeries.one(registry, trunc)
-    for n in range(1, n_terms + 1):
-        q_power = q_power * q
-        if n > 1:
-            s01_power = s01_power * s01 * s01
-        h_tilde = h_tilde + q_power * (arg * n).exp() * s01_power * Fraction(
-            hs[n - 1], factorial(2 * n - 2)
-        )
+    h_tilde = _cp1_sum(x1 + s01 * x0, s01, q, n_terms, hs)
     h2 = h_tilde.q_log_derivative().q_log_derivative()
     h3 = h2.q_log_derivative()
     window = Truncation(

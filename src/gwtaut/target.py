@@ -31,7 +31,7 @@ def json_int(value, what: str) -> int:
 
 
 def check_degree(d: int) -> int:
-    if not isinstance(d, int) or d < 0:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise ValueError(f"curve degree must be a non-negative integer, got {d!r}")
     return d
 
@@ -131,6 +131,13 @@ class TargetModel:
         if d == 0 and n < 3:
             raise ValueError(f"unstable input: n={n}, d=0")
         return self.dim_complex + n - 3 + d * self.c1_degree
+
+    def balanced(self, degree_sum: int, n: int, d: int) -> bool:
+        """Selection rule on plain, unchecked ints: the n-pointed degree-d
+        space is stable and ``degree_sum`` is twice its complex dimension."""
+        return (d > 0 or n >= 3) and degree_sum == 2 * (
+            self.dim_complex + n - 3 + d * self.c1_degree
+        )
 
     def integral_over_beta(self, alpha: int, d: int) -> Fraction:
         """Pairing of a divisor class with the degree-d curve class."""

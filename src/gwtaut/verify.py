@@ -93,8 +93,8 @@ def random_admissible_key(
         elif need == "pd":
             tau.append((rng.randint(1, 2), rng.randrange(rank)))
 
-        m = MultiIndex.from_list([(a, alpha, 1) for a, alpha in tau])
-        p = MultiIndex.from_list([(a, alpha, 1) for a, alpha in kappa])
+        m = MultiIndex(tuple((e, 1) for e in tau))
+        p = MultiIndex(tuple((e, 1) for e in kappa))
         key = CorrelatorKey(target, m, p, d)
         if key.d == 0 and key.n < 3:
             continue
@@ -104,13 +104,10 @@ def random_admissible_key(
             gap = _degree_gap(key)
         while gap < 0 and key.m.entries:
             a, alpha = max(key.m.expand())
-            key = CorrelatorKey(
-                target, key.m.remove(a, alpha).add(a + 1, alpha), key.p, key.d
-            )
+            step = (((a, alpha), -1), ((a + 1, alpha), 1))
+            key = CorrelatorKey(target, MultiIndex(key.m.entries + step), key.p, key.d)
             gap = _degree_gap(key)
         if gap != 0 or not selection(key):
-            continue
-        if key.d == 0 and key.n < 3:
             continue
         if need == "psi" and (key.m.max_level < 1 or key.n < 3):
             continue

@@ -53,6 +53,42 @@ def test_multi_index_validation():
         make_key(P1, tau=[(0, 5, 1)], d=0)
 
 
+def test_multi_index_constructor_normalizes():
+    m = MultiIndex((((1, 0), 1), ((0, 1), 2), ((1, 0), 2), ((0, 0), 0)))
+    assert m.entries == (((0, 1), 2), ((1, 0), 3))
+    # entries are a signed sum: a negative entry cancels a positive one
+    assert MultiIndex(m.entries + (((1, 0), -3),)).entries == (((0, 1), 2),)
+    assert m == MultiIndex.from_list([(0, 1, 1), (1, 0, 3), (0, 1, 1)])
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        MultiIndex((((0, 1), 1), ((0, 1), -2)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: evaluate(make_key(P1, tau=[(0, 1, 2)], d=True)),
+        lambda: pure_gw(P1, (1, 1), True),
+        lambda: pure_gw(P1, (True, 1), 1),
+        lambda: P1.moduli_dimension(2, True),
+        lambda: evaluate(make_key(P2, tau=[(0.5, 2, 1), (0, 2, 1)], d=1)),
+        lambda: evaluate(make_key(P1, tau=[(0, True, 2)], d=1)),
+        lambda: evaluate(make_key(P1, kappa=[(0, 1, 1.5)], tau=[(0, 1, 2)], d=1)),
+    ],
+    ids=[
+        "bool-degree",
+        "pure-gw-bool-degree",
+        "pure-gw-bool-class",
+        "moduli-dimension-bool-degree",
+        "float-level",
+        "bool-class",
+        "float-multiplicity",
+    ],
+)
+def test_python_api_rejects_non_integers(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_expected_dimension_and_selection():
     key = make_key(P1, tau=[(0, 1, 2)], d=1)
     assert expected_dimension(key) == 2

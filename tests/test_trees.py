@@ -19,29 +19,6 @@ from gwtaut.trees import (
 )
 
 
-def test_tails_pin_vertices():
-    t = two_vertex_tree((1, 2), (3,), 1, 1)
-    assert aut_order(t) == 1
-
-
-def test_identical_legs_swap():
-    star = DecoratedTree(
-        betas=(0, 1, 1),
-        edges=((0, 1), (0, 2)),
-        tails=((1, 0), (2, 0), (3, 0)),
-    )
-    assert aut_order(star) == 2
-
-
-def test_distinct_degrees_break_symmetry():
-    star = DecoratedTree(
-        betas=(0, 1, 2),
-        edges=((0, 1), (0, 2)),
-        tails=((1, 0), (2, 0), (3, 0)),
-    )
-    assert aut_order(star) == 1
-
-
 def test_decorations_break_symmetry():
     tok = Decoration("class", ("gamma",), 2)
     star = DecoratedTree(
@@ -72,10 +49,6 @@ def test_enumerate_pinned_splits():
     trees = enumerate_two_vertex_divisors(3, 2, pin_first=(2, 3), pin_second=(1,))
     assert len(trees) == 2
     assert sorted(t.betas[t.tail_vertex(1)] for t in trees) == [1, 2]
-
-
-def test_enumerate_classical_m04_divisors():
-    assert len(enumerate_two_vertex_divisors(4, 0)) == 3
 
 
 def test_enumerate_unpointed_degree_two():
