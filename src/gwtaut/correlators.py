@@ -20,18 +20,23 @@ divisor insertion when fewer than two tau co-pivots are available);
 ``evaluate_kappa_first`` is an independently-ordered cross-check that
 removes the kappa classes first and then runs the psi-only recursion.
 
-Only ``MultiIndex.__post_init__`` normalizes a multi-index and only
-``CorrelatorKey.__post_init__`` validates a key (int degree, levels and
-basis indices); the selection rule is ``TargetModel.balanced``.
+Checks run at the API boundary: the public ``MultiIndex(...)`` normalizes
+and the public ``CorrelatorKey(...)`` (so ``make_key``) validates.  The
+moves derive keys from valid ones through ``_normal_index`` and
+``_valid_key``, which check nothing: the ``MultiIndex`` operations keep the
+normal form, and each move shifts levels only within their ranges (tau
+>= 0, kappa >= -1).  The selection rule is ``TargetModel.balanced``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, factorial
+from operator import itemgetter
 
 from .gw import _pure_gw, pure_gw
 from .target import TargetModel, check_degree
@@ -47,9 +52,11 @@ Entry = tuple[int, int]  # (level a, basis index alpha)
 class MultiIndex:
     """Finitely supported multiplicity function on (level, basis index).
 
-    ``entries`` is a signed sum: repeated entries add up (they used to
-    raise), so a several-step edit is one construction.  Multiplicities
-    must be ints with non-negative totals; zeros drop, entries sort.
+    The public constructor normalizes: ``entries`` is a signed sum, so
+    repeated entries add up; multiplicities must be ints with non-negative
+    totals; zeros drop, entries sort.  ``add``, ``remove``, ``merge``,
+    ``splits`` and the two parts keep this normal form and skip the
+    constructor.
     """
 
     entries: tuple[tuple[Entry, int], ...] = ()
@@ -88,10 +95,6 @@ class MultiIndex:
         return sum(a * mult for (a, _), mult in self.entries if a >= 0)
 
     @property
-    def min_level(self) -> int:
-        return min((a for (a, _), _ in self.entries), default=0)
-
-    @property
     def max_level(self) -> int:
         return max((a for (a, _), _ in self.entries), default=-10)
 
@@ -108,7 +111,18 @@ class MultiIndex:
         return tuple(out)
 
     def add(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
-        return MultiIndex(self.entries + (((a, alpha), k),))
+        if type(k) is not int:
+            raise ValueError(f"multiplicity must be an integer, got {k!r}")
+        entries, key = self.entries, (a, alpha)
+        i = bisect_left(entries, key, key=_entry_key)
+        if i < len(entries) and entries[i][0] == key:
+            k += entries[i][1]
+            tail = entries[i + 1 :]
+        else:
+            tail = entries[i:]
+        if k < 0:
+            raise ValueError("negative multiplicity")
+        return _normal_index(entries[:i] + (((key, k),) if k else ()) + tail)
 
     def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
         if self.mult(a, alpha) < k:
@@ -126,31 +140,52 @@ class MultiIndex:
         keys = [key for key, _ in self.entries]
         mults = [m for _, m in self.entries]
         for counts in product(*(range(m + 1) for m in mults)):
-            sub = MultiIndex(tuple(zip(keys, counts)))
-            rest = MultiIndex(
-                tuple(zip(keys, (m - c for m, c in zip(mults, counts))))
-            )
-            mult = 1
-            for m, c in zip(mults, counts):
+            sub, rest, mult = [], [], 1
+            for key, m, c in zip(keys, mults, counts):
+                if c:
+                    sub.append((key, c))
+                if c < m:
+                    rest.append((key, m - c))
                 mult *= comb(m, c)
-            yield sub, rest, mult
+            yield _normal_index(tuple(sub)), _normal_index(tuple(rest)), mult
 
     def nonneg_part(self) -> "MultiIndex":
-        return MultiIndex(
-            tuple((key, m) for key, m in self.entries if key[0] >= 0)
+        return _normal_index(
+            tuple(item for item in self.entries if item[0][0] >= 0)
         )
 
     def neg_part(self) -> "MultiIndex":
-        return MultiIndex(
-            tuple((key, m) for key, m in self.entries if key[0] < 0)
+        return _normal_index(
+            tuple(item for item in self.entries if item[0][0] < 0)
         )
 
     def merge(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.entries + other.entries)
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
+        acc = dict(self.entries)
+        for key, m in other.entries:
+            acc[key] = acc.get(key, 0) + m
+        return _normal_index(tuple(sorted(acc.items())))
+
+
+_entry_key = itemgetter(0)
+
+
+def _normal_index(entries: tuple[tuple[Entry, int], ...]) -> MultiIndex:
+    """A ``MultiIndex`` on entries already in normal form; nothing is checked."""
+    idx = object.__new__(MultiIndex)
+    object.__setattr__(idx, "entries", entries)
+    object.__setattr__(idx, "_cached_hash", hash(entries))
+    return idx
 
 
 @dataclass(frozen=True)
 class CorrelatorKey:
+    """Correlator <tau_m kappa_p>_d; the public constructor validates it
+    (int d >= 0; int levels, tau >= 0 and kappa >= -1; basis indices in range)."""
+
     target: TargetModel
     m: MultiIndex
     p: MultiIndex
@@ -177,6 +212,19 @@ class CorrelatorKey:
     @property
     def n(self) -> int:
         return self.m.size
+
+
+def _valid_key(
+    target: TargetModel, m: MultiIndex, p: MultiIndex, d: int
+) -> CorrelatorKey:
+    """A ``CorrelatorKey`` on parts already known valid; nothing is checked."""
+    key = object.__new__(CorrelatorKey)
+    object.__setattr__(key, "target", target)
+    object.__setattr__(key, "m", m)
+    object.__setattr__(key, "p", p)
+    object.__setattr__(key, "d", d)
+    object.__setattr__(key, "_cached_hash", hash((hash(target), m, p, d)))
+    return key
 
 
 def make_key(target: TargetModel, tau=(), kappa=(), d: int = 0) -> CorrelatorKey:
@@ -277,7 +325,7 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> Combination:
             continue
         new_level = p2.weight + a - 1
         for nu, c_nu in target.cup_vector(vec, alpha).items():
-            sub = CorrelatorKey(target, m0, p1.add(new_level, nu), key.d)
+            sub = _valid_key(target, m0, p1.add(new_level, nu), key.d)
             out.add((sub,), binm * c_nu)
     return out
 
@@ -327,8 +375,8 @@ def _boundary_split(
                     if balanced(deg1 + g[s1], n1, b1) and balanced(
                         deg2 + g[s2], n2, d - b1
                     ):
-                        k1 = CorrelatorKey(target, left.add(0, s1), p1, b1)
-                        k2 = CorrelatorKey(target, right.add(0, s2), p2, d - b1)
+                        k1 = _valid_key(target, left.add(0, s1), p1, b1)
+                        k2 = _valid_key(target, right.add(0, s2), p2, d - b1)
                         out.add((k1, k2), mbin * pbin * w)
     return out
 
@@ -379,8 +427,8 @@ def apply_trr_kappa(
         for (a, alpha), mult in m0.entries:
             for nu, c_nu in target.cup_product(alpha, alpha1).items():
                 # m0 with e_alpha -> e_alpha . e_alpha1, plus the co-pivots
-                shifted = MultiIndex(key.m.entries + (((a, alpha), -1), ((a, nu), 1)))
-                out.add((CorrelatorKey(target, shifted, p0, key.d),), mult * c_nu)
+                shifted = key.m.remove(a, alpha).add(a, nu)
+                out.add((_valid_key(target, shifted, p0, key.d),), mult * c_nu)
     return out
 
 
@@ -465,9 +513,9 @@ def _divisor_trick(key: CorrelatorKey) -> Fraction:
     target = key.target
     alpha_div, pairing = target.divisor_class(key.d)
     _count_reduction()
-    augmented = CorrelatorKey(target, key.m.add(0, alpha_div), key.p, key.d)
+    augmented = _valid_key(target, key.m.add(0, alpha_div), key.p, key.d)
     comb = apply_puncture_dilaton(augmented, (0, alpha_div))
-    solved = CorrelatorKey(target, key.m, key.p.add(-1, alpha_div), key.d)
+    solved = _valid_key(target, key.m, key.p.add(-1, alpha_div), key.d)
     comb.add((solved,), -ONE)
     return (evaluate(augmented) - evaluate_combination(comb)) / pairing
 
@@ -490,7 +538,7 @@ def evaluate_kappa_first(key: CorrelatorKey) -> Fraction:
         p_hat = key.p.remove(b, nu0)
         _count_reduction()
         value = evaluate_kappa_first(
-            CorrelatorKey(target, key.m.add(b + 1, nu0), p_hat, key.d)
+            _valid_key(target, key.m.add(b + 1, nu0), p_hat, key.d)
         )
         neg = p_hat.neg_part()
         for p2, rest, binm in p_hat.nonneg_part().splits():
@@ -502,7 +550,7 @@ def evaluate_kappa_first(key: CorrelatorKey) -> Fraction:
                 continue
             new_level = p2.weight + b
             for nu, c_nu in target.cup_vector(vec, nu0).items():
-                sub = CorrelatorKey(target, key.m, p1.add(new_level, nu), key.d)
+                sub = _valid_key(target, key.m, p1.add(new_level, nu), key.d)
                 value -= binm * c_nu * evaluate_kappa_first(sub)
         return value
     if key.m.max_level >= 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .series import parse_rational
 
@@ -85,8 +85,10 @@ class TargetModel:
     def rank(self) -> int:
         return len(self.gradings)
 
-    @property
+    @cached_property
     def dim_complex(self) -> int:
+        # read by ``balanced`` in the innermost loop of the boundary split;
+        # cached in the instance dict, outside the fields, hash and equality
         return max(self.gradings) // 2
 
     def cup_product(self, alpha: int, beta: int) -> dict[int, Fraction]:

@@ -117,7 +117,11 @@ def test_comparison_cup_kills_terms():
     key = make_key(P1, tau=[(0, 1, 1)], kappa=[(0, 1, 1)], d=1)
     comb = apply_puncture_dilaton(key, (0, 1))
     # the split putting kappa_{0,1} upstairs needs e1 . e1 = 0 on P1
-    assert all(k.p.min_level == -1 for keys, _ in comb.items() for k in keys)
+    assert all(
+        min(a for (a, _), _ in k.p.entries) == -1
+        for keys, _ in comb.items()
+        for k in keys
+    )
 
 
 def test_comparison_rejects_missing_space():
@@ -210,6 +214,43 @@ def test_boundary_moves_emit_only_balanced_terms():
         comb = apply_trr_psi(key, (1, 0), ((0, classes[0]), (0, classes[1])))
         expected = (len(classes) - 2) * pure_gw(target, classes, d)
         assert evaluate_combination(comb) == expected != 0
+
+
+def test_moves_build_keys_in_normal_form():
+    # the moves build keys without the constructors' checks; each emitted
+    # key must be exactly what the public constructors make of it
+    checked = cup_corrections = divisor_comparisons = 0
+    for key in sample_relation_keys([P1, P2, P3], 48, seed=5, d_max=2):
+        emitted = []
+        moves = list(_boundary_moves(key))
+        # split terms have two factors; one-factor terms are the kappa
+        # level-0 cup corrections
+        cup_corrections += sum(
+            len(keys) == 1 for comb in moves for keys, _ in comb.items()
+        )
+        psi_pivots = [e for e in key.m.expand() if e[0] >= 1]
+        if psi_pivots and not (key.d == 0 and key.n == 3):
+            moves.append(apply_puncture_dilaton(key, max(psi_pivots)))
+        if key.d > 0 and not psi_pivots:
+            # the divisor trick's comparison on the divisor-augmented key
+            alpha_div, _ = key.target.divisor_class(key.d)
+            augmented = CorrelatorKey(
+                key.target, key.m.add(0, alpha_div), key.p, key.d
+            )
+            moves.append(apply_puncture_dilaton(augmented, (0, alpha_div)))
+            emitted.append(augmented)
+            divisor_comparisons += 1
+        emitted += [k for comb in moves for keys, _ in comb.items() for k in keys]
+        for k in emitted:
+            # rebuilt through the validating, normalizing constructors
+            twin = CorrelatorKey(
+                k.target, MultiIndex(k.m.entries), MultiIndex(k.p.entries), k.d
+            )
+            assert k.m.entries == twin.m.entries
+            assert k.p.entries == twin.p.entries
+            assert k == twin and hash(k) == hash(twin)
+        checked += len(emitted)
+    assert checked >= 2000 and cup_corrections >= 20 and divisor_comparisons >= 10
 
 
 def test_trr_kappa_zero_reproduces_point_count():

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from gwtaut.gw import gw_potential_series, pure_gw, selection_holds
+from gwtaut.potentials import wdvv_residuals
 from gwtaut.series import QSeries, Truncation
 from gwtaut.target import projective_space, target_from_config
 
@@ -167,3 +168,28 @@ def test_non_monogenic_target_needs_seeds():
     # selection-valid key: class degrees 12 = 2 * (2 + 3 - 3 + 2*2)
     with pytest.raises(ValueError, match="(seed|hyperplane)"):
         pure_gw(quadric, [2, 2, 2], 2)
+
+
+def test_quadric_threefold_as_custom_target():
+    # Q^3 in P^4 on the basis 1, H, H^2, H^3: H^3 is twice the point class,
+    # so eta(H^a, H^b) = 2 when a + b = 3; seed <H^2, H^3>_1 = 4
+    config = {
+        "type": "custom",
+        "name": "Q3",
+        "gradings": [0, 2, 4, 6],
+        "eta": [[2 if a + b == 3 else 0 for b in range(4)] for a in range(4)],
+        "cup": [
+            [[1 if nu == a + b else 0 for nu in range(4)] for b in range(4)]
+            for a in range(4)
+        ],
+        "c1_degree": 3,
+        "divisor_pairings": [[1, 1]],
+        "seeds": [[[2, 3], 1, 4]],
+    }
+    q3 = target_from_config(config)
+    assert q3.is_monogenic
+    # one conic through three general points, each point class H^3 / 2
+    assert pure_gw(q3, (3, 3, 3), 2) == 8
+    residuals = wdvv_residuals(gw_potential_series(q3, (3, 6, 6, 6), 3), q3)
+    assert len(residuals) == 96
+    assert all(r.is_zero() for r in residuals.values())
