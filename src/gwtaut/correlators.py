@@ -596,7 +596,9 @@ def evaluate_tree_sum(
 ) -> Fraction:
     """Integrate a decorated tree sum against tau insertions at the tails.
 
-    ``ambient`` maps each tail label to its (psi level, class) insertion.
+    ``ambient`` maps each tail label to its (psi level, class) insertion;
+    its labels must equal each tree's tail labels, since an insertion that
+    no tail carries would be dropped silently.
     Edges contribute the inverse Poincare pairing with level-0 insertions
     on both sides; vertex tokens contribute kappa insertions, psi powers
     at their tail, or cup products with the tail's class.  Each tree's
@@ -615,9 +617,11 @@ def evaluate_tree_sum(
 def _evaluate_decorated_tree(
     target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
 ) -> Fraction:
-    for label in tree.labels:
-        if label not in ambient:
-            raise ValueError(f"no ambient insertion for tail {label}")
+    if set(ambient) != set(tree.labels):
+        raise ValueError(
+            f"ambient labels {sorted(ambient)} differ from the tail labels "
+            f"{sorted(tree.labels)}"
+        )
 
     # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
     tail_choices: dict[int, list[tuple[Entry, Fraction]]] = {}

@@ -70,6 +70,13 @@ class TargetModel:
                 expected = Fraction(1) if nu == b else Fraction(0)
                 if self.cup[0][b][nu] != expected:
                     raise ValueError("e_0 must act as the unit in the cup product")
+        # derived data, kept outside the fields, hash and equality
+        inverse = _invert(self.eta)
+        pairs = tuple(
+            (s1, s2, w) for s1, row in enumerate(inverse) for s2, w in enumerate(row) if w
+        )
+        object.__setattr__(self, "_eta_inverse", inverse)
+        object.__setattr__(self, "_eta_inverse_pairs", pairs)
         object.__setattr__(
             self,
             "_cached_hash",
@@ -110,11 +117,11 @@ class TargetModel:
         return self.eta[alpha][beta]
 
     def inverse_pairing(self, sigma1: int, sigma2: int) -> Fraction:
-        return _eta_inverse(self)[sigma1][sigma2]
+        return self._eta_inverse[sigma1][sigma2]
 
     def eta_inverse_pairs(self) -> tuple[tuple[int, int, Fraction], ...]:
         """Nonzero entries (sigma1, sigma2, eta^{sigma1 sigma2})."""
-        return _eta_inverse_pairs(self)
+        return self._eta_inverse_pairs
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
         """int_V e_a e_b e_c, via cup and the pairing."""
@@ -170,9 +177,10 @@ class TargetModel:
                 return value
         return None
 
-    @property
+    @cached_property
     def is_monogenic(self) -> bool:
-        """True when the basis is 1, h, h^2, ... with h the hyperplane class."""
+        """True when the basis is 1, h, h^2, ... with h the hyperplane class
+        (cached: ``pure_gw`` reads it on every memo miss)."""
         r = self.rank - 1
         if self.gradings != tuple(2 * i for i in range(r + 1)):
             return False
@@ -186,12 +194,11 @@ class TargetModel:
         return True
 
 
-@lru_cache(maxsize=None)
-def _eta_inverse(target: TargetModel) -> FrMatrix:
+def _invert(eta: FrMatrix) -> FrMatrix:
     """Exact inverse of eta by Gauss-Jordan elimination over Fraction."""
-    n = target.rank
+    n = len(eta)
     aug = [
-        [target.eta[i][j] for j in range(n)]
+        [eta[i][j] for j in range(n)]
         + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
         for i in range(n)
     ]
@@ -207,17 +214,6 @@ def _eta_inverse(target: TargetModel) -> FrMatrix:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-@lru_cache(maxsize=None)
-def _eta_inverse_pairs(target: TargetModel) -> tuple[tuple[int, int, Fraction], ...]:
-    inv = _eta_inverse(target)
-    return tuple(
-        (s1, s2, inv[s1][s2])
-        for s1 in range(target.rank)
-        for s2 in range(target.rank)
-        if inv[s1][s2] != 0
-    )
 
 
 @lru_cache(maxsize=None)

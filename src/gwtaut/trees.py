@@ -3,11 +3,17 @@
 A tree records per-vertex curve degrees, labeled tails, and optional
 decoration tokens (opaque cohomology-class markers used by the boundary
 presentations).  This module is purely combinatorial: it enumerates
-boundary strata, computes automorphism orders through canonical forms,
-pushes and pulls trees along the forgetful map with the correct
-automorphism-ratio coefficients, and writes down the boundary
+boundary strata, pushes and pulls trees along the forgetful map with the
+correct automorphism-ratio coefficients, and writes down the boundary
 presentations of psi powers and kappa classes.  Pairing a tree sum with
 actual cohomology classes is the correlator engine's job.
+
+Trees are equal when isomorphic.  One recursion over rooted branches
+gives, for every choice of root, the rooted code and the order of the
+root-fixing automorphism group.  The canonical key is the least rooted
+code over all roots; the roots attaining it form one orbit of Aut(T), so
+by orbit-stabilizer |Aut T| is their number times the rooted order at
+one of them.  Both are computed once, when the tree is built.
 """
 
 from __future__ import annotations
@@ -82,7 +88,11 @@ class DecoratedTree:
                 raise ValueError(
                     f"vertex {v} is unstable: degree 0 with {self.valence(v)} half-edges"
                 )
-        object.__setattr__(self, "_ckey", _canonical_key(self))
+        rooted = [_rooted(self, root, -1) for root in range(nv)]
+        key = min(code for code, _ in rooted)
+        minimal = [aut for code, aut in rooted if code == key]
+        object.__setattr__(self, "_ckey", key)
+        object.__setattr__(self, "_aut", len(minimal) * minimal[0])
 
     # -- structure ------------------------------------------------------------
 
@@ -176,70 +186,26 @@ def _vertex_color(t: DecoratedTree, v: int):
     return (t.betas[v], t.tails_at(v), decor)
 
 
-def _rooted_code(t: DecoratedTree, v: int, parent: int):
-    child_codes = sorted(
-        _rooted_code(t, w, v) for w in t.neighbors(v) if w != parent
-    )
-    return (_vertex_color(t, v), tuple(child_codes))
-
-
-def _centers(t: DecoratedTree) -> list[int]:
-    n = t.n_vertices
-    if n == 1:
-        return [0]
-    deg = {v: len(t.neighbors(v)) for v in range(n)}
-    layer = [v for v in range(n) if deg[v] <= 1]
-    removed = len(layer)
-    current = layer
-    while removed < n:
-        nxt = []
-        for u in current:
-            deg[u] = 0
-            for w in t.neighbors(u):
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        removed += len(nxt)
-        if nxt:
-            current = nxt
-    return current
-
-
-def _canonical_key(t: DecoratedTree):
-    centers = _centers(t)
-    if len(centers) == 1:
-        return ("vertex", _rooted_code(t, centers[0], -1))
-    u, v = centers
-    return ("edge", tuple(sorted((_rooted_code(t, u, v), _rooted_code(t, v, u)))))
-
-
-def _rooted_aut(t: DecoratedTree, v: int, parent: int) -> int:
-    groups: dict[tuple, list[int]] = {}
-    for w in t.neighbors(v):
-        if w == parent:
-            continue
-        groups.setdefault(_rooted_code(t, w, v), []).append(w)
+def _rooted(t: DecoratedTree, v: int, parent: int) -> tuple[tuple, int]:
+    """Code of the branch at v away from ``parent``, and the order of its
+    root-fixing automorphism group: the product of the children's orders
+    times k! for each k children with the same code."""
+    children = sorted(_rooted(t, w, v) for w in t.neighbors(v) if w != parent)
     count = 1
-    for code, members in groups.items():
-        for w in members:
-            count *= _rooted_aut(t, w, v)
-        k = len(members)
-        for i in range(2, k + 1):
-            count *= i
-    return count
+    for i, (code, aut) in enumerate(children):
+        run = run + 1 if i and code == children[i - 1][0] else 1
+        count *= aut * run
+    return (_vertex_color(t, v), tuple(code for code, _ in children)), count
 
 
 def aut_order(t: DecoratedTree) -> int:
-    """Order of the decoration- and tail-preserving automorphism group."""
-    centers = _centers(t)
-    if len(centers) == 1:
-        return _rooted_aut(t, centers[0], -1)
-    u, v = centers
-    count = _rooted_aut(t, u, v) * _rooted_aut(t, v, u)
-    if _rooted_code(t, u, v) == _rooted_code(t, v, u):
-        count *= 2
-    return count
+    """Order of the decoration- and tail-preserving automorphism group.
+
+    The roots whose rooted code is the canonical key form one orbit of
+    Aut(T), and each has its rooted automorphism group as stabilizer, so
+    |Aut T| = (number of minimal roots) x (rooted order at one of them).
+    """
+    return t._aut
 
 
 class TreeSum:
@@ -252,7 +218,7 @@ class TreeSum:
                 self._terms[tree] = Fraction(coeff)
 
     def items(self) -> Iterator[tuple[DecoratedTree, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda tc: repr(tc[0].canonical_key)))
+        return iter(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -353,7 +319,7 @@ def enumerate_two_vertex_divisors(
     seen: dict[DecoratedTree, None] = {}
     for first, second, b1, b2 in _two_vertex_splits(n, d, pin_first, pin_second):
         seen.setdefault(two_vertex_tree(first, second, b1, b2))
-    return sorted(seen, key=lambda t: repr(t.canonical_key))
+    return list(seen)
 
 
 # -- forgetful map -------------------------------------------------------------

@@ -39,6 +39,12 @@ def test_correlator_value_and_exit_zero(capsys):
         ("verify", "--suite", "trees", "--r", "0"),
         ("verify", "--suite", "trr", "--r", "1", "--samples", "0"),
         ("verify", "--suite", "wdvv", "--r", "1", "--qmax", "0"),  # empty window would pass vacuously
+        (  # a degenerate Poincare pairing used to run and print the value 1
+            "correlator", "--tau", "0,1,1", "--degree", "1", "--target",
+            '{"type": "custom", "gradings": [0, 2], "eta": [[0, 0], [0, 0]], '
+            '"cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "c1_degree": 2, '
+            '"divisor_pairings": [[1, 1]], "seeds": [[[], 1, 1]]}',
+        ),
     ],
 )
 def test_bad_numeric_input_is_usage_error(capsys, argv):

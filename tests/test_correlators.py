@@ -435,3 +435,15 @@ def test_psi_power_presentation_matches_engine():
     via_trees = evaluate_tree_sum(P1, pres, ambient)
     direct = evaluate(make_key(P1, tau=[(2, 1, 1), (0, 1, 3)], d=2))
     assert via_trees == direct == 2
+
+
+def test_tree_sum_rejects_ambient_labels_no_tail_carries():
+    pres = psi_boundary_presentation(5, 2, 2)
+    ambient = {1: (0, 1), 2: (1, 0), 3: (0, 1), 4: (0, 1), 5: (0, 1)}
+    direct = evaluate(make_key(P1, tau=[(2, 1, 1), (1, 0, 1), (0, 1, 3)], d=2))
+    assert evaluate_tree_sum(P1, pres, ambient) == direct == 4
+    with pytest.raises(ValueError, match="ambient labels"):
+        evaluate_tree_sum(P1, pres, {**ambient, 6: (0, 1)})  # was 4
+    del ambient[5]
+    with pytest.raises(ValueError, match="ambient labels"):
+        evaluate_tree_sum(P1, pres, ambient)

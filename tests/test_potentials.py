@@ -210,6 +210,21 @@ def test_wdvv_detects_broken_p2_potential():
     assert any(not r.is_zero() for r in wdvv_residuals(broken, P2).values())
 
 
+def test_twisted_p2_potential_satisfies_wdvv():
+    # the kappa-twisted potential is a family of Frobenius structures: with
+    # s_{0,1} as a spectator parameter, associativity with eta^{-1} holds
+    spec = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(0, 1)], 4, 1)
+    h = build_H_series(spec)
+    residuals = wdvv_residuals(h, P2)
+    assert len(residuals) == 27
+    assert all(r.is_zero() for r in residuals.values())
+    # doubling the x0 x1 x2^2 s_{0,1} q coefficient breaks ten quadruples
+    exps = (1, 1, 2, 1, 1)
+    assert dict(h.items())[exps] == Fraction(1, 2)
+    broken = h + QSeries(h.registry, h.trunc, {exps: Fraction(1, 2)})
+    assert sum(not r.is_zero() for r in wdvv_residuals(broken, P2).values()) == 10
+
+
 def test_empty_variable_potential_is_q_layer():
     spec = make_spec(P1, (), (), var_cap=0, q_cap=3)
     series = build_H_series(spec)

@@ -128,6 +128,5 @@ def test_degenerate_eta_rejected():
         "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
         "c1_degree": 2,
     }
-    t = target_from_config(config)
-    with pytest.raises(ValueError):
-        t.inverse_pairing(0, 1)
+    with pytest.raises(ValueError, match="eta is degenerate"):
+        target_from_config(config)
