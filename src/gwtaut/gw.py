@@ -13,6 +13,9 @@ Invariants <e_{a1} ... e_{an}>_d are computed by exact recursion:
     (for P^1 the equivalent seed is the empty degree-one invariant).
 
 Every value is an exact ``Fraction`` and every normalized key is memoized.
+This module holds the pure invariants only: ``gw_potential_series``
+delegates to ``potentials.build_H_series``, whose cells reach
+``pure_gw`` through ``correlators.evaluate``.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial
+from math import comb
 
-from .series import QSeries, Truncation, Variable, VarRegistry
 from .target import TargetModel, check_degree
 
 ZERO = Fraction(0)
@@ -138,33 +140,14 @@ def gw_potential_series(
     x_caps: tuple[int, ...],
     q_cap: int,
     total_cap: int | None = None,
-) -> QSeries:
+):
     """Truncated genus-0 potential sum_{n,d} <...>_d x^... q^d / n!.
 
-    The registry holds one x-variable per basis class (graded like
-    t_0^alpha) followed by q.
+    The ``build_H_series`` of the spec whose only entries are the t_0^alpha,
+    the x-variables in basis order: the twisted potential with no s.
     """
-    if len(x_caps) != target.rank:
-        raise ValueError("one exponent cap per basis class is required")
-    variables = [
-        Variable("t", 0, alpha, -2 + target.gradings[alpha])
-        for alpha in range(target.rank)
-    ]
-    variables.append(Variable("q", 0, 0, -2 * target.c1_degree))
-    registry = VarRegistry(variables)
-    trunc = Truncation(tuple(x_caps) + (q_cap,), total_cap)
+    # imported here: potentials imports correlators, which imports this module
+    from .potentials import PotentialSpec, build_H_series
 
-    terms = {}
-    for exps in trunc.graded_exponents(registry, 2 * (target.dim_complex - 3)):
-        *x_exps, d = exps
-        classes = tuple(
-            alpha for alpha, k in enumerate(x_exps) for _ in range(k)
-        )
-        value = _pure_gw(target, classes, d)
-        if value == 0:
-            continue
-        weight = Fraction(1)
-        for k in x_exps:
-            weight /= factorial(k)
-        terms[exps] = value * weight
-    return QSeries(registry, trunc, terms)
+    t_0 = tuple((0, alpha) for alpha in range(target.rank))
+    return build_H_series(PotentialSpec(target, t_0, (), tuple(x_caps), q_cap, total_cap))

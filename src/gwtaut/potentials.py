@@ -2,11 +2,13 @@
 
 ``build_H_series`` assembles the truncated twisted potential
 H = sum 1/m! 1/p! <tau^m kappa^p>_d t^m s^p q^d over an active variable
-set; ``wdvv_residuals`` checks associativity of a plain potential;
-``trr_pde_residuals`` checks the recursion relations in differential
-form; and the P^1 helpers reproduce the closed-form solution, its
-h-number recursion, and the single q-log-derivative equation the
-recursions collapse to.
+set; the pure potential is the spec with no s entries (which is what
+``gw.gw_potential_series`` builds).  ``wdvv_residuals`` checks the
+associativity of any potential with every t_0^alpha active, the s
+variables riding along as parameters; ``trr_pde_residuals`` checks the
+recursion relations in differential form; and the P^1 helpers reproduce
+the closed-form solution, its h-number recursion, and the single
+q-log-derivative equation the recursions collapse to.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .correlators import CorrelatorKey, MultiIndex, evaluate
+from .correlators import _normal_index, _valid_key, evaluate
 from .series import QSeries, Truncation, Variable, VarRegistry
 from .target import TargetModel, projective_space
 
@@ -37,12 +39,23 @@ class PotentialSpec:
     total_cap: int | None = None
 
     def __post_init__(self):
+        """The one home of the spec checks; ``build_H_series`` trusts them."""
+        rank = self.target.rank
+        for kind, entries, low in (("t", self.t_entries, 0), ("s", self.s_entries, -1)):
+            for a, alpha in entries:
+                ints = type(a) is int and type(alpha) is int
+                if not (ints and a >= low and 0 <= alpha < rank):
+                    raise ValueError(
+                        f"{kind} entry ({a!r}, {alpha!r}) needs ints a >= {low} "
+                        f"and 0 <= alpha < {rank}"
+                    )
+            if list(entries) != sorted(set(entries)):
+                raise ValueError(f"{kind} entries must be strictly increasing")
         if len(self.caps) != len(self.t_entries) + len(self.s_entries):
             raise ValueError("one cap per active variable is required")
-        if len(set(self.t_entries)) != len(self.t_entries):
-            raise ValueError("duplicate t entry")
-        if len(set(self.s_entries)) != len(self.s_entries):
-            raise ValueError("duplicate s entry")
+        total = 0 if self.total_cap is None else self.total_cap
+        if any(type(b) is not int or b < 0 for b in (*self.caps, self.q_cap, total)):
+            raise ValueError("caps, q_cap and total_cap must be non-negative ints")
 
     def context(self) -> tuple[VarRegistry, Truncation]:
         t = self.target
@@ -91,15 +104,16 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
 
     Every monomial with the correct homogeneity is filled, in exponent
     order and on the calling thread, with the exact correlator value
-    weighted by 1/m! 1/p!.
+    weighted by 1/m! 1/p!.  The spec has checked its entries (valid and
+    increasing), so each cell's key is built without checks.
     """
     registry, trunc = spec.context()
-    n_t = len(spec.t_entries)
+    t, s = spec.t_entries, spec.s_entries
     terms = {}
     for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
-        m = MultiIndex(tuple(zip(spec.t_entries, exps)))
-        p = MultiIndex(tuple(zip(spec.s_entries, exps[n_t:])))
-        value = evaluate(CorrelatorKey(spec.target, m, p, exps[-1]))
+        m = _normal_index(tuple((e, k) for e, k in zip(t, exps) if k))
+        p = _normal_index(tuple((e, k) for e, k in zip(s, exps[len(t) :]) if k))
+        value = evaluate(_valid_key(spec.target, m, p, exps[-1]))
         if value != 0:
             terms[exps] = value / (m.factorial() * p.factorial())
     return QSeries(registry, trunc, terms)

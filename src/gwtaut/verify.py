@@ -1,7 +1,9 @@
 """Property suites: exact equality checks runnable from the CLI and tests.
 
 Each suite returns (ok, lines); lines are human-readable one-per-check
-reports.  Randomized suites take an explicit seed and report it.
+reports, each written by ``Report.check`` (the one home of the
+``ok  ``/``FAIL`` line format).  Randomized suites take an explicit seed
+and report it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .correlators import (
     make_key,
     selection,
 )
-from .gw import gw_potential_series
 from .potentials import (
+    PotentialSpec,
     build_H_series,
     cp1_closed_form_series,
     cp1_h_sequence,
@@ -46,6 +48,28 @@ from .trees import (
 
 Entry = tuple[int, int]
 
+MAX_POINTS = 5  # tau points a sampled key starts with, at most
+
+
+class Report:
+    """One suite's verdict and its report lines, one line per check."""
+
+    def __init__(self, *header: str):
+        self.ok = True
+        self.lines = list(header)
+
+    def check(self, text: str, good: bool) -> None:
+        self.ok = self.ok and good
+        self.lines.append(f"{'ok  ' if good else 'FAIL'} {text}")
+
+    def equal(self, name: str, key: CorrelatorKey, lhs, rhs) -> None:
+        """Check that two routes give ``key`` the same value; print both."""
+        text = f"{name} {key.target.name} {_format_key(key)}: {lhs} vs {rhs}"
+        self.check(text, lhs == rhs)
+
+    def result(self) -> tuple[bool, list[str]]:
+        return self.ok, self.lines
+
 
 def _degree_gap(key: CorrelatorKey) -> int:
     return degree_sum(key) - 2 * expected_dimension(key)
@@ -56,7 +80,6 @@ def random_admissible_key(
     rng: random.Random,
     d_max: int = 3,
     need: str | None = None,
-    max_points: int = 5,
 ) -> CorrelatorKey:
     """Sample a selection-valid key, optionally guaranteeing pivot material.
 
@@ -67,7 +90,7 @@ def random_admissible_key(
     rank = target.rank
     for _ in range(400):
         d = rng.randint(1, d_max) if need else rng.randint(0, d_max)
-        n_tau = rng.randint(0, max_points - 1)
+        n_tau = rng.randint(0, MAX_POINTS - 1)
         tau = [
             (rng.choice([0, 0, 0, 1, 1, 2]), rng.randrange(rank))
             for _ in range(n_tau)
@@ -99,7 +122,7 @@ def random_admissible_key(
         if key.d == 0 and key.n < 3:
             continue
         gap = _degree_gap(key)
-        while gap > 0 and key.n < max_points + 3:
+        while gap > 0 and key.n < MAX_POINTS + 3:
             key = CorrelatorKey(target, key.m.add(0, 0), key.p, key.d)
             gap = _degree_gap(key)
         while gap < 0 and key.m.entries:
@@ -184,154 +207,99 @@ def two_sided_checks(key: CorrelatorKey) -> list[tuple[str, Fraction, Fraction]]
 
 
 def verify_trr(
-    targets: list[TargetModel], samples: int, seed: int, d_max: int = 3
+    targets: list[TargetModel], samples: int, seed: int
 ) -> tuple[bool, list[str]]:
     """Two-sided checks of the recursion relations on random keys."""
-    lines = [f"seed {seed}"]
-    ok = True
-    for key in sample_relation_keys(targets, samples, seed, d_max):
+    report = Report(f"seed {seed}")
+    for key in sample_relation_keys(targets, samples, seed):
         for name, lhs, rhs in two_sided_checks(key):
-            good = lhs == rhs
-            ok = ok and good
-            lines.append(
-                f"{'ok  ' if good else 'FAIL'} {name} {key.target.name} "
-                f"{_format_key(key)}: {lhs} vs {rhs}"
-            )
-    return ok, lines
+            report.equal(name, key, lhs, rhs)
+    return report.result()
 
 
 def verify_dilaton(
-    targets: list[TargetModel], samples: int, seed: int, d_max: int = 3
+    targets: list[TargetModel], samples: int, seed: int
 ) -> tuple[bool, list[str]]:
     """Comparison-relation checks plus the special-value laws."""
     rng = random.Random(seed)
-    lines = [f"seed {seed}"]
-    ok = True
+    report = Report(f"seed {seed}")
     per_target = max(1, samples // len(targets))
     for target in targets:
         for i in range(per_target):
-            key = random_admissible_key(target, rng, d_max, "pd")
+            key = random_admissible_key(target, rng, need="pd")
             pivot = max(e for e in key.m.expand() if e[0] >= 1)
-            lhs = evaluate(key)
             rhs = evaluate_combination(apply_puncture_dilaton(key, pivot))
-            good = lhs == rhs
-            ok = ok and good
-            lines.append(
-                f"{'ok  ' if good else 'FAIL'} comparison {target.name} "
-                f"{_format_key(key)}: {lhs} vs {rhs}"
-            )
+            report.equal("comparison", key, evaluate(key), rhs)
             # kappa_{0,0} insertion multiplies by n - 2
-            base = random_admissible_key(target, rng, d_max)
+            base = random_admissible_key(target, rng)
             with_k = CorrelatorKey(target, base.m, base.p.add(0, 0), base.d)
-            lhs2 = evaluate(with_k)
-            rhs2 = (base.n - 2) * evaluate(base)
-            good2 = lhs2 == rhs2
-            ok = ok and good2
-            lines.append(
-                f"{'ok  ' if good2 else 'FAIL'} kappa00-law {target.name} "
-                f"{_format_key(base)}: {lhs2} vs {rhs2}"
-            )
+            rhs = (base.n - 2) * evaluate(base)
+            report.equal("kappa00-law", base, evaluate(with_k), rhs)
             # kappa_{-1,divisor} insertion multiplies by the degree pairing
             alpha_div, pairing = target.divisor_class(max(base.d, 1))
             if base.d >= 1:
                 with_km = CorrelatorKey(
                     target, base.m, base.p.add(-1, alpha_div), base.d
                 )
-                lhs3 = evaluate(with_km)
-                rhs3 = pairing * evaluate(base)
-                good3 = lhs3 == rhs3
-                ok = ok and good3
-                lines.append(
-                    f"{'ok  ' if good3 else 'FAIL'} kappa-1-law {target.name} "
-                    f"{_format_key(base)}: {lhs3} vs {rhs3}"
-                )
+                rhs = pairing * evaluate(base)
+                report.equal("kappa-1-law", base, evaluate(with_km), rhs)
     # degree-0 keys with fewer than three points vanish
     for target in targets:
         zero_key = make_key(target, tau=[(0, 0, 2)], kappa=[(-1, 1, 1)], d=0)
-        good = evaluate(zero_key) == 0
-        ok = ok and good
-        lines.append(
-            f"{'ok  ' if good else 'FAIL'} degree-0 convention {target.name}"
-        )
-    return ok, lines
+        report.check(f"degree-0 convention {target.name}", evaluate(zero_key) == 0)
+    return report.result()
 
 
 def verify_path_independence(
-    targets: list[TargetModel], samples: int, seed: int, d_max: int = 3
+    targets: list[TargetModel], samples: int, seed: int
 ) -> tuple[bool, list[str]]:
     """Main evaluator versus the kappa-first route on the same key pool."""
-    lines = [f"seed {seed}"]
-    ok = True
-    for key in sample_relation_keys(targets, samples, seed, d_max):
-        main = evaluate(key)
-        alt = evaluate_kappa_first(key)
-        good = main == alt
-        ok = ok and good
-        lines.append(
-            f"{'ok  ' if good else 'FAIL'} paths {key.target.name} "
-            f"{_format_key(key)}: {main} vs {alt}"
-        )
-    return ok, lines
+    report = Report(f"seed {seed}")
+    for key in sample_relation_keys(targets, samples, seed):
+        report.equal("paths", key, evaluate(key), evaluate_kappa_first(key))
+    return report.result()
 
 
-def verify_wdvv(r: int, q_cap: int, x_cap: int = 8) -> tuple[bool, list[str]]:
-    """Associativity of the pure potential for P^r at the given window."""
-    target = projective_space(r)
-    caps = tuple(min(x_cap, 3) if alpha == 0 else x_cap for alpha in range(r + 1))
-    potential = gw_potential_series(target, caps, q_cap)
-    residuals = wdvv_residuals(potential, target)
-    lines = []
-    ok = True
-    for quad, series in sorted(residuals.items()):
-        good = series.is_zero()
-        ok = ok and good
-        lines.append(f"{'ok  ' if good else 'FAIL'} wdvv P{r} quadruple {quad}")
-    return ok, lines
+def verify_wdvv(specs: list[PotentialSpec]) -> tuple[bool, list[str]]:
+    """Associativity of each spec's potential, one line per index quadruple.
+
+    Every spec needs all t_0^alpha active; its s variables are parameters.
+    """
+    report = Report()
+    for spec in specs:
+        residuals = wdvv_residuals(build_H_series(spec), spec.target)
+        for quad, series in sorted(residuals.items()):
+            report.check(f"wdvv {spec.target.name} quadruple {quad}", series.is_zero())
+    return report.result()
 
 
 def verify_cp1(q_cap: int = 3, h_count: int = 8) -> tuple[bool, list[str]]:
     """P^1 closed form versus the engine, h-numbers, and the PDE systems."""
-    lines = []
-    ok = True
+    report = Report()
 
     hs = cp1_h_sequence(h_count)
     target = projective_space(1)
     for n in range(1, h_count + 1):
         engine = evaluate(make_key(target, kappa=[(0, 1, 2 * n - 2)], d=n))
-        good = engine == hs[n - 1]
-        ok = ok and good
-        lines.append(
-            f"{'ok  ' if good else 'FAIL'} h_{n} = {hs[n - 1]} vs engine {engine}"
-        )
+        report.check(f"h_{n} = {hs[n - 1]} vs engine {engine}", engine == hs[n - 1])
 
     spec = cp1_spec(q_cap=q_cap, var_cap=2 * q_cap, total_cap=2 * q_cap)
     engine_series = build_H_series(spec)
     closed = cp1_closed_form_series(q_cap, spec)
-    good = engine_series == closed
-    ok = ok and good
-    lines.append(f"{'ok  ' if good else 'FAIL'} closed form == engine (q<={q_cap})")
+    report.check(f"closed form == engine (q<={q_cap})", engine_series == closed)
 
     for name, residual in trr_pde_residuals(engine_series, spec):
-        good = residual.is_zero()
-        ok = ok and good
-        lines.append(f"{'ok  ' if good else 'FAIL'} pde {name}")
+        report.check(f"pde {name}", residual.is_zero())
 
     residual = cp1_penult_residual(max(q_cap, 2))
-    good = residual.is_zero()
-    ok = ok and good
-    lines.append(f"{'ok  ' if good else 'FAIL'} q-log-derivative equation")
-    return ok, lines
+    report.check("q-log-derivative equation", residual.is_zero())
+    return report.result()
 
 
 def verify_trees() -> tuple[bool, list[str]]:
     """Golden checks of the tree calculus."""
-    lines = []
-    ok = True
-
-    def check(name, good):
-        nonlocal ok
-        ok = ok and good
-        lines.append(f"{'ok  ' if good else 'FAIL'} {name}")
+    report = Report()
+    check = report.check
 
     def star(betas):
         """Three-vertex star, all tails at the centre."""
@@ -393,4 +361,4 @@ def verify_trees() -> tuple[bool, list[str]]:
         "four-point degree-0 boundary count",
         len(enumerate_two_vertex_divisors(4, 0)) == 3,
     )
-    return ok, lines
+    return report.result()

@@ -45,6 +45,13 @@ def test_correlator_value_and_exit_zero(capsys):
             '"cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "c1_degree": 2, '
             '"divisor_pairings": [[1, 1]], "seeds": [[[], 1, 1]]}',
         ),
+        # a signed-sum MultiIndex would read this pair as one tau_0^1 and print 1
+        ("correlator", "--r", "1", "--degree", "1", "--tau", "0,1,2", "--tau", "0,1,-1"),
+        ("correlator", "--r", "1", "--degree", "-1"),
+        ("correlator", "--spec-json", '{"r": 1, "degree": -1}'),
+        ("potential", "--r", "1", "--vars", "x2"),
+        ("potential", "--r", "1", "--vars", "t-1:0"),
+        ("potential", "--r", "1", "--vars", "s-2:1"),
     ],
 )
 def test_bad_numeric_input_is_usage_error(capsys, argv):

@@ -236,3 +236,33 @@ def test_spec_validation():
         PotentialSpec(P1, ((0, 0),), (), (3, 3), 1, None)
     with pytest.raises(ValueError):
         cp1_closed_form_series(2, make_spec(P1, ((0, 0),), (), 3, 2))
+
+
+BAD_SPECS = {  # (t entries, s entries, caps, q_cap, total_cap) on P^1
+    "alpha-below-basis": (((0, -1),), (), (3,), 1, None),
+    "alpha-is-rank": (((0, 2),), (), (3,), 1, None),
+    "t-level-below-0": (((-1, 0),), (), (3,), 1, None),
+    "s-level-below-minus-1": ((), ((-2, 1),), (3,), 1, None),
+    "bool-entry": (((0, True),), (), (3,), 1, None),
+    "repeated-entry": (((0, 1), (0, 1)), (), (3, 3), 1, None),
+    "unsorted-entries": (((0, 1), (0, 0)), (), (3, 3), 1, None),
+    "negative-cap": (((0, 0), (0, 1)), (), (3, -1), 1, None),  # gave 0 terms
+    "negative-q-cap": (((0, 0), (0, 1)), (), (3, 3), -1, None),
+    "negative-total-cap": (((0, 0), (0, 1)), (), (3, 3), 1, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_spec_rejects_bad_entries_and_bounds(case):
+    with pytest.raises(ValueError):
+        PotentialSpec(P1, *BAD_SPECS[case])
+
+
+@pytest.mark.parametrize(
+    "t_entries, s_entries, var_cap",
+    [([], [(0, 2)], 3), ([(0, 0)], [], -1)],
+    ids=["alpha-is-rank", "negative-cap"],
+)
+def test_make_spec_rejects_bad_entries_and_bounds(t_entries, s_entries, var_cap):
+    with pytest.raises(ValueError):
+        make_spec(P1, t_entries, s_entries, var_cap, 1)
