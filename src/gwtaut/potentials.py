@@ -41,13 +41,17 @@ class PotentialSpec:
     def __post_init__(self):
         """The one home of the spec checks; ``build_H_series`` trusts them."""
         rank = self.target.rank
+        if not all(type(x) is tuple for x in (self.t_entries, self.s_entries, self.caps)):
+            raise ValueError("t_entries, s_entries and caps must be tuples")
         for kind, entries, low in (("t", self.t_entries, 0), ("s", self.s_entries, -1)):
-            for a, alpha in entries:
-                ints = type(a) is int and type(alpha) is int
-                if not (ints and a >= low and 0 <= alpha < rank):
+            for entry in entries:
+                pair = type(entry) is tuple and len(entry) == 2
+                if not (pair and all(type(x) is int for x in entry)):
+                    raise ValueError(f"{kind} entry {entry!r} must be a pair of ints")
+                a, alpha = entry
+                if not (a >= low and 0 <= alpha < rank):
                     raise ValueError(
-                        f"{kind} entry ({a!r}, {alpha!r}) needs ints a >= {low} "
-                        f"and 0 <= alpha < {rank}"
+                        f"{kind} entry {entry!r} needs a >= {low} and 0 <= alpha < {rank}"
                     )
             if list(entries) != sorted(set(entries)):
                 raise ValueError(f"{kind} entries must be strictly increasing")

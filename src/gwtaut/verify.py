@@ -20,11 +20,11 @@ from .correlators import (
     degree_sum,
     evaluate,
     evaluate_combination,
-    evaluate_kappa_first,
     expected_dimension,
     make_key,
     selection,
 )
+from .oracle import oracle
 from .potentials import (
     PotentialSpec,
     build_H_series,
@@ -253,10 +253,10 @@ def verify_dilaton(
 def verify_path_independence(
     targets: list[TargetModel], samples: int, seed: int
 ) -> tuple[bool, list[str]]:
-    """Main evaluator versus the kappa-first route on the same key pool."""
+    """The engine versus the oracle (``gwtaut.oracle``) on the same key pool."""
     report = Report(f"seed {seed}")
     for key in sample_relation_keys(targets, samples, seed):
-        report.equal("paths", key, evaluate(key), evaluate_kappa_first(key))
+        report.equal("paths", key, evaluate(key), oracle(key))
     return report.result()
 
 

@@ -120,12 +120,12 @@ P2_PSI_KAPPA = (
     "--kappa", "2,1,1",
 )
 GOLDEN_CORRELATORS = {
-    (H3, "json"): '{"value": "4/1", "expected_dimension": 4, "reductions": 29}\n',
-    (H3, "csv"): "value,expected_dimension,reductions\n4/1,4,29\n",
-    (H3, "text"): "value 4/1\nexpected_dimension 4\nreductions 29\n",
-    (P2_PSI_KAPPA, "json"): '{"value": "-3/1", "expected_dimension": 8, "reductions": 21}\n',
-    (P2_PSI_KAPPA, "csv"): "value,expected_dimension,reductions\n-3/1,8,21\n",
-    (P2_PSI_KAPPA, "text"): "value -3/1\nexpected_dimension 8\nreductions 21\n",
+    (H3, "json"): '{"value": "4/1", "expected_dimension": 4, "reductions": 10}\n',
+    (H3, "csv"): "value,expected_dimension,reductions\n4/1,4,10\n",
+    (H3, "text"): "value 4/1\nexpected_dimension 4\nreductions 10\n",
+    (P2_PSI_KAPPA, "json"): '{"value": "-3/1", "expected_dimension": 8, "reductions": 12}\n',
+    (P2_PSI_KAPPA, "csv"): "value,expected_dimension,reductions\n-3/1,8,12\n",
+    (P2_PSI_KAPPA, "text"): "value -3/1\nexpected_dimension 8\nreductions 12\n",
 }
 
 
@@ -138,8 +138,8 @@ def test_correlator_output_is_golden(capsys, argv, fmt):
 
 def test_correlator_reductions_do_not_depend_on_earlier_commands(capsys):
     h4 = ("correlator", "--r", "1", "--degree", "4", "--kappa", "0,1,6")
-    assert json.loads(run(capsys, *h4)[1])["reductions"] == 87
-    assert json.loads(run(capsys, *H3)[1])["reductions"] == 29
+    assert json.loads(run(capsys, *h4)[1])["reductions"] == 34
+    assert json.loads(run(capsys, *H3)[1])["reductions"] == 10
 
 
 def test_potential_json_is_golden(capsys):

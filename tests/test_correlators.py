@@ -1,6 +1,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,14 +13,16 @@ from gwtaut.correlators import (
     apply_trr_psi,
     evaluate,
     evaluate_combination,
-    evaluate_kappa_first,
     evaluate_tree_sum,
     expected_dimension,
     lift_kappa_minus_one,
     make_key,
     selection,
+    _comparison_backwards,
+    _divisor_backwards,
 )
 from gwtaut.gw import pure_gw
+from gwtaut.oracle import oracle
 from gwtaut.target import projective_space
 from gwtaut.trees import kappa_boundary_presentation, psi_boundary_presentation
 from gwtaut.verify import random_admissible_key, sample_relation_keys
@@ -193,9 +196,8 @@ def _boundary_moves(key):
 def test_boundary_moves_emit_only_balanced_terms():
     moves = 0
     for key in sample_relation_keys([P1, P2, P3], 24, seed=5, d_max=2):
-        # the kappa-first route trades kappa classes for psi powers by the
-        # comparison relation instead of demoting them by the kappa recursion
-        expected = evaluate_kappa_first(key)
+        # the oracle shares no code with the moves
+        expected = oracle(key)
         for comb in _boundary_moves(key):
             moves += 1
             assert all(selection(k) for keys, _ in comb.items() for k in keys)
@@ -205,10 +207,8 @@ def test_boundary_moves_emit_only_balanced_terms():
         for comb in _boundary_moves(unbalanced):
             assert all(len(keys) == 1 for keys, _ in comb.items())
     assert moves >= 40
-    # both routes run the same split loop, so their agreement cannot catch a
-    # split that drops valid terms; anchor it on the dilaton equation
-    # <tau_1(e0) X>_d = (n - 2) <X>_d with X pure, whose split factors all
-    # lift to pure_gw without further moves
+    # anchor the split on the dilaton equation <tau_1(e0) X>_d = (n - 2) <X>_d
+    # with X pure, whose split factors all lift to pure_gw without further moves
     for target, classes, d in ((P1, (1, 1, 1), 1), (P2, (2,) * 5, 2), (P3, (3, 3, 1), 1)):
         key = make_key(target, tau=[(1, 0, 1)] + [(0, c, 1) for c in classes], d=d)
         comb = apply_trr_psi(key, (1, 0), ((0, classes[0]), (0, classes[1])))
@@ -219,7 +219,7 @@ def test_boundary_moves_emit_only_balanced_terms():
 def test_moves_build_keys_in_normal_form():
     # the moves build keys without the constructors' checks; each emitted
     # key must be exactly what the public constructors make of it
-    checked = cup_corrections = divisor_comparisons = 0
+    checked = cup_corrections = backwards = 0
     for key in sample_relation_keys([P1, P2, P3], 48, seed=5, d_max=2):
         emitted = []
         moves = list(_boundary_moves(key))
@@ -231,15 +231,13 @@ def test_moves_build_keys_in_normal_form():
         psi_pivots = [e for e in key.m.expand() if e[0] >= 1]
         if psi_pivots and not (key.d == 0 and key.n == 3):
             moves.append(apply_puncture_dilaton(key, max(psi_pivots)))
-        if key.d > 0 and not psi_pivots:
-            # the divisor trick's comparison on the divisor-augmented key
-            alpha_div, _ = key.target.divisor_class(key.d)
-            augmented = CorrelatorKey(
-                key.target, key.m.add(0, alpha_div), key.p, key.d
-            )
-            moves.append(apply_puncture_dilaton(augmented, (0, alpha_div)))
-            emitted.append(augmented)
-            divisor_comparisons += 1
+        # the relations ``evaluate`` reads backwards
+        if key.p.max_level >= 0:
+            moves.append(_comparison_backwards(key))
+            backwards += 1
+        if psi_pivots and key.d > 0:
+            moves.append(_divisor_backwards(key))
+            backwards += 1
         emitted += [k for comb in moves for keys, _ in comb.items() for k in keys]
         for k in emitted:
             # rebuilt through the validating, normalizing constructors
@@ -250,7 +248,7 @@ def test_moves_build_keys_in_normal_form():
             assert k.p.entries == twin.p.entries
             assert k == twin and hash(k) == hash(twin)
         checked += len(emitted)
-    assert checked >= 2000 and cup_corrections >= 20 and divisor_comparisons >= 10
+    assert checked >= 2000 and cup_corrections >= 20 and backwards >= 40
 
 
 def test_trr_kappa_zero_reproduces_point_count():
@@ -320,24 +318,35 @@ def test_evaluate_paper_values():
     assert evaluate(make_key(P1, d=1)) == 1
 
 
-# Givental's J-function of P^2, z e^{tH/z} sum_d q^d e^{dt} / prod_{k=1}^{d} (H + kz)^3,
-# holds <tau_a(e_alpha)>_d as its q^d z^{-a-1} coefficient along the dual of e_alpha.
-J_FUNCTION_P2 = [
-    (1, 2, 1, Fraction(1)),
-    (4, 2, 2, Fraction(1, 8)),
-    (2, 1, 1, Fraction(-3)),
-    (3, 0, 1, Fraction(6)),
+def j_function_descendants(r: int, d: int):
+    """(a, alpha, <tau_a(H^alpha)>_d) for every one-point descendant of P^r.
+
+    Givental's J-function of P^r holds them as
+    <tau_a(H^alpha)>_d = [H^{r-alpha} z^{-a-2}] prod_{k=1}^{d} (H + kz)^{-(r+1)},
+    taken mod H^{r+1}.  With x = H/z the product is
+    z^{-d(r+1)} prod_k k^{-(r+1)} (1 + x/k)^{-(r+1)}; its x^j coefficient sits
+    at H^j z^{-d(r+1)-j}, so a = d(r+1) + j - 2 and alpha = r - j.
+    """
+    series = [Fraction(1)] + [Fraction(0)] * r
+    for k in range(1, d + 1):
+        factor = [Fraction((-1) ** j * comb(r + j, j), k ** (r + 1 + j)) for j in range(r + 1)]
+        series = [sum(series[i] * factor[j - i] for i in range(j + 1)) for j in range(r + 1)]
+    return [(d * (r + 1) + j - 2, r - j, series[j]) for j in range(r + 1)]
+
+
+J_FUNCTION = [
+    pytest.param(r, a, alpha, d, value, id=f"P{r}-{a}-{alpha}-{d}")
+    for r in (1, 2, 3)
+    for d in range(1, 5)
+    for a, alpha, value in j_function_descendants(r, d)
 ]
 
 
-@pytest.mark.parametrize(
-    "evaluator", [evaluate, evaluate_kappa_first], ids=["main", "kappa_first"]
-)
-@pytest.mark.parametrize("a, alpha, d, value", J_FUNCTION_P2)
-def test_one_point_descendants_match_j_function(evaluator, a, alpha, d, value):
-    # the comparison relation turns tau_a(e_alpha) into a zero-point kappa key,
-    # which the divisor trick solves for
-    assert evaluator(make_key(P2, tau=[(a, alpha, 1)], d=d)) == value
+@pytest.mark.parametrize("evaluator", [evaluate, oracle], ids=["main", "oracle"])
+@pytest.mark.parametrize("r, a, alpha, d, value", J_FUNCTION)
+def test_one_point_descendants_match_j_function(evaluator, r, a, alpha, d, value):
+    # every one-point descendant of P^1-P^3 with d <= 4 (36 keys)
+    assert evaluator(make_key(projective_space(r), tau=[(a, alpha, 1)], d=d)) == value
 
 
 def test_evaluate_degree_zero_convention():
@@ -380,7 +389,16 @@ def test_pivot_path_independence_on_samples():
     for target in (P1, P2):
         for need in ("psi", "kappa_pos", "kappa_zero"):
             key = random_admissible_key(target, rng, d_max=2, need=need)
-            assert evaluate(key) == evaluate_kappa_first(key)
+            assert evaluate(key) == oracle(key)
+
+
+def test_engine_matches_oracle_on_sampled_keys():
+    keys = sample_relation_keys([P1, P2, P3], 60, seed=5)
+    assert [evaluate(k) for k in keys] == [oracle(k) for k in keys]
+    # not vacuous: the pool runs all five branches of evaluate, and 20 keys
+    # carry kappa_{-1}
+    assert sum(evaluate(k) != 0 for k in keys) >= 30
+    assert sum(k.p.entries[0][0][0] == -1 for k in keys if k.p.entries) >= 15
 
 
 def test_nonzero_results_pass_selection():

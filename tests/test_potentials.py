@@ -249,6 +249,9 @@ BAD_SPECS = {  # (t entries, s entries, caps, q_cap, total_cap) on P^1
     "negative-cap": (((0, 0), (0, 1)), (), (3, -1), 1, None),  # gave 0 terms
     "negative-q-cap": (((0, 0), (0, 1)), (), (3, 3), -1, None),
     "negative-total-cap": (((0, 0), (0, 1)), (), (3, 3), 1, -1),
+    "caps-list": (((0, 0),), (), [3], 1, None),  # failed later in build_H_series
+    "entries-list": ([[0, 0]], (), (3,), 1, None),  # was TypeError: unhashable
+    "entry-list": (([0, 0],), (), (3,), 1, None),
 }
 
 
