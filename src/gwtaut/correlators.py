@@ -572,12 +572,20 @@ def evaluate_tree_sum(
 
     ``ambient`` maps each tail label to its (psi level, class) insertion;
     its labels must equal each tree's tail labels, since an insertion that
-    no tail carries would be dropped silently.
+    no tail carries would be dropped silently.  When the sum knows its
+    point count n (a boundary presentation does), the labels must be
+    1..n, which is checked before any tree is read, so an empty sum is
+    checked too.
     Edges contribute the inverse Poincare pairing with level-0 insertions
     on both sides; vertex tokens contribute kappa insertions, psi powers
     at their tail, or cup products with the tail's class.  Each tree's
     contribution carries its 1/|Aut| normalization.
     """
+    n = tree_sum.n
+    if n is not None and set(ambient) != set(range(1, n + 1)):
+        raise ValueError(
+            f"ambient labels {sorted(ambient)} differ from the tail labels 1..{n}"
+        )
     total = ZERO
     for tree, coeff in tree_sum.items():
         total += (

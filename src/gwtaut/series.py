@@ -14,9 +14,20 @@ Variables come in three kinds:
          degree).
 
 Truncation is a per-variable exponent cap, plus an optional cap on the
-total exponent of the non-q variables.  Operations re-truncate their
-results to the shared bounds; coefficients can only be read inside the
-declared bounds.
+total exponent of the non-q variables; coefficients can only be read
+inside the declared bounds.
+
+Inputs are checked at the API boundary and trusted inside.  The public
+``QSeries(...)`` checks every term: the exponent vector's length, its
+non-negative int entries (the packed product relies on them) and an exact
+coefficient (``int`` or ``Fraction``); it drops zero coefficients and
+terms the truncation does not admit.  The operations know
+that their inputs passed those checks and that their results stay in the
+window (a product is cut by the packed bounds check of ``Truncation``, a
+derivative lowers the caps it lowers the exponents by), so they build
+their results through the unchecked ``QSeries._from_valid``, dropping
+zero coefficients themselves.  ``restrict`` still filters with
+``Truncation.admits``, since its window is new.
 """
 
 from __future__ import annotations
@@ -24,12 +35,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def exact_rational(value, what: str = "coefficient") -> Fraction:
+    """``value`` as a ``Fraction``; only ``int`` (not ``bool``) and ``Fraction`` pass."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +127,55 @@ class VarRegistry:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Per-variable exponent caps plus an optional total cap on non-q vars."""
+    """Per-variable exponent caps plus an optional total cap on non-q vars.
+
+    Every bound is a non-negative int.  That lets a product test its
+    exponent pairs in one integer operation (``_packing``): each exponent
+    vector is packed into one int, one field per variable plus, when a total
+    cap is set, one field holding the non-q total.  A field for a bound c has
+    w = c.bit_length() value bits and one guard bit above them.  Both factors'
+    terms are admitted, so a field of the sum holds at most 2c, and that plus
+    the field's bias 2^w - 1 - c stays below 2^(w+1): nothing carries out of
+    a field, and its guard bit is set exactly when the sum exceeds c.  So a
+    pair is admitted exactly when ``(x1 + x2 + bias) & guard == 0``.
+    """
 
     caps: tuple[int, ...]
     total_cap: int | None = None
+
+    def __post_init__(self):
+        if type(self.caps) is not tuple or any(
+            type(c) is not int or c < 0 for c in self.caps
+        ):
+            raise ValueError(f"caps must be a tuple of non-negative ints, got {self.caps!r}")
+        total = self.total_cap
+        if total is not None and (type(total) is not int or total < 0):
+            raise ValueError(f"total_cap must be None or a non-negative int, got {total!r}")
+
+    def _packing(self, q_index: int | None):
+        """Layout of the packed bounds check, built in O(#variables).
+
+        Returns ``(weights, bias, guard, fields)``: an exponent vector packs
+        to ``sum(e * w for e, w in zip(exps, weights))`` (each weight places
+        the exponent in its own field and, for a non-q variable under a total
+        cap, also in the total field), and ``fields`` holds the (shift, mask)
+        pairs that unpack the per-variable fields of an admitted sum.
+        """
+        n = len(self.caps)
+        bounds = self.caps if self.total_cap is None else (*self.caps, self.total_cap)
+        shift = bias = guard = 0
+        fields = []
+        for bound in bounds:
+            width = bound.bit_length()
+            fields.append((shift, (1 << width) - 1))
+            bias |= ((1 << width) - 1 - bound) << shift
+            guard |= 1 << (shift + width)
+            shift += width + 1
+        weights = [1 << s for s, _ in fields[:n]]
+        if self.total_cap is not None:
+            total_bit = 1 << fields[n][0]
+            weights = [w if i == q_index else w + total_bit for i, w in enumerate(weights)]
+        return weights, bias, guard, fields[:n]
 
     def admits(self, exps: Exponents, q_index: int | None) -> bool:
         if any(e > c for e, c in zip(exps, self.caps)):
@@ -204,15 +270,26 @@ class QSeries:
         for exps, coef in (terms or {}).items():
             if len(exps) != len(registry):
                 raise ValueError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if coef == 0:
-                continue
-            if trunc.admits(exps, qi):
-                kept[exps] = Fraction(coef)
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"negative or non-int exponent in {exps!r}")
+            coef = exact_rational(coef)
+            if coef and trunc.admits(exps, qi):
+                kept[exps] = coef
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_terms", kept)
+
+    @classmethod
+    def _from_valid(
+        cls, registry: VarRegistry, trunc: Truncation, terms: dict[Exponents, Fraction]
+    ) -> "QSeries":
+        """Trusted builder: every term is admitted by ``trunc``, every coefficient
+        a nonzero ``Fraction``.  Nothing is checked and ``terms`` is not copied."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "registry", registry)
+        object.__setattr__(series, "trunc", trunc)
+        object.__setattr__(series, "_terms", terms)
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -225,7 +302,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, registry, trunc, value) -> "QSeries":
-        return cls(registry, trunc, {(0,) * len(registry): Fraction(value)})
+        return cls(registry, trunc, {(0,) * len(registry): value})
 
     @classmethod
     def one(cls, registry, trunc) -> "QSeries":
@@ -267,48 +344,59 @@ class QSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, op) -> "QSeries":
+        """``op`` (add or sub) term by term; a scalar ``other`` is a constant series."""
         if not isinstance(other, QSeries):
-            return self + QSeries.constant(self.registry, self.trunc, other)
+            other = QSeries.constant(self.registry, self.trunc, other)
         self._check_compat(other)
         terms = dict(self._terms)
         for exps, coef in other._terms.items():
-            terms[exps] = terms.get(exps, ZERO) + coef
-        return QSeries(self.registry, self.trunc, terms)
+            value = op(terms.get(exps, ZERO), coef)
+            if value:
+                terms[exps] = value
+            else:
+                del terms[exps]
+        return QSeries._from_valid(self.registry, self.trunc, terms)
+
+    def __add__(self, other):
+        return self._merge(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(
+        return QSeries._from_valid(
             self.registry, self.trunc, {e: -c for e, c in self._terms.items()}
         )
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return self + (-Fraction(other))
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            scalar = Fraction(other)
-            return QSeries(
-                self.registry,
-                self.trunc,
-                {e: c * scalar for e, c in self._terms.items()},
-            )
+            scalar = exact_rational(other, "scalar")
+            terms = {e: c * scalar for e, c in self._terms.items()} if scalar else {}
+            return QSeries._from_valid(self.registry, self.trunc, terms)
         self._check_compat(other)
-        qi = self.registry.q_index()
-        out: dict[Exponents, Fraction] = {}
+        weights, bias, guard, fields = self.trunc._packing(self.registry.q_index())
+        right = [(sum(map(mul, e, weights)), c) for e, c in other._terms.items()]
+        packed: dict[int, Fraction] = {}
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not self.trunc.admits(exps, qi):
+            x1 = sum(map(mul, e1, weights))
+            biased = x1 + bias
+            for x2, c2 in right:
+                if (biased + x2) & guard:
                     continue
-                out[exps] = out.get(exps, ZERO) + c1 * c2
-        return QSeries(self.registry, self.trunc, out)
+                x = x1 + x2
+                packed[x] = packed.get(x, ZERO) + c1 * c2
+        terms = {
+            tuple((x >> shift) & mask for shift, mask in fields): c
+            for x, c in packed.items()
+            if c
+        }
+        return QSeries._from_valid(self.registry, self.trunc, terms)
 
     __rmul__ = __mul__
 
@@ -320,7 +408,7 @@ class QSeries:
         if const:
             raise ValueError("exp needs a zero constant term")
         result = QSeries.one(self.registry, self.trunc)
-        power = QSeries.one(self.registry, self.trunc)
+        power = result
         k = 0
         while True:
             power = power * self
@@ -341,32 +429,33 @@ class QSeries:
         return self._terms.get(exps, ZERO)
 
     def partial_derivative(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
-        """Formal d/dv; the cap of the differentiated variable drops by one."""
+        """Formal d/dv; the cap of the differentiated variable drops by one.
+
+        So does the total cap when v is not q: a term with v^k, k >= 1, lies
+        in the old window, so its derivative lies in the new one.
+        """
         i = self.registry.index_of(kind, a, alpha)
         caps = list(self.trunc.caps)
         caps[i] = max(caps[i] - 1, 0)
         total = self.trunc.total_cap
         if total is not None and i != self.registry.q_index():
             total = max(total - 1, 0)
-        new_trunc = Truncation(tuple(caps), total)
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coef in self._terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            dexps = exps[:i] + (k - 1,) + exps[i + 1 :]
-            terms[dexps] = terms.get(dexps, ZERO) + coef * k
-        return QSeries(self.registry, new_trunc, terms)
+        terms = {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coef * exps[i]
+            for exps, coef in self._terms.items()
+            if exps[i]
+        }
+        return QSeries._from_valid(self.registry, Truncation(tuple(caps), total), terms)
 
     def q_log_derivative(self) -> "QSeries":
         """q d/dq; exponents are preserved so the truncation is unchanged."""
         qi = self.registry.q_index()
         if qi is None:
             raise ValueError("registry has no q variable")
-        return QSeries(
+        return QSeries._from_valid(
             self.registry,
             self.trunc,
-            {e: c * e[qi] for e, c in self._terms.items()},
+            {e: c * e[qi] for e, c in self._terms.items() if e[qi]},
         )
 
     def multiply_variable(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
@@ -381,7 +470,12 @@ class QSeries:
                 f"{self._loosened(new_trunc)} loosened from {self.trunc} "
                 f"to {new_trunc}"
             )
-        return QSeries(self.registry, new_trunc, self._terms)
+        qi = self.registry.q_index()
+        return QSeries._from_valid(
+            self.registry,
+            new_trunc,
+            {e: c for e, c in self._terms.items() if new_trunc.admits(e, qi)},
+        )
 
     def _loosened(self, new_trunc: Truncation) -> str:
         """Names of the bounds of ``new_trunc`` looser than the current ones."""

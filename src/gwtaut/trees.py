@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .series import exact_rational
 from .target import TargetModel, check_degree
 
 
@@ -209,13 +210,25 @@ def aut_order(t: DecoratedTree) -> int:
 
 
 class TreeSum:
-    """Formal rational combination of trees, indexed by isomorphism class."""
+    """Formal rational combination of trees, indexed by isomorphism class.
 
-    def __init__(self, terms: Mapping[DecoratedTree, Fraction] | None = None):
+    ``n``, when known, is the number of marked points of the ambient space
+    (the boundary presentations set it).  It survives ``+`` and ``*``, and
+    ``+`` refuses sums on different spaces.  Coefficients and scalars must
+    be exact: ``int`` (not ``bool``) or ``Fraction``.
+    """
+
+    def __init__(
+        self, terms: Mapping[DecoratedTree, Fraction] | None = None, n: int | None = None
+    ):
+        if n is not None and (type(n) is not int or n < 0):
+            raise ValueError(f"point count must be None or a non-negative int, got {n!r}")
+        self.n = n
         self._terms: dict[DecoratedTree, Fraction] = {}
         for tree, coeff in (terms or {}).items():
+            coeff = exact_rational(coeff)
             if coeff:
-                self._terms[tree] = Fraction(coeff)
+                self._terms[tree] = coeff
 
     def items(self) -> Iterator[tuple[DecoratedTree, Fraction]]:
         return iter(self._terms.items())
@@ -230,20 +243,23 @@ class TreeSum:
         return self._terms.get(tree, Fraction(0))
 
     def add_term(self, tree: DecoratedTree, coeff) -> None:
-        new = self._terms.get(tree, Fraction(0)) + coeff
+        new = self._terms.get(tree, Fraction(0)) + exact_rational(coeff)
         if new:
             self._terms[tree] = new
         else:
             self._terms.pop(tree, None)
 
     def __add__(self, other: "TreeSum") -> "TreeSum":
-        out = TreeSum(self._terms)
+        if None not in (self.n, other.n) and self.n != other.n:
+            raise ValueError(f"cannot add tree sums on {self.n} and {other.n} points")
+        out = TreeSum(self._terms, self.n if other.n is None else other.n)
         for tree, coeff in other._terms.items():
             out.add_term(tree, coeff)
         return out
 
     def __mul__(self, scalar) -> "TreeSum":
-        return TreeSum({t: c * Fraction(scalar) for t, c in self._terms.items()})
+        scalar = exact_rational(scalar, "scalar")
+        return TreeSum({t: c * scalar for t, c in self._terms.items()}, self.n)
 
     __rmul__ = __mul__
 
@@ -421,7 +437,7 @@ def psi_boundary_presentation(n: int, d: int, a: int) -> TreeSum:
         raise ValueError("psi presentation needs the two reference tails")
     check_degree(d)
     decor = (Decoration("psi", (1, a - 1), 2 * (a - 1)),) if a > 1 else ()
-    out = TreeSum()
+    out = TreeSum(n=n)
     for first, second, b1, b2 in _two_vertex_splits(
         n, d, pin_first=(2, 3), pin_second=(1,)
     ):
@@ -446,7 +462,7 @@ def kappa_boundary_presentation(
     check_degree(d)
     grade = target.gradings[alpha]
     token = Decoration("kappa", (a - 1, alpha), 2 * (a - 1) + grade)
-    out = TreeSum()
+    out = TreeSum(n=n)
     for first, second, b1, b2 in _two_vertex_splits(
         n, d, pin_first=(1, 2), pin_second=()
     ):

@@ -465,3 +465,12 @@ def test_tree_sum_rejects_ambient_labels_no_tail_carries():
     del ambient[5]
     with pytest.raises(ValueError, match="ambient labels"):
         evaluate_tree_sum(P1, pres, ambient)
+
+
+def test_empty_tree_sum_checks_its_point_count():
+    pres = psi_boundary_presentation(3, 0, 1)
+    assert len(pres) == 0
+    assert evaluate_tree_sum(P1, pres, {1: (0, 1), 2: (0, 1), 3: (0, 0)}) == 0
+    for ambient in ({1: (0, 1), 7: (0, 1)}, {1: (0, 1), 2: (0, 1)}, {}):
+        with pytest.raises(ValueError, match="ambient labels"):
+            evaluate_tree_sum(P1, pres, ambient)  # was 0

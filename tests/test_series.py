@@ -291,3 +291,81 @@ def test_graded_exponents_checks_lengths():
     reg, _ = ctx()
     with pytest.raises(ValueError):
         list(Truncation((1, 1), None).graded_exponents(reg, 0))
+
+
+# -- trusted construction inside the operations ------------------------------------
+
+
+def assert_valid(series):
+    """``series`` is what the public constructor makes of its own terms."""
+    terms = dict(series.items())
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+    twin = QSeries(series.registry, series.trunc, terms)
+    assert twin == series and hash(twin) == hash(series)
+
+
+def test_operations_build_valid_series():
+    # the operations build their results without the constructor's checks;
+    # each result must be exactly what the public constructor makes of it
+    rng = random.Random(19)
+    checked = 0
+    for caps, total in [((2, 2, 2, 2), None), ((3, 2, 3, 2), 3), ((1, 2, 0, 3), 1)]:
+        reg, tr = ctx(caps=caps, total=total)
+        window = Truncation(tuple(max(c - 1, 0) for c in caps), total)
+        for _ in range(12):
+            f, g = random_series(reg, tr, rng, 6), random_series(reg, tr, rng, 6)
+            no_const = f - QSeries.constant(reg, tr, f.coefficient((0,) * len(reg)))
+            results = [
+                f + g, f - g, f - f, f * g, g * f, -f, f * 3, f * Fraction(-2, 5),
+                f * 0, 2 + f, f - 1, Fraction(1, 3) - f, f.q_log_derivative(),
+                f.restrict(window), no_const.exp(), f.multiply_variable("t", 0, 1),
+            ]
+            results += [f.partial_derivative(*v.key) for v in reg]
+            for result in results:
+                assert_valid(result)
+            checked += len(results)
+    assert checked == 3 * 12 * 20
+
+
+def test_truncation_rejects_bad_bounds():
+    for caps, total in [
+        ((3, -1), None),
+        ((2.5, 1), None),
+        ((True, 1), None),
+        ([3, 2], None),
+        ((3, 2), -1),
+        ((3, 2), 2.0),
+        ((3, 2), False),
+    ]:
+        with pytest.raises(ValueError, match="caps|total_cap"):
+            Truncation(caps, total)
+    assert Truncation((0, 0), 0).caps == (0, 0)
+
+
+def test_constructor_rejects_bad_exponent_vectors():
+    reg, tr = ctx()
+    for exps in [(0, -1, 0, 0), (0, 1, 0), (0, 1, 0, 0, 0), (0, 1.0, 0, 0), (True, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="exponent"):
+            QSeries(reg, tr, {exps: 1})
+
+
+def test_coefficients_and_scalars_must_be_exact():
+    reg, tr = ctx()
+    x1 = var(reg, tr, "t", 0, 1)
+    for bad in (0.1, 1.0, True, "1/2", None):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            QSeries(reg, tr, {(0, 1, 0, 0): bad})
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            QSeries.constant(reg, tr, bad)
+        for op in (
+            lambda: x1 * bad,
+            lambda: bad * x1,
+            lambda: x1 + bad,
+            lambda: bad + x1,
+            lambda: x1 - bad,
+            lambda: bad - x1,
+        ):
+            with pytest.raises(ValueError, match="int or a Fraction"):
+                op()
+    assert (x1 * 3).coefficient((0, 1, 0, 0)) == 3
+    assert (x1 + Fraction(1, 2)).coefficient((0, 0, 0, 0)) == Fraction(1, 2)

@@ -220,3 +220,31 @@ def test_kappa_presentation_degree_zero_reduces_to_tail_terms():
     assert tree.n_vertices == 1 and coeff == 1
     (tok,) = tree.decorations_at(0)
     assert tok.kind == "ev" and tok.data == (3, 0)
+
+
+def test_tree_sum_keeps_its_point_count():
+    p1 = projective_space(1)
+    psi = psi_boundary_presentation(4, 1, 1)
+    kappa = kappa_boundary_presentation(p1, 4, 1, 0, 1)
+    assert psi.n == kappa.n == 4
+    assert (psi + kappa).n == (psi * 2).n == (Fraction(1, 2) * kappa).n == 4
+    assert (psi + TreeSum()).n == (TreeSum() + psi).n == 4
+    assert TreeSum().n is None
+    with pytest.raises(ValueError, match="4 and 5 points"):
+        psi + psi_boundary_presentation(5, 1, 1)
+    with pytest.raises(ValueError, match="point count"):
+        TreeSum(n=-1)
+
+
+def test_tree_sum_coefficients_and_scalars_must_be_exact():
+    tree = single_vertex_tree(3, 1)
+    for bad in (0.5, 1.0, True, "1/2"):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            TreeSum({tree: bad})
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            TreeSum({tree: 1}) * bad
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            bad * TreeSum({tree: 1})
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            TreeSum().add_term(tree, bad)
+    assert (TreeSum({tree: 3}) * Fraction(1, 3)).coefficient(tree) == 1
