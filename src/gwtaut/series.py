@@ -1,9 +1,13 @@
 """Truncated multivariate formal power series over exact rationals.
 
 A series lives over a fixed, ordered registry of graded formal variables
-and is stored sparsely as a dict mapping exponent tuples to ``Fraction``
-coefficients.  The zero series is the empty dict.  All arithmetic is exact;
-no floats appear anywhere.
+and is stored sparsely over one common denominator: a dict mapping
+exponent tuples to nonzero ``int`` numerators, and one positive ``int``
+``_den``, in lowest terms across the series (the gcd of ``_den`` and every
+numerator is 1; the zero series is the empty dict over 1).  So equal series
+hold equal data, the inner loops do plain int arithmetic, and the readers
+(``items``, ``coefficient``, ``table``, ``to_json_dict``) hand out
+``Fraction``s.  All arithmetic is exact; no floats appear anywhere.
 
 Variables come in three kinds:
 
@@ -18,30 +22,27 @@ total exponent of the non-q variables; coefficients can only be read
 inside the declared bounds.
 
 Inputs are checked at the API boundary and trusted inside.  The public
-``QSeries(...)`` checks every term: the exponent vector's length, its
-non-negative int entries (the packed product relies on them) and an exact
-coefficient (``int`` or ``Fraction``); it drops zero coefficients and
-terms the truncation does not admit.  The operations know
+``QSeries(...)`` checks every term: the exponent vector (``_check_exponents``,
+which ``coefficient`` shares; the packed product relies on non-negative
+ints) and an exact coefficient (``int`` or ``Fraction``); it drops zero
+coefficients and terms the truncation does not admit.  The operations know
 that their inputs passed those checks and that their results stay in the
 window (a product is cut by the packed bounds check of ``Truncation``, a
 derivative lowers the caps it lowers the exponents by), so they build
 their results through the unchecked ``QSeries._from_valid``, dropping
-zero coefficients themselves.  ``restrict`` still filters with
-``Truncation.admits``, since its window is new.
+zero numerators themselves; it restores lowest terms.  ``restrict`` still
+filters with ``Truncation.admits``, since its window is new.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def exact_rational(value, what: str = "coefficient") -> Fraction:
@@ -51,6 +52,14 @@ def exact_rational(value, what: str = "coefficient") -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _check_exponents(exps: Exponents, n: int) -> None:
+    """Reject an exponent vector that is not ``n`` non-negative ints (``bool`` excluded)."""
+    if len(exps) != n:
+        raise ValueError("exponent vector length mismatch")
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"negative or non-int exponent in {exps!r}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +264,7 @@ class Truncation:
 class QSeries:
     """Immutable truncated series; supports +, -, * and exact helpers."""
 
-    __slots__ = ("registry", "trunc", "_terms")
+    __slots__ = ("registry", "trunc", "_terms", "_den")
 
     def __init__(
         self,
@@ -268,27 +277,39 @@ class QSeries:
         qi = registry.q_index()
         kept: dict[Exponents, Fraction] = {}
         for exps, coef in (terms or {}).items():
-            if len(exps) != len(registry):
-                raise ValueError("exponent vector length mismatch")
-            if any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError(f"negative or non-int exponent in {exps!r}")
+            _check_exponents(exps, len(registry))
             coef = exact_rational(coef)
             if coef and trunc.admits(exps, qi):
                 kept[exps] = coef
+        # over the lcm of reduced fractions no prime divides every numerator
+        den = lcm(*(c.denominator for c in kept.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in kept.items()}
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_terms", kept)
+        object.__setattr__(self, "_terms", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def _from_valid(
-        cls, registry: VarRegistry, trunc: Truncation, terms: dict[Exponents, Fraction]
+        cls, registry: VarRegistry, trunc: Truncation, nums: dict[Exponents, int], den: int
     ) -> "QSeries":
-        """Trusted builder: every term is admitted by ``trunc``, every coefficient
-        a nonzero ``Fraction``.  Nothing is checked and ``terms`` is not copied."""
+        """Trusted builder of ``nums / den``: every term admitted by ``trunc``, every
+        numerator a nonzero ``int``, ``den`` a positive ``int``.  Nothing is checked;
+        the gcd of ``den`` and all numerators (its running value stops at 1) is
+        divided out, since a sum, product, derivative or restriction can leave one."""
+        g = den
+        for n in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, n)
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
         series = object.__new__(cls)
         object.__setattr__(series, "registry", registry)
         object.__setattr__(series, "trunc", trunc)
-        object.__setattr__(series, "_terms", terms)
+        object.__setattr__(series, "_terms", nums)
+        object.__setattr__(series, "_den", den)
         return series
 
     def __setattr__(self, name, value):
@@ -312,12 +333,13 @@ class QSeries:
     def variable(cls, registry, trunc, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
         i = registry.index_of(kind, a, alpha)
         exps = tuple(1 if j == i else 0 for j in range(len(registry)))
-        return cls(registry, trunc, {exps: ONE})
+        return cls(registry, trunc, {exps: 1})
 
     # -- basics ------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(sorted(self._terms.items()))
+        nums, den = self._terms, self._den
+        return ((e, Fraction(nums[e], den)) for e in sorted(nums))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -330,11 +352,12 @@ class QSeries:
             isinstance(other, QSeries)
             and self.registry == other.registry
             and self.trunc == other.trunc
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.registry, self.trunc, tuple(sorted(self._terms.items()))))
+        return hash((self.registry, self.trunc, self._den, tuple(sorted(self._terms.items()))))
 
     def _check_compat(self, other: "QSeries"):
         if self.registry != other.registry:
@@ -349,14 +372,16 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.constant(self.registry, self.trunc, other)
         self._check_compat(other)
-        terms = dict(self._terms)
+        g = gcd(self._den, other._den)
+        m1, m2 = other._den // g, self._den // g
+        terms = {e: c * m1 for e, c in self._terms.items()}
         for exps, coef in other._terms.items():
-            value = op(terms.get(exps, ZERO), coef)
+            value = op(terms.get(exps, 0), coef * m2)
             if value:
                 terms[exps] = value
             else:
                 del terms[exps]
-        return QSeries._from_valid(self.registry, self.trunc, terms)
+        return QSeries._from_valid(self.registry, self.trunc, terms, self._den * m1)
 
     def __add__(self, other):
         return self._merge(other, add)
@@ -365,7 +390,7 @@ class QSeries:
 
     def __neg__(self):
         return QSeries._from_valid(
-            self.registry, self.trunc, {e: -c for e, c in self._terms.items()}
+            self.registry, self.trunc, {e: -c for e, c in self._terms.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -377,12 +402,15 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             scalar = exact_rational(other, "scalar")
-            terms = {e: c * scalar for e, c in self._terms.items()} if scalar else {}
-            return QSeries._from_valid(self.registry, self.trunc, terms)
+            p = scalar.numerator
+            terms = {e: c * p for e, c in self._terms.items()} if p else {}
+            return QSeries._from_valid(
+                self.registry, self.trunc, terms, self._den * scalar.denominator
+            )
         self._check_compat(other)
         weights, bias, guard, fields = self.trunc._packing(self.registry.q_index())
         right = [(sum(map(mul, e, weights)), c) for e, c in other._terms.items()]
-        packed: dict[int, Fraction] = {}
+        packed: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             x1 = sum(map(mul, e1, weights))
             biased = x1 + bias
@@ -390,13 +418,13 @@ class QSeries:
                 if (biased + x2) & guard:
                     continue
                 x = x1 + x2
-                packed[x] = packed.get(x, ZERO) + c1 * c2
+                packed[x] = packed.get(x, 0) + c1 * c2
         terms = {
             tuple((x >> shift) & mask for shift, mask in fields): c
             for x, c in packed.items()
             if c
         }
-        return QSeries._from_valid(self.registry, self.trunc, terms)
+        return QSeries._from_valid(self.registry, self.trunc, terms, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -420,13 +448,10 @@ class QSeries:
 
     def coefficient(self, exps: Exponents) -> Fraction:
         exps = tuple(exps)
-        if len(exps) != len(self.registry):
-            raise ValueError("exponent vector length mismatch")
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
+        _check_exponents(exps, len(self.registry))
         if not self.trunc.admits(exps, self.registry.q_index()):
             raise ValueError(f"monomial {exps} lies outside the truncation")
-        return self._terms.get(exps, ZERO)
+        return Fraction(self._terms.get(exps, 0), self._den)
 
     def partial_derivative(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
         """Formal d/dv; the cap of the differentiated variable drops by one.
@@ -445,7 +470,9 @@ class QSeries:
             for exps, coef in self._terms.items()
             if exps[i]
         }
-        return QSeries._from_valid(self.registry, Truncation(tuple(caps), total), terms)
+        return QSeries._from_valid(
+            self.registry, Truncation(tuple(caps), total), terms, self._den
+        )
 
     def q_log_derivative(self) -> "QSeries":
         """q d/dq; exponents are preserved so the truncation is unchanged."""
@@ -456,6 +483,7 @@ class QSeries:
             self.registry,
             self.trunc,
             {e: c * e[qi] for e, c in self._terms.items() if e[qi]},
+            self._den,
         )
 
     def multiply_variable(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
@@ -475,6 +503,7 @@ class QSeries:
             self.registry,
             new_trunc,
             {e: c for e, c in self._terms.items() if new_trunc.admits(e, qi)},
+            self._den,
         )
 
     def _loosened(self, new_trunc: Truncation) -> str:
@@ -513,7 +542,7 @@ class QSeries:
         qi = self.registry.q_index()
         rows = []
         for exps, coef in sorted(
-            self._terms.items(),
+            self.items(),
             key=lambda item: ((item[0][qi] if qi is not None else 0), item[0]),
         ):
             rows.append(f"{self.monomial_name(exps)} : {coef}")
@@ -533,7 +562,7 @@ class QSeries:
             },
             "terms": [
                 {"exp": list(exps), "coef": format_rational(coef)}
-                for exps, coef in sorted(self._terms.items())
+                for exps, coef in self.items()
             ],
         }
 

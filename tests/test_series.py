@@ -342,9 +342,15 @@ def test_truncation_rejects_bad_bounds():
     assert Truncation((0, 0), 0).caps == (0, 0)
 
 
+BAD_EXPONENTS = [
+    (0, -1, 0, 0), (0, 1, 0), (0, 1, 0, 0, 0), (0, 1.0, 0, 0), (True, 0, 0, 0),
+    (0.5, 0, 0, 0), ("a", 0, 0, 0),
+]
+
+
 def test_constructor_rejects_bad_exponent_vectors():
     reg, tr = ctx()
-    for exps in [(0, -1, 0, 0), (0, 1, 0), (0, 1, 0, 0, 0), (0, 1.0, 0, 0), (True, 0, 0, 0)]:
+    for exps in BAD_EXPONENTS:
         with pytest.raises(ValueError, match="exponent"):
             QSeries(reg, tr, {exps: 1})
 
@@ -369,3 +375,63 @@ def test_coefficients_and_scalars_must_be_exact():
                 op()
     assert (x1 * 3).coefficient((0, 1, 0, 0)) == 3
     assert (x1 + Fraction(1, 2)).coefficient((0, 0, 0, 0)) == Fraction(1, 2)
+
+
+def test_coefficient_checks_its_exponents():
+    # the constructor's rule; (1.0, ...) and (True, ...) read the (1, ...) cell before
+    reg, tr = ctx()
+    f = var(reg, tr, "t", 0, 0) + 1
+    for exps in BAD_EXPONENTS + [(1.0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="exponent"):
+            f.coefficient(exps)
+    assert f.coefficient([1, 0, 0, 0]) == 1
+
+
+# -- one common denominator, in lowest terms ------------------------------------------
+
+
+def test_restrict_dropping_the_finest_denominator_reduces():
+    reg, tr = ctx()
+    x0, x1 = var(reg, tr, "t", 0, 0), var(reg, tr, "t", 0, 1)
+    f = x0 * Fraction(1, 2) + x1 * x1 * Fraction(1, 4)
+    window = Truncation((4, 1, 4, 3))
+    kept = QSeries(reg, window, {(1, 0, 0, 0): Fraction(1, 2)})
+    assert f.restrict(window) == kept
+    assert hash(f.restrict(window)) == hash(kept)
+
+
+def test_derivative_can_clear_the_denominator():
+    reg, tr = ctx()
+    x0 = var(reg, tr, "t", 0, 0)
+    dx = (x0 * x0 * Fraction(1, 2)).partial_derivative("t", 0, 0)
+    assert dx == x0.restrict(dx.trunc)
+    assert hash(dx) == hash(x0.restrict(dx.trunc))
+
+
+def test_scalar_round_trip_is_identity():
+    reg, tr = ctx()
+    rng = random.Random(23)
+    for _ in range(10):
+        a = random_series(reg, tr, rng)
+        assert a * Fraction(1, 3) * 3 == a
+        assert hash(a * Fraction(1, 3) * 3) == hash(a)
+        assert (a * Fraction(2, 3) + a * Fraction(1, 3)) == a
+
+
+def test_json_round_trip_of_the_cp1_closed_form():
+    from gwtaut.potentials import cp1_closed_form_series, cp1_spec
+
+    s = cp1_closed_form_series(3, cp1_spec(q_cap=3, var_cap=3, total_cap=3))
+    assert len(list(s.items())) > 10
+    assert QSeries.from_json_dict(s.to_json_dict()) == s
+
+
+def test_readers_yield_fractions():
+    reg, tr = ctx()
+    f = var(reg, tr, "t", 0, 0) * Fraction(3, 4) + var(reg, tr, "q") * 2
+    items = list(f.items())
+    assert items == [((0, 0, 0, 1), Fraction(2)), ((1, 0, 0, 0), Fraction(3, 4))]
+    assert all(type(c) is Fraction for _, c in items)
+    for exps in [(0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)]:
+        assert type(f.coefficient(exps)) is Fraction
+    assert f.coefficient((0, 1, 0, 0)) == 0
