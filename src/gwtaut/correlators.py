@@ -19,6 +19,11 @@ moves derive keys from valid ones through ``_normal_index`` and
 ``_valid_key``, which check nothing: the ``MultiIndex`` operations keep the
 normal form, and each move shifts levels only within their ranges (tau
 >= 0, kappa >= -1).  The selection rule is ``TargetModel.balanced``.
+
+Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
+only through the divisor equation's 1/pairing or non-integral custom-target
+data), and ``evaluate_combination`` and ``evaluate_tree_sum`` build one
+``Fraction`` per sum.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import itemgetter
 
 from .gw import _pure_gw, pure_gw
-from .target import TargetModel, check_degree
+from .target import Rational, TargetModel, check_degree
 from .trees import DecoratedTree, TreeSum, aut_order
 
 ZERO = Fraction(0)
@@ -228,16 +233,17 @@ def make_key(target: TargetModel, tau=(), kappa=(), d: int = 0) -> CorrelatorKey
 
 
 class Combination:
-    """Rational combination of products of correlator keys."""
+    """Rational combination of products of correlator keys; a coefficient
+    stays an ``int`` while everything added to it is an ``int``."""
 
     def __init__(self):
-        self._terms: dict[tuple[CorrelatorKey, ...], Fraction] = {}
+        self._terms: dict[tuple[CorrelatorKey, ...], Rational] = {}
 
-    def add(self, keys: tuple[CorrelatorKey, ...], coeff: Fraction) -> None:
+    def add(self, keys: tuple[CorrelatorKey, ...], coeff: Rational) -> None:
         if coeff == 0:
             return
         keys = tuple(sorted(keys, key=_key_sort))
-        new = self._terms.get(keys, ZERO) + coeff
+        new = self._terms.get(keys, 0) + coeff
         if new:
             self._terms[keys] = new
         else:
@@ -278,9 +284,9 @@ def selection(key: CorrelatorKey) -> bool:
 # -- the four reduction moves ------------------------------------------------------
 
 
-def _cup_power(target: TargetModel, p2: MultiIndex) -> dict[int, Fraction]:
+def _cup_power(target: TargetModel, p2: MultiIndex) -> dict[int, Rational]:
     """Cup product of the kappa labels of p2, as a basis combination."""
-    vec = {0: ONE}
+    vec = {0: 1}
     for (_, alpha), mult in p2.entries:
         for _ in range(mult):
             vec = target.cup_vector(vec, alpha)
@@ -449,16 +455,40 @@ def reduction_count() -> int:
     return _REDUCTIONS
 
 
-def evaluate_combination(comb: Combination) -> Fraction:
-    total = ZERO
+def _exact_sum(terms) -> Fraction:
+    """Sum of (numerator, denominator) int pairs as one ``Fraction``.
+
+    The terms add over a running lcm denominator; the sum is normalized
+    once, by the ``Fraction`` it returns.
+    """
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
+
+
+def _combination_terms(comb: Combination):
+    """Each nonzero term of ``comb`` as its product's int (numerator,
+    denominator); a product stops at its first zero factor."""
     for keys, coeff in comb.items():
-        value = coeff
+        num, den = coeff.numerator, coeff.denominator
         for k in keys:
-            value *= evaluate(k)
-            if value == 0:
+            value = evaluate(k)
+            if not value:
                 break
-        total += value
-    return total
+            num *= value.numerator
+            den *= value.denominator
+        else:
+            yield num, den
+
+
+def evaluate_combination(comb: Combination) -> Fraction:
+    return _exact_sum(_combination_terms(comb))
 
 
 def _comparison_backwards(key: CorrelatorKey) -> Combination:
@@ -473,7 +503,7 @@ def _comparison_backwards(key: CorrelatorKey) -> Combination:
     b, nu0 = key.p.entries[-1][0]
     p_hat = key.p.remove(b, nu0)
     out = Combination()
-    out.add((_valid_key(target, key.m.add(b + 1, nu0), p_hat, key.d),), ONE)
+    out.add((_valid_key(target, key.m.add(b + 1, nu0), p_hat, key.d),), 1)
     neg = p_hat.neg_part()
     for p2, rest, binm in p_hat.nonneg_part().splits():
         if not p2.entries:
@@ -498,16 +528,17 @@ def _divisor_backwards(key: CorrelatorKey) -> Combination:
     """
     target = key.target
     alpha_div, pairing = target.divisor_class(key.d)
+    inverse = ONE / pairing  # a Fraction division, whatever type pairing has
     out = Combination()
     augmented = _valid_key(target, key.m.add(0, alpha_div), key.p, key.d)
-    out.add((augmented,), ONE / pairing)
+    out.add((augmented,), inverse)
     for (a, alpha), mult in key.m.entries:
         if a < 1:
             continue
         for nu, c_nu in target.cup_product(alpha, alpha_div).items():
             shifted = key.m.remove(a, alpha).add(a - 1, nu)
             sub = _valid_key(target, shifted, key.p, key.d)
-            out.add((sub,), -mult * c_nu / pairing)
+            out.add((sub,), -mult * c_nu * inverse)
     return out
 
 
@@ -586,19 +617,22 @@ def evaluate_tree_sum(
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels 1..{n}"
         )
-    total = ZERO
+    return _exact_sum(_tree_sum_terms(target, tree_sum, ambient))
+
+
+def _tree_sum_terms(target: TargetModel, tree_sum: TreeSum, ambient: dict[int, Entry]):
+    """Each nonzero term of the tree sum as int (numerator, denominator),
+    scaled by its tree's coefficient and 1/|Aut|."""
     for tree, coeff in tree_sum.items():
-        total += (
-            coeff
-            * _evaluate_decorated_tree(target, tree, ambient)
-            / aut_order(tree)
-        )
-    return total
+        scale_num, scale_den = coeff.numerator, coeff.denominator * aut_order(tree)
+        for num, den in _decorated_tree_terms(target, tree, ambient):
+            yield scale_num * num, scale_den * den
 
 
-def _evaluate_decorated_tree(
+def _decorated_tree_terms(
     target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
-) -> Fraction:
+):
+    """Each nonzero term of one tree's integral as int (numerator, denominator)."""
     if set(ambient) != set(tree.labels):
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels "
@@ -606,10 +640,10 @@ def _evaluate_decorated_tree(
         )
 
     # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
-    tail_choices: dict[int, list[tuple[Entry, Fraction]]] = {}
+    tail_choices: dict[int, list[tuple[Entry, Rational]]] = {}
     for label in tree.labels:
         a, alpha = ambient[label]
-        tail_choices[label] = [((a, alpha), ONE)]
+        tail_choices[label] = [((a, alpha), 1)]
     kappa_at: dict[int, list[Entry]] = {v: [] for v in range(tree.n_vertices)}
     for v, tok in tree.decorations:
         if tok.kind == "kappa":
@@ -631,9 +665,8 @@ def _evaluate_decorated_tree(
 
     labels = list(tree.labels)
     edge_pairs = target.eta_inverse_pairs()
-    total = ZERO
     for tail_pick in product(*(tail_choices[lab] for lab in labels)):
-        tail_coeff = ONE
+        tail_coeff = 1
         tau_at: dict[int, list[Entry]] = {v: [] for v in range(tree.n_vertices)}
         for lab, (entry, c) in zip(labels, tail_pick):
             tail_coeff *= c
@@ -649,12 +682,14 @@ def _evaluate_decorated_tree(
                 coeff *= w
                 extra[u].append((0, s1))
                 extra[v].append((0, s2))
-            value = coeff
+            num, den = coeff.numerator, coeff.denominator
             for v in range(tree.n_vertices):
                 m = MultiIndex(tuple((e, 1) for e in tau_at[v] + extra[v]))
                 p = MultiIndex(tuple((e, 1) for e in kappa_at[v]))
-                value *= evaluate(CorrelatorKey(target, m, p, tree.betas[v]))
-                if value == 0:
+                value = evaluate(CorrelatorKey(target, m, p, tree.betas[v]))
+                if not value:
                     break
-            total += value
-    return total
+                num *= value.numerator
+                den *= value.denominator
+            else:
+                yield num, den

@@ -401,7 +401,8 @@ class QSeries:
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            scalar = exact_rational(other, "scalar")
+            # an int (a cup constant or eta^{-1} weight) needs no Fraction
+            scalar = other if type(other) is int else exact_rational(other, "scalar")
             p = scalar.numerator
             terms = {e: c * p for e, c in self._terms.items()} if p else {}
             return QSeries._from_valid(

@@ -9,7 +9,15 @@ divisor class against a curve degree).
 
 Projective space P^r ships built in; arbitrary even-graded Frobenius data
 can be loaded from a JSON config.  Curve degrees are plain non-negative
-ints (effective multiples of the line class).
+ints (effective multiples of the line class).  Tensor entries must be
+exact: ``int`` (not ``bool``) or ``Fraction``.
+
+Next to the fields, each target builds two sparse tables once: the
+nonzero cup constants of each (alpha, beta) and the nonzero entries of
+eta^{-1}.  ``cup_product``, ``cup_vector`` and ``eta_inverse_pairs`` read
+them.  A table entry is an ``int`` when it is integral (always, on P^r)
+and a ``Fraction`` otherwise, so the correlator engine can keep integer
+coefficients as ``int``s.
 """
 
 from __future__ import annotations
@@ -18,9 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .series import parse_rational
+from .series import exact_rational, parse_rational
 
 FrMatrix = tuple[tuple[Fraction, ...], ...]
+Rational = int | Fraction
 
 
 def json_int(value, what: str) -> int:
@@ -50,6 +59,9 @@ class TargetModel:
 
     def __post_init__(self):
         n = len(self.gradings)
+        for g in self.gradings:
+            json_int(g, "a grading")
+        json_int(self.c1_degree, "c1_degree")
         if any(g % 2 != 0 or g < 0 for g in self.gradings):
             raise ValueError("only even, non-negative cohomology gradings are supported")
         if self.gradings[0] != 0:
@@ -65,6 +77,14 @@ class TargetModel:
             for plane in self.cup
         ):
             raise ValueError("cup tensor must be rank (n, n, n)")
+        for what, values in (
+            ("an eta entry", (x for row in self.eta for x in row)),
+            ("a cup entry", (x for plane in self.cup for row in plane for x in row)),
+            ("a divisor pairing", (value for _, value in self.divisor_pairings)),
+            ("a seed value", (value for *_, value in self.seeds)),
+        ):
+            for x in values:
+                exact_rational(x, what)
         for b in range(n):
             for nu in range(n):
                 expected = Fraction(1) if nu == b else Fraction(0)
@@ -73,10 +93,18 @@ class TargetModel:
         # derived data, kept outside the fields, hash and equality
         inverse = _invert(self.eta)
         pairs = tuple(
-            (s1, s2, w) for s1, row in enumerate(inverse) for s2, w in enumerate(row) if w
+            (s1, s2, _narrow(w))
+            for s1, row in enumerate(inverse)
+            for s2, w in enumerate(row)
+            if w
+        )
+        cup_table = tuple(
+            tuple({nu: _narrow(c) for nu, c in enumerate(row) if c} for row in plane)
+            for plane in self.cup
         )
         object.__setattr__(self, "_eta_inverse", inverse)
         object.__setattr__(self, "_eta_inverse_pairs", pairs)
+        object.__setattr__(self, "_cup_table", cup_table)
         object.__setattr__(
             self,
             "_cached_hash",
@@ -98,20 +126,22 @@ class TargetModel:
         # cached in the instance dict, outside the fields, hash and equality
         return max(self.gradings) // 2
 
-    def cup_product(self, alpha: int, beta: int) -> dict[int, Fraction]:
-        """e_alpha . e_beta as {nu: coefficient}, zero entries dropped."""
-        return {
-            nu: c for nu, c in enumerate(self.cup[alpha][beta]) if c != 0
-        }
+    def cup_product(self, alpha: int, beta: int) -> dict[int, Rational]:
+        """e_alpha . e_beta as {nu: coefficient}, zero entries dropped.
 
-    def cup_vector(self, vec: dict[int, Fraction], alpha: int) -> dict[int, Fraction]:
-        """Cup a formal basis combination with e_alpha."""
-        out: dict[int, Fraction] = {}
+        A fresh copy of the cup table's entry, so the caller may change it;
+        coefficients are ``int`` when integral, else ``Fraction``."""
+        return self._cup_table[alpha][beta].copy()
+
+    def cup_vector(self, vec: dict[int, Rational], alpha: int) -> dict[int, Rational]:
+        """Cup a formal basis combination with e_alpha (zeros dropped); the
+        coefficients stay ``int`` while those of ``vec`` are ``int``."""
+        table = self._cup_table
+        out: dict[int, Rational] = {}
         for mu, c in vec.items():
-            for nu, d in enumerate(self.cup[mu][alpha]):
-                if d:
-                    out[nu] = out.get(nu, Fraction(0)) + c * d
-        return {nu: c for nu, c in out.items() if c != 0}
+            for nu, d in table[mu][alpha].items():
+                out[nu] = out.get(nu, 0) + c * d
+        return {nu: c for nu, c in out.items() if c}
 
     def poincare_pairing(self, alpha: int, beta: int) -> Fraction:
         return self.eta[alpha][beta]
@@ -119,8 +149,9 @@ class TargetModel:
     def inverse_pairing(self, sigma1: int, sigma2: int) -> Fraction:
         return self._eta_inverse[sigma1][sigma2]
 
-    def eta_inverse_pairs(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """Nonzero entries (sigma1, sigma2, eta^{sigma1 sigma2})."""
+    def eta_inverse_pairs(self) -> tuple[tuple[int, int, Rational], ...]:
+        """Nonzero entries (sigma1, sigma2, eta^{sigma1 sigma2}), built once;
+        each weight is an ``int`` when integral, else a ``Fraction``."""
         return self._eta_inverse_pairs
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
@@ -172,9 +203,10 @@ class TargetModel:
         )
 
     def seed_value(self, classes: tuple[int, ...], d: int) -> Fraction | None:
+        """The seed of (classes, d) as a ``Fraction``, or None."""
         for cls, deg, value in self.seeds:
             if cls == classes and deg == d:
-                return value
+                return Fraction(value)
         return None
 
     @cached_property
@@ -192,6 +224,11 @@ class TargetModel:
                     if self.cup[a][b][nu] != want:
                         return False
         return True
+
+
+def _narrow(x: Rational) -> Rational:
+    """An exact entry as an ``int`` when it is integral (1 == Fraction(1))."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _invert(eta: FrMatrix) -> FrMatrix:

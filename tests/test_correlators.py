@@ -1,11 +1,13 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from gwtaut.correlators import (
+    Combination,
     CorrelatorKey,
     MultiIndex,
     apply_puncture_dilaton,
@@ -23,7 +25,7 @@ from gwtaut.correlators import (
 )
 from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
-from gwtaut.target import projective_space
+from gwtaut.target import TargetModel, projective_space
 from gwtaut.trees import kappa_boundary_presentation, psi_boundary_presentation
 from gwtaut.verify import random_admissible_key, sample_relation_keys
 
@@ -474,3 +476,117 @@ def test_empty_tree_sum_checks_its_point_count():
     for ambient in ({1: (0, 1), 7: (0, 1)}, {1: (0, 1), 2: (0, 1)}, {}):
         with pytest.raises(ValueError, match="ambient labels"):
             evaluate_tree_sum(P1, pres, ambient)  # was 0
+
+
+# -- a rescaled basis: the non-integral branch of the coefficient arithmetic -----------
+
+
+def rescaled_p2(c) -> TargetModel:
+    """P^2 as a custom target in the basis 1, cH, c^2 H^2.
+
+    eta is c^2 on the antidiagonal, the cup product is the monogenic one,
+    the divisor pairing is c and the seed <e_2, e_2>_1 is c^4.  Since
+    e_alpha = c^alpha H^alpha, a correlator whose classes (tau and kappa)
+    sum to s is c^s times its P^2 value.  With c = 2, eta^{-1} is 1/4,
+    a weight P^r never has; with c = 1/2 the pairing and the seed are not
+    integers.  Entries are given as ``int``s where they are integral.
+    """
+    return TargetModel(
+        name=f"P2 in the basis 1, {c}H, {c**2}H^2",
+        gradings=P2.gradings,
+        eta=tuple(tuple(c**2 if a + b == 2 else 0 for b in range(3)) for a in range(3)),
+        cup=P2.cup,
+        c1_degree=3,
+        divisor_pairings=((1, c),),
+        seeds=(((2, 2), 1, c**4),),
+    )
+
+
+# (d, tau levels, kappa levels): the P^2 templates of the benchmark's
+# crosscheck pool, every admissible class assignment of each
+P2_TEMPLATES = (
+    (1, (1, 1, 0, 0, 0), ()),
+    (2, (2, 1, 0, 0), ()),
+    (1, (0, 0, 0, 0), (1,)),
+    (2, (1, 0, 0), (0,)),
+    (1, (1, 0, 0, 0), (-1, 0, 1)),
+    (2, (0, 0, 0), (0, 0)),
+)
+
+
+def p2_template_keys():
+    """Distinct (d, tau, kappa) of the templates, as (level, class, 1) triples."""
+    keys = set()
+    for d, tau_levels, kappa_levels in P2_TEMPLATES:
+        n = len(tau_levels)
+        total = 2 + n - 3 + 3 * d - sum(tau_levels) - sum(kappa_levels)
+        for classes in product(range(3), repeat=n + len(kappa_levels)):
+            if sum(classes) == total:
+                tau = tuple(sorted((a, c, 1) for a, c in zip(tau_levels, classes)))
+                kappa = tuple(sorted((a, c, 1) for a, c in zip(kappa_levels, classes[n:])))
+                keys.add((d, tau, kappa))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+def test_rescaled_basis_scales_every_template_key(c):
+    target = rescaled_p2(c)
+    keys = p2_template_keys()
+    nonzero = 0
+    for d, tau, kappa in keys:
+        s = sum(alpha for _, alpha, _ in tau + kappa)
+        expected = Fraction(c) ** s * evaluate(make_key(P2, tau, kappa, d))
+        assert evaluate(make_key(target, tau, kappa, d)) == expected, (d, tau, kappa)
+        nonzero += expected != 0
+    assert (len(keys), nonzero) == (128, 70)
+
+
+def test_rescaled_basis_tree_sum():
+    # kappa_0(e_1) demoted across the boundary: edges weigh eta^{-1} = 1/4,
+    # and the evaluation-class terms cup at the tails
+    target = rescaled_p2(2)
+    ambient = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
+    values = [
+        evaluate_tree_sum(t, kappa_boundary_presentation(t, 4, 1, 0, 1), ambient)
+        for t in (target, P2)
+    ]
+    key = make_key(target, tau=[(0, 1, 3), (0, 2, 1)], kappa=[(0, 1, 1)], d=1)
+    assert values == [evaluate(key), 2] and evaluate(key) == 2**6 * 2
+
+
+def test_public_values_are_fractions():
+    """Zero, integral and non-integral values all come back as ``Fraction``."""
+    T, H = rescaled_p2(2), rescaled_p2(Fraction(1, 2))
+    j1 = make_key(P1, tau=[(2, 1, 1)], d=2)  # <tau_2(pt)>_2 = 1/4
+    j2 = make_key(T, tau=[(4, 2, 1)], d=2)  # 2^2 <tau_4(H^2)>_2 = 4/8
+    h3 = make_key(P1, kappa=[(0, 1, 4)], d=3)
+    one_term = Combination()
+    one_term.add((h3,), 3)  # an int coefficient
+    psi = psi_boundary_presentation
+    trees = [
+        (P1, psi(3, 0, 1), {1: (0, 1), 2: (0, 1), 3: (0, 0)}, 0),
+        (P1, psi(4, 1, 1), {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 0)}, 1),
+        (P1, psi(3, 2, 3), {1: (0, 1), 2: (0, 0), 3: (0, 1)}, Fraction(1, 2)),
+        (T, psi(3, 2, 4), {1: (0, 2), 2: (0, 0), 3: (0, 2)}, 8),
+        (T, psi(3, 2, 6), {1: (0, 2), 2: (0, 0), 3: (0, 0)}, Fraction(1, 2)),
+    ]
+    cases = [
+        (evaluate(make_key(P1, tau=[(0, 0, 1)], d=1)), 0),
+        (evaluate(h3), 4),
+        (evaluate(j1), Fraction(1, 4)),
+        (evaluate(make_key(T, tau=[(0, 2, 2)], d=1)), 16),  # the seed
+        (evaluate(j2), Fraction(1, 2)),
+        (evaluate_combination(Combination()), 0),
+        (evaluate_combination(one_term), 12),
+        (evaluate_combination(_divisor_backwards(j1)), Fraction(1, 4)),
+        (evaluate_combination(_divisor_backwards(j2)), Fraction(1, 2)),
+        *((evaluate_tree_sum(t, pres, ambient), value) for t, pres, ambient, value in trees),
+        (pure_gw(P1, (0, 1, 1), 1), 0),
+        (pure_gw(P1, (1, 1, 1), 1), 1),
+        (pure_gw(T, (0, 2, 2), 1), 0),
+        (pure_gw(T, (2, 2), 1), 16),  # a seed given as an int
+        (pure_gw(H, (2, 2), 1), Fraction(1, 16)),
+        (pure_gw(H, (1, 2, 2), 1), Fraction(1, 32)),
+    ]
+    for i, (value, expected) in enumerate(cases):
+        assert type(value) is Fraction and value == expected, (i, value)

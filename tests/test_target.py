@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwtaut.target import projective_space, target_from_config
+from gwtaut.target import TargetModel, projective_space, target_from_config
 
 
 def test_cup_on_p2():
@@ -130,3 +130,63 @@ def test_degenerate_eta_rejected():
     }
     with pytest.raises(ValueError, match="eta is degenerate"):
         target_from_config(config)
+
+
+def _p1_fields(**changes):
+    p1 = projective_space(1)
+    fields = dict(
+        name="P1-variant",
+        gradings=p1.gradings,
+        eta=p1.eta,
+        cup=p1.cup,
+        c1_degree=p1.c1_degree,
+        divisor_pairings=p1.divisor_pairings,
+        seeds=p1.seeds,
+    )
+    fields.update(changes)
+    return fields
+
+
+# Every kind of inexact field entry a target once accepted: with the float
+# pairing, <kappa_0(e_1)^4>_3 on P^1 came out as the float 4.0, not 4.
+INEXACT = {
+    "eta float": dict(eta=((0.0, 1.0), (1.0, 0.0))),
+    "eta bool": dict(eta=((False, True), (True, False))),
+    "cup float": dict(cup=(((1, 0), (0, 1)), ((0, 1.0), (0, 0)))),
+    "cup bool": dict(cup=(((1, 0), (0, 1)), ((0, True), (0, 0)))),
+    "divisor pairing float": dict(divisor_pairings=((1, 1.0),)),
+    "divisor pairing bool": dict(divisor_pairings=((1, True),)),
+    "seed float": dict(seeds=(((), 1, 1.0),)),
+    "seed bool": dict(seeds=(((), 1, True),)),
+    "grading float": dict(gradings=(0, 2.0)),
+    "grading bool": dict(gradings=(False, 2)),
+    "c1_degree float": dict(c1_degree=2.0),
+    "c1_degree bool": dict(c1_degree=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INEXACT))
+def test_inexact_tensor_entries_rejected(kind):
+    with pytest.raises(ValueError):
+        TargetModel(**_p1_fields(**INEXACT[kind]))
+
+
+def test_tables_narrow_integral_entries_only():
+    p2 = projective_space(2)
+    assert all(type(w) is int for *_, w in p2.eta_inverse_pairs())
+    assert all(type(c) is int for c in p2.cup_product(1, 1).values())
+    halves = TargetModel(**_p1_fields(eta=((0, Fraction(2)), (Fraction(2), 0))))
+    assert halves.eta_inverse_pairs() == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
+    assert all(type(w) is Fraction for *_, w in halves.eta_inverse_pairs())
+
+
+def test_cup_tables_cannot_be_changed_through_results():
+    p2 = projective_space(2)
+    product = p2.cup_product(1, 1)
+    product[2] = 7
+    product[0] = 1
+    assert p2.cup_product(1, 1) == {2: 1}
+    vector = p2.cup_vector({0: 1}, 1)
+    vector[1] = 5
+    assert p2.cup_vector({0: 1}, 1) == {1: 1}
+    assert p2.cup_vector({1: 1}, 1) == {2: 1}
