@@ -13,6 +13,11 @@ points (``lift_kappa_minus_one``).  The forward comparison relation
 it against ``evaluate``, and ``gwtaut.oracle`` checks ``evaluate`` with
 code it does not share.
 
+Each move returns a plain list of (keys, coefficient) terms, unmerged.  A
+split term puts its lower-degree factor first, since
+``evaluate_combination`` stops a product at its first zero factor and the
+lower-degree factor is the cheaper one.
+
 Checks run at the API boundary: the public ``MultiIndex(...)`` normalizes
 and the public ``CorrelatorKey(...)`` (so ``make_key``) validates.  The
 moves derive keys from valid ones through ``_normal_index`` and
@@ -232,32 +237,8 @@ def make_key(target: TargetModel, tau=(), kappa=(), d: int = 0) -> CorrelatorKey
     )
 
 
-class Combination:
-    """Rational combination of products of correlator keys; a coefficient
-    stays an ``int`` while everything added to it is an ``int``."""
-
-    def __init__(self):
-        self._terms: dict[tuple[CorrelatorKey, ...], Rational] = {}
-
-    def add(self, keys: tuple[CorrelatorKey, ...], coeff: Rational) -> None:
-        if coeff == 0:
-            return
-        keys = tuple(sorted(keys, key=_key_sort))
-        new = self._terms.get(keys, 0) + coeff
-        if new:
-            self._terms[keys] = new
-        else:
-            del self._terms[keys]
-
-    def items(self):
-        return list(self._terms.items())
-
-    def __len__(self):
-        return len(self._terms)
-
-
-def _key_sort(key: CorrelatorKey):
-    return (key.d, key.m.entries, key.p.entries)
+# a product of correlator values times a coefficient
+Term = tuple[tuple[CorrelatorKey, ...], Rational]
 
 
 # -- dimension bookkeeping -------------------------------------------------------
@@ -284,22 +265,44 @@ def selection(key: CorrelatorKey) -> bool:
 # -- the four reduction moves ------------------------------------------------------
 
 
-def _cup_power(target: TargetModel, p2: MultiIndex) -> dict[int, Rational]:
-    """Cup product of the kappa labels of p2, as a basis combination."""
-    vec = {0: 1}
-    for (_, alpha), mult in p2.entries:
-        for _ in range(mult):
-            vec = target.cup_vector(vec, alpha)
-            if not vec:
-                return {}
-    return vec
+def _comparison_terms(
+    target: TargetModel, m: MultiIndex, p: MultiIndex, level: int, alpha: int, d: int
+):
+    """The comparison relation's kappa split, for both of its directions.
+
+    Yields (p2, key, coefficient) for each sub-multiset p2 of the level >= 0
+    kappa classes of p: the key carries m, the rest of p and a kappa class
+    of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha."""
+    neg = p.neg_part()
+    for p2, rest, binm in p.nonneg_part().splits():
+        vec = {0: 1}
+        for _, beta in p2.expand():
+            vec = target.cup_vector(vec, beta)
+        for nu, c_nu in target.cup_vector(vec, alpha).items():
+            p1 = rest.merge(neg).add(p2.weight + level, nu)
+            yield p2, _valid_key(target, m, p1, d), binm * c_nu
 
 
-def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> Combination:
+def _cup_at_points(
+    key: CorrelatorKey, points: MultiIndex, p: MultiIndex, g: int, drop: int
+):
+    """Yield the terms that replace one point tau_a(e_alpha) of ``points``
+    (part of key.m), a >= drop, by tau_{a-drop}(e_alpha . e_g); the keys
+    carry the kappa classes p."""
+    for (a, alpha), mult in points.entries:
+        if a < drop:
+            continue
+        for nu, c_nu in key.target.cup_product(alpha, g).items():
+            shifted = key.m.remove(a, alpha).add(a - drop, nu)
+            yield (_valid_key(key.target, shifted, p, key.d),), mult * c_nu
+
+
+def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
     """Trade the pivot tau insertion for kappa insertions downstairs.
 
     Valid for pivot level a >= 1, or a = 0 when every other tau insertion
-    has level 0; never on a three-point degree-0 key.
+    has level 0; never on a three-point degree-0 key.  Returns the list of
+    the relation's one-factor terms.
     """
     a, alpha = pivot
     if key.m.mult(a, alpha) == 0:
@@ -314,19 +317,8 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> Combination:
             "the comparison relation needs the forgotten two-point space; "
             "it does not exist at degree 0 with three points"
         )
-    target = key.target
-    out = Combination()
-    neg = key.p.neg_part()
-    for p2, rest, binm in key.p.nonneg_part().splits():
-        p1 = rest.merge(neg)
-        vec = _cup_power(target, p2)
-        if not vec:
-            continue
-        new_level = p2.weight + a - 1
-        for nu, c_nu in target.cup_vector(vec, alpha).items():
-            sub = _valid_key(target, m0, p1.add(new_level, nu), key.d)
-            out.add((sub,), binm * c_nu)
-    return out
+    terms = _comparison_terms(key.target, m0, key.p, a - 1, alpha, key.d)
+    return [((sub,), coeff) for _, sub, coeff in terms]
 
 
 def _boundary_split(
@@ -336,7 +328,7 @@ def _boundary_split(
     left_tau: list[Entry],
     left_kappa: list[Entry],
     right_tau: tuple[Entry, ...],
-) -> Combination:
+) -> list[Term]:
     """Sum over the boundary divisors D(A|B) that split ``key`` in two.
 
     The left factor carries a sub-multiset m1 of m0 and p1 of p0 plus the
@@ -346,6 +338,7 @@ def _boundary_split(
     Only dimension-balanced terms are emitted: the selection rule is checked
     on the integer degree sums and point counts of both factors before any
     key is built.  Every term it skips has a factor that vanishes outright.
+    The factor of lower degree comes first.
     """
     target, d = key.target, key.d
     g, balanced = target.gradings, target.balanced
@@ -361,7 +354,7 @@ def _boundary_split(
         (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
         for p1, p2, pbin in p0.splits()
     ]
-    out = Combination()
+    terms = []
     for m1, m2, mbin in m0.splits():
         left, right = m1.merge(left_m), m2.merge(right_m)
         n1, n2 = left.size + 1, right.size + 1
@@ -376,16 +369,18 @@ def _boundary_split(
                     ):
                         k1 = _valid_key(target, left.add(0, s1), p1, b1)
                         k2 = _valid_key(target, right.add(0, s2), p2, d - b1)
-                        out.add((k1, k2), mbin * pbin * w)
-    return out
+                        pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
+                        terms.append((pair, mbin * pbin * w))
+    return terms
 
 
 def apply_trr_psi(
     key: CorrelatorKey, pivot: Entry, copivots: tuple[Entry, Entry]
-) -> Combination:
+) -> list[Term]:
     """Split psi^a at the pivot point off the two co-pivot points.
 
-    Emits only dimension-balanced boundary terms (see ``_boundary_split``).
+    Returns the list of the dimension-balanced boundary terms, each with its
+    lower-degree factor first (see ``_boundary_split``).
     """
     a1, alpha1 = pivot
     if a1 < 1:
@@ -398,13 +393,13 @@ def apply_trr_psi(
 
 def apply_trr_kappa(
     key: CorrelatorKey, pivot: Entry, copivots: tuple[Entry, Entry] | None = None
-) -> Combination:
+) -> list[Term]:
     """Demote the pivot kappa class across a boundary splitting.
 
     For pivot level a >= 1 the class drops to kappa_{a-1}; at level 0 it
-    drops to the lift-ready kappa_{-1} plus the cup-product correction
-    terms.  Two tau insertions serve as co-pivots.  The boundary terms are
-    only the dimension-balanced ones (see ``_boundary_split``).
+    drops to the lift-ready kappa_{-1} plus cup-product corrections.  Two
+    tau insertions serve as co-pivots.  Returns a term list: the balanced
+    boundary terms, lower-degree factor first (see ``_boundary_split``).
     """
     a1, alpha1 = pivot
     if key.p.mult(a1, alpha1) == 0:
@@ -420,15 +415,11 @@ def apply_trr_kappa(
     for a, alpha in copivots:
         m0 = m0.remove(a, alpha)
     p0 = key.p.remove(a1, alpha1)
-    target = key.target
-    out = _boundary_split(key, m0, p0, [], [(a1 - 1, alpha1)], copivots)
+    terms = _boundary_split(key, m0, p0, [], [(a1 - 1, alpha1)], copivots)
     if a1 == 0:
-        for (a, alpha), mult in m0.entries:
-            for nu, c_nu in target.cup_product(alpha, alpha1).items():
-                # m0 with e_alpha -> e_alpha . e_alpha1, plus the co-pivots
-                shifted = key.m.remove(a, alpha).add(a, nu)
-                out.add((_valid_key(target, shifted, p0, key.d),), mult * c_nu)
-    return out
+        # e_alpha -> e_alpha . e_alpha1 at one point other than the co-pivots
+        terms += _cup_at_points(key, m0, p0, alpha1, 0)
+    return terms
 
 
 def lift_kappa_minus_one(key: CorrelatorKey) -> tuple[tuple[int, ...], int]:
@@ -472,10 +463,10 @@ def _exact_sum(terms) -> Fraction:
     return Fraction(num, den)
 
 
-def _combination_terms(comb: Combination):
-    """Each nonzero term of ``comb`` as its product's int (numerator,
-    denominator); a product stops at its first zero factor."""
-    for keys, coeff in comb.items():
+def _combination_terms(terms: list[Term]):
+    """Each nonzero term as its product's int (numerator, denominator); a
+    product stops at its first zero factor."""
+    for keys, coeff in terms:
         num, den = coeff.numerator, coeff.denominator
         for k in keys:
             value = evaluate(k)
@@ -487,11 +478,12 @@ def _combination_terms(comb: Combination):
             yield num, den
 
 
-def evaluate_combination(comb: Combination) -> Fraction:
-    return _exact_sum(_combination_terms(comb))
+def evaluate_combination(terms: list[Term]) -> Fraction:
+    """The sum of a move's terms, as one ``Fraction``."""
+    return _exact_sum(_combination_terms(terms))
 
 
-def _comparison_backwards(key: CorrelatorKey) -> Combination:
+def _comparison_backwards(key: CorrelatorKey) -> list[Term]:
     """Trade the deepest kappa class of level b >= 0 for a tau_{b+1} point.
 
     The comparison relation on the key plus tau_{b+1}(e_nu0), read
@@ -499,47 +491,25 @@ def _comparison_backwards(key: CorrelatorKey) -> Combination:
     augmented key minus the terms where kappa classes merged with the
     forgotten point.
     """
-    target = key.target
     b, nu0 = key.p.entries[-1][0]
     p_hat = key.p.remove(b, nu0)
-    out = Combination()
-    out.add((_valid_key(target, key.m.add(b + 1, nu0), p_hat, key.d),), 1)
-    neg = p_hat.neg_part()
-    for p2, rest, binm in p_hat.nonneg_part().splits():
-        if not p2.entries:
-            continue
-        p1 = rest.merge(neg)
-        vec = _cup_power(target, p2)
-        if not vec:
-            continue
-        new_level = p2.weight + b
-        for nu, c_nu in target.cup_vector(vec, nu0).items():
-            sub = _valid_key(target, key.m, p1.add(new_level, nu), key.d)
-            out.add((sub,), -binm * c_nu)
-    return out
+    augmented = _valid_key(key.target, key.m.add(b + 1, nu0), p_hat, key.d)
+    terms = _comparison_terms(key.target, key.m, p_hat, b, nu0, key.d)
+    return [((augmented,), 1)] + [((sub,), -c) for p2, sub, c in terms if p2.entries]
 
 
-def _divisor_backwards(key: CorrelatorKey) -> Combination:
+def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
     """Solve the divisor equation of a divisor class D for the key.
 
     <tau_0(D) X>_d = (D . d) <X>_d + sum_i <X with tau_{a_i}(e_i) replaced
     by tau_{a_i - 1}(e_i . D)>_d, the sum running over the points with
     a_i >= 1; needs d >= 1 and a divisor pairing nontrivially with d.
     """
-    target = key.target
-    alpha_div, pairing = target.divisor_class(key.d)
+    alpha_div, pairing = key.target.divisor_class(key.d)
     inverse = ONE / pairing  # a Fraction division, whatever type pairing has
-    out = Combination()
-    augmented = _valid_key(target, key.m.add(0, alpha_div), key.p, key.d)
-    out.add((augmented,), inverse)
-    for (a, alpha), mult in key.m.entries:
-        if a < 1:
-            continue
-        for nu, c_nu in target.cup_product(alpha, alpha_div).items():
-            shifted = key.m.remove(a, alpha).add(a - 1, nu)
-            sub = _valid_key(target, shifted, key.p, key.d)
-            out.add((sub,), -mult * c_nu * inverse)
-    return out
+    augmented = _valid_key(key.target, key.m.add(0, alpha_div), key.p, key.d)
+    terms = _cup_at_points(key, key.m, key.p, alpha_div, 1)
+    return [((augmented,), inverse)] + [(keys, -c * inverse) for keys, c in terms]
 
 
 @cache
@@ -564,18 +534,18 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     if psi and key.n >= 3:
         # entries sort by level, so the deepest psi and kappa classes come last
         points = key.m.expand()
-        comb = apply_trr_psi(key, points[-1], points[:2])
+        terms = apply_trr_psi(key, points[-1], points[:2])
     elif kappa and not psi and key.n >= 2:
-        comb = apply_trr_kappa(key, key.p.entries[-1][0])
+        terms = apply_trr_kappa(key, key.p.entries[-1][0])
     elif kappa:
-        comb = _comparison_backwards(key)
+        terms = _comparison_backwards(key)
     elif psi:
-        comb = _divisor_backwards(key)
+        terms = _divisor_backwards(key)
     else:
         classes, d = lift_kappa_minus_one(key)
         return pure_gw(key.target, classes, d)
     _REDUCTIONS += 1
-    return evaluate_combination(comb)
+    return evaluate_combination(terms)
 
 
 # the benchmark's cross-check route calls this name

@@ -10,7 +10,10 @@ divisor class against a curve degree).
 Projective space P^r ships built in; arbitrary even-graded Frobenius data
 can be loaded from a JSON config.  Curve degrees are plain non-negative
 ints (effective multiples of the line class).  Tensor entries must be
-exact: ``int`` (not ``bool``) or ``Fraction``.
+exact: ``int`` (not ``bool``) or ``Fraction``.  A target must satisfy the
+Frobenius axioms (the cup product is commutative, associative and graded,
+and eta(ab, c) = eta(a, bc)), and each divisor pairing must sit on its
+own basis class of grading 2.
 
 Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .series import exact_rational, parse_rational
 
@@ -90,6 +94,11 @@ class TargetModel:
                 expected = Fraction(1) if nu == b else Fraction(0)
                 if self.cup[0][b][nu] != expected:
                     raise ValueError("e_0 must act as the unit in the cup product")
+        divisors = [json_int(alpha, "a divisor class") for alpha, _ in self.divisor_pairings]
+        if any(not 0 <= alpha < n or self.gradings[alpha] != 2 for alpha in divisors):
+            raise ValueError("a divisor pairing needs a basis class of grading 2")
+        if len(set(divisors)) != len(divisors):
+            raise ValueError("a divisor class may carry only one pairing")
         # derived data, kept outside the fields, hash and equality
         inverse = _invert(self.eta)
         pairs = tuple(
@@ -105,6 +114,7 @@ class TargetModel:
         object.__setattr__(self, "_eta_inverse", inverse)
         object.__setattr__(self, "_eta_inverse_pairs", pairs)
         object.__setattr__(self, "_cup_table", cup_table)
+        self._check_frobenius_axioms()
         object.__setattr__(
             self,
             "_cached_hash",
@@ -113,6 +123,29 @@ class TargetModel:
 
     def __hash__(self) -> int:  # cached; the tensors are large
         return self._cached_hash
+
+    def _check_frobenius_axioms(self) -> None:
+        """Check on the sparse cup table that the cup product is commutative,
+        graded and associative, and that eta(ab, c) = eta(a, bc)."""
+        table, g = self._cup_table, self.gradings
+        eta = [[_narrow(x) for x in row] for row in self.eta]
+        pairs = list(product(range(self.rank), repeat=2))
+        triples = list(product(range(self.rank), repeat=3))
+        if any(table[a][b] != table[b][a] for a, b in pairs):
+            raise ValueError("the cup product must be commutative")
+        if any(g[nu] != g[a] + g[b] for a, b in pairs for nu in table[a][b]):
+            raise ValueError("the cup product must respect the gradings")
+        if any(
+            self.cup_vector(table[a][b], c) != self.cup_vector(table[b][c], a)
+            for a, b, c in triples
+        ):
+            raise ValueError("the cup product must be associative")
+        if any(
+            sum(x * eta[nu][c] for nu, x in table[a][b].items())
+            != sum(x * eta[a][nu] for nu, x in table[b][c].items())
+            for a, b, c in triples
+        ):
+            raise ValueError("the pairing must satisfy eta(ab, c) = eta(a, bc)")
 
     # -- basic ring data -----------------------------------------------------
 

@@ -20,8 +20,26 @@ def run(capsys, *argv):
 P1_WINDOW = ("potential", "--r", "1", "--vars", "x0,x1,s0:1", "--cap", "3", "--qmax", "1")
 
 
+def p2_config(divisor_class: int) -> str:
+    """P^2 as a custom target, its divisor pairing on ``divisor_class``."""
+    return json.dumps({
+        "type": "custom",
+        "gradings": [0, 2, 4],
+        "eta": [[int(a + b == 2) for b in range(3)] for a in range(3)],
+        "cup": [[[int(nu == a + b) for nu in range(3)] for b in range(3)] for a in range(3)],
+        "c1_degree": 3,
+        "divisor_pairings": [[divisor_class, 1]],
+        "seeds": [[[2, 2], 1, 1]],
+    })
+
+
 def test_correlator_value_and_exit_zero(capsys):
     code, out, _ = run(capsys, "correlator", "--r", "2", "--degree", "1", "--tau", "0,2,2")
+    assert code == 0
+    assert json.loads(out)["value"] == "1/1"
+    code, out, _ = run(
+        capsys, "correlator", "--target", p2_config(1), "--degree", "1", "--tau", "1,2,1"
+    )
     assert code == 0
     assert json.loads(out)["value"] == "1/1"
 
@@ -52,6 +70,8 @@ def test_correlator_value_and_exit_zero(capsys):
         ("potential", "--r", "1", "--vars", "x2"),
         ("potential", "--r", "1", "--vars", "t-1:0"),
         ("potential", "--r", "1", "--vars", "s-2:1"),
+        # a divisor pairing on e_2 was accepted and printed <tau_1(e_2)>_1 = 0
+        ("correlator", "--target", p2_config(2), "--degree", "1", "--tau", "1,2,1"),
     ],
 )
 def test_bad_numeric_input_is_usage_error(capsys, argv):
@@ -140,6 +160,15 @@ def test_correlator_reductions_do_not_depend_on_earlier_commands(capsys):
     h4 = ("correlator", "--r", "1", "--degree", "4", "--kappa", "0,1,6")
     assert json.loads(run(capsys, *h4)[1])["reductions"] == 34
     assert json.loads(run(capsys, *H3)[1])["reductions"] == 10
+
+
+def test_deepest_p2_ladder_key_work_is_pinned(capsys):
+    # a split term puts its lower-degree factor first, so a product stops at
+    # a zero factor before the costlier one is evaluated; with the factors
+    # in the order the split builds them this key takes 82 reductions
+    p2_k8 = ("correlator", "--r", "2", "--degree", "3", "--kappa", "0,1,8")
+    payload = json.loads(run(capsys, *p2_k8)[1])
+    assert payload["value"] == "-420/1" and payload["reductions"] <= 50
 
 
 def test_potential_json_is_golden(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,6 @@ from math import comb
 import pytest
 
 from gwtaut.correlators import (
-    Combination,
     CorrelatorKey,
     MultiIndex,
     apply_puncture_dilaton,
@@ -108,23 +108,22 @@ def test_expected_dimension_and_selection():
 def test_comparison_single_term():
     # forgetting the psi-squared point turns it into a kappa insertion
     key = make_key(P1, tau=[(1, 0, 1), (0, 1, 2)], d=1)
-    comb = apply_puncture_dilaton(key, (1, 0))
-    terms = comb.items()
+    terms = apply_puncture_dilaton(key, (1, 0))
     assert len(terms) == 1
     (keys, coeff) = terms[0]
     assert coeff == 1
     assert keys[0].p.entries == (((0, 0), 1),)
-    assert evaluate_combination(comb) == 0  # kappa_{0,0} gives n - 2 = 0
+    assert evaluate_combination(terms) == 0  # kappa_{0,0} gives n - 2 = 0
     assert evaluate(key) == 0
 
 
 def test_comparison_cup_kills_terms():
     key = make_key(P1, tau=[(0, 1, 1)], kappa=[(0, 1, 1)], d=1)
-    comb = apply_puncture_dilaton(key, (0, 1))
+    terms = apply_puncture_dilaton(key, (0, 1))
     # the split putting kappa_{0,1} upstairs needs e1 . e1 = 0 on P1
     assert all(
         min(a for (a, _), _ in k.p.entries) == -1
-        for keys, _ in comb.items()
+        for keys, _ in terms
         for k in keys
     )
 
@@ -146,8 +145,8 @@ def test_comparison_rejects_level_zero_pivot_with_psi():
 
 def test_trr_psi_two_sided():
     key = make_key(P1, tau=[(1, 0, 1), (0, 1, 2)], d=1)
-    comb = apply_trr_psi(key, (1, 0), ((0, 1), (0, 1)))
-    assert evaluate(key) == evaluate_combination(comb)
+    terms = apply_trr_psi(key, (1, 0), ((0, 1), (0, 1)))
+    assert evaluate(key) == evaluate_combination(terms)
 
 
 def test_trr_psi_rejects_level_zero_pivot():
@@ -161,8 +160,8 @@ def test_trr_psi_rejects_level_zero_pivot():
 def test_trr_psi_on_unstable_splits_vanishes():
     # three points at degree 0: every split has an unstable factor
     key = make_key(P1, tau=[(1, 1, 1), (0, 1, 1), (0, 0, 1)], d=0)
-    comb = apply_trr_psi(key, (1, 1), ((0, 1), (0, 0)))
-    assert evaluate_combination(comb) == 0
+    terms = apply_trr_psi(key, (1, 1), ((0, 1), (0, 0)))
+    assert evaluate_combination(terms) == 0
     assert evaluate(key) == 0
 
 
@@ -170,52 +169,62 @@ def test_trr_binomial_bookkeeping():
     # background tau_0^1 x 2; splits sending one copy left carry binom(2,1) = 2
     key = make_key(P1, tau=[(3, 0, 1), (0, 0, 2), (0, 1, 2)], d=1)
     assert selection(key)
-    comb = apply_trr_psi(key, (3, 0), ((0, 0), (0, 0)))
+    terms = apply_trr_psi(key, (3, 0), ((0, 0), (0, 0)))
     left = make_key(P1, tau=[(2, 0, 1), (0, 0, 1), (0, 1, 1)], d=1)
     right = make_key(P1, tau=[(0, 0, 2), (0, 1, 2)], d=0)
     found = [
         coeff
-        for keys, coeff in comb.items()
+        for keys, coeff in terms
         if set(keys) == {left, right}
     ]
     assert found == [Fraction(2)]
 
 
-def _boundary_moves(key):
-    """The psi and kappa recursion moves whose preconditions the key meets."""
+def _moves(key):
+    """(name, terms) of every move whose preconditions the key meets: the
+    psi and kappa recursions, the forward comparison relation, and the
+    comparison relation and divisor equation that ``evaluate`` reads
+    backwards (the latter, as there, only without kappa classes of level
+    >= 0, whose pullbacks would add terms)."""
     points = key.m.expand()
     psi_pivots = [e for e in points if e[0] >= 1]
     if psi_pivots and len(points) >= 3:
         pivot = max(psi_pivots)
         others = list(points)
         others.remove(pivot)
-        yield apply_trr_psi(key, pivot, (others[0], others[1]))
+        yield "trr-psi", apply_trr_psi(key, pivot, (others[0], others[1]))
     if len(points) >= 2:
         for pivot in sorted({e for e in key.p.expand() if e[0] >= 0}):
-            yield apply_trr_kappa(key, pivot)
+            yield "trr-kappa", apply_trr_kappa(key, pivot)
+    if psi_pivots and not (key.d == 0 and key.n == 3):
+        yield "comparison", apply_puncture_dilaton(key, max(psi_pivots))
+    if key.p.max_level >= 0:
+        yield "comparison-backwards", _comparison_backwards(key)
+    if psi_pivots and key.d > 0 and key.p.max_level < 0:
+        yield "divisor-backwards", _divisor_backwards(key)
 
 
 def test_boundary_moves_emit_only_balanced_terms():
-    moves = 0
-    for key in sample_relation_keys([P1, P2, P3], 24, seed=5, d_max=2):
+    moves = Counter()
+    for key in sample_relation_keys([P1, P2, P3], 40, seed=5, d_max=2):
         # the oracle shares no code with the moves
         expected = oracle(key)
-        for comb in _boundary_moves(key):
-            moves += 1
-            assert all(selection(k) for keys, _ in comb.items() for k in keys)
-            assert evaluate_combination(comb) == expected
+        for name, terms in _moves(key):
+            moves[name] += 1
+            assert all(selection(k) for keys, _ in terms for k in keys), (name, key)
+            assert evaluate_combination(terms) == expected, (name, key)
         # an extra unit insertion unbalances the key: no split balances both sides
         unbalanced = CorrelatorKey(key.target, key.m.add(0, 0), key.p, key.d)
-        for comb in _boundary_moves(unbalanced):
-            assert all(len(keys) == 1 for keys, _ in comb.items())
-    assert moves >= 40
+        for _, terms in _moves(unbalanced):
+            assert all(len(keys) == 1 for keys, _ in terms)
+    assert len(moves) == 5 and min(moves.values()) >= 5, moves
     # anchor the split on the dilaton equation <tau_1(e0) X>_d = (n - 2) <X>_d
     # with X pure, whose split factors all lift to pure_gw without further moves
     for target, classes, d in ((P1, (1, 1, 1), 1), (P2, (2,) * 5, 2), (P3, (3, 3, 1), 1)):
         key = make_key(target, tau=[(1, 0, 1)] + [(0, c, 1) for c in classes], d=d)
-        comb = apply_trr_psi(key, (1, 0), ((0, classes[0]), (0, classes[1])))
+        terms = apply_trr_psi(key, (1, 0), ((0, classes[0]), (0, classes[1])))
         expected = (len(classes) - 2) * pure_gw(target, classes, d)
-        assert evaluate_combination(comb) == expected != 0
+        assert evaluate_combination(terms) == expected != 0
 
 
 def test_moves_build_keys_in_normal_form():
@@ -224,23 +233,13 @@ def test_moves_build_keys_in_normal_form():
     checked = cup_corrections = backwards = 0
     for key in sample_relation_keys([P1, P2, P3], 48, seed=5, d_max=2):
         emitted = []
-        moves = list(_boundary_moves(key))
-        # split terms have two factors; one-factor terms are the kappa
-        # level-0 cup corrections
-        cup_corrections += sum(
-            len(keys) == 1 for comb in moves for keys, _ in comb.items()
-        )
-        psi_pivots = [e for e in key.m.expand() if e[0] >= 1]
-        if psi_pivots and not (key.d == 0 and key.n == 3):
-            moves.append(apply_puncture_dilaton(key, max(psi_pivots)))
-        # the relations ``evaluate`` reads backwards
-        if key.p.max_level >= 0:
-            moves.append(_comparison_backwards(key))
-            backwards += 1
-        if psi_pivots and key.d > 0:
-            moves.append(_divisor_backwards(key))
-            backwards += 1
-        emitted += [k for comb in moves for keys, _ in comb.items() for k in keys]
+        for name, terms in _moves(key):
+            # the kappa recursion's one-factor terms are its level-0 cup
+            # corrections; its split terms have two factors
+            if name == "trr-kappa":
+                cup_corrections += sum(len(keys) == 1 for keys, _ in terms)
+            backwards += name.endswith("-backwards")
+            emitted += [k for keys, _ in terms for k in keys]
         for k in emitted:
             # rebuilt through the validating, normalizing constructors
             twin = CorrelatorKey(
@@ -255,8 +254,8 @@ def test_moves_build_keys_in_normal_form():
 
 def test_trr_kappa_zero_reproduces_point_count():
     key = make_key(P1, tau=[(0, 1, 2)], kappa=[(0, 0, 1)], d=1)
-    comb = apply_trr_kappa(key, (0, 0))
-    assert evaluate_combination(comb) == 0  # (n - 2) = 0 here
+    terms = apply_trr_kappa(key, (0, 0))
+    assert evaluate_combination(terms) == 0  # (n - 2) = 0 here
     assert evaluate(key) == 0
 
     key2 = make_key(P1, tau=[(0, 0, 2), (0, 1, 1)], kappa=[(0, 0, 1)], d=0)
@@ -269,8 +268,8 @@ def test_trr_kappa_copivot_choice_independence():
     values = set()
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            comb = apply_trr_kappa(key, (0, 1), (points[i], points[j]))
-            values.add(evaluate_combination(comb))
+            terms = apply_trr_kappa(key, (0, 1), (points[i], points[j]))
+            values.add(evaluate_combination(terms))
     assert len(values) == 1
     assert values.pop() == evaluate(key)
 
@@ -560,8 +559,7 @@ def test_public_values_are_fractions():
     j1 = make_key(P1, tau=[(2, 1, 1)], d=2)  # <tau_2(pt)>_2 = 1/4
     j2 = make_key(T, tau=[(4, 2, 1)], d=2)  # 2^2 <tau_4(H^2)>_2 = 4/8
     h3 = make_key(P1, kappa=[(0, 1, 4)], d=3)
-    one_term = Combination()
-    one_term.add((h3,), 3)  # an int coefficient
+    one_term = [((h3,), 3)]  # an int coefficient
     psi = psi_boundary_presentation
     trees = [
         (P1, psi(3, 0, 1), {1: (0, 1), 2: (0, 1), 3: (0, 0)}, 0),
@@ -576,7 +574,7 @@ def test_public_values_are_fractions():
         (evaluate(j1), Fraction(1, 4)),
         (evaluate(make_key(T, tau=[(0, 2, 2)], d=1)), 16),  # the seed
         (evaluate(j2), Fraction(1, 2)),
-        (evaluate_combination(Combination()), 0),
+        (evaluate_combination([]), 0),
         (evaluate_combination(one_term), 12),
         (evaluate_combination(_divisor_backwards(j1)), Fraction(1, 4)),
         (evaluate_combination(_divisor_backwards(j2)), Fraction(1, 2)),

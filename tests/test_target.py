@@ -132,16 +132,17 @@ def test_degenerate_eta_rejected():
         target_from_config(config)
 
 
-def _p1_fields(**changes):
-    p1 = projective_space(1)
+def _fields(r, **changes):
+    """The fields of P^r, with ``changes`` applied."""
+    pr = projective_space(r)
     fields = dict(
-        name="P1-variant",
-        gradings=p1.gradings,
-        eta=p1.eta,
-        cup=p1.cup,
-        c1_degree=p1.c1_degree,
-        divisor_pairings=p1.divisor_pairings,
-        seeds=p1.seeds,
+        name=f"P{r}-variant",
+        gradings=pr.gradings,
+        eta=pr.eta,
+        cup=pr.cup,
+        c1_degree=pr.c1_degree,
+        divisor_pairings=pr.divisor_pairings,
+        seeds=pr.seeds,
     )
     fields.update(changes)
     return fields
@@ -168,14 +169,14 @@ INEXACT = {
 @pytest.mark.parametrize("kind", sorted(INEXACT))
 def test_inexact_tensor_entries_rejected(kind):
     with pytest.raises(ValueError):
-        TargetModel(**_p1_fields(**INEXACT[kind]))
+        TargetModel(**_fields(1, **INEXACT[kind]))
 
 
 def test_tables_narrow_integral_entries_only():
     p2 = projective_space(2)
     assert all(type(w) is int for *_, w in p2.eta_inverse_pairs())
     assert all(type(c) is int for c in p2.cup_product(1, 1).values())
-    halves = TargetModel(**_p1_fields(eta=((0, Fraction(2)), (Fraction(2), 0))))
+    halves = TargetModel(**_fields(1, eta=((0, Fraction(2)), (Fraction(2), 0))))
     assert halves.eta_inverse_pairs() == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
     assert all(type(w) is Fraction for *_, w in halves.eta_inverse_pairs())
 
@@ -190,3 +191,40 @@ def test_cup_tables_cannot_be_changed_through_results():
     vector[1] = 5
     assert p2.cup_vector({0: 1}, 1) == {1: 1}
     assert p2.cup_vector({1: 1}, 1) == {2: 1}
+
+
+def _with_product(r, a, b, row):
+    """The cup tensor of P^r with e_a . e_b (only in this order) set to ``row``."""
+    cup = projective_space(r).cup
+    return tuple(
+        tuple(row if (x, y) == (a, b) else cup[x][y] for y in range(r + 1))
+        for x in range(r + 1)
+    )
+
+
+# Each case passes the checks that run before its own.  A divisor pairing off
+# a degree-2 class used to be accepted: with it on e_2, P^2 gave
+# <tau_1(e_2)>_1, <tau_2(e_1)>_1, <tau_3(e_0)>_1 = 0, 0, 0, not 1, -3, 6.
+INVALID = [
+    pytest.param(2, dict(divisor_pairings=((2, 1),)), "divisor", id="divisor-on-point"),
+    pytest.param(2, dict(divisor_pairings=((0, 1),)), "divisor", id="divisor-on-unit"),
+    pytest.param(2, dict(divisor_pairings=((3, 1),)), "divisor", id="divisor-out-of-range"),
+    pytest.param(2, dict(divisor_pairings=((-1, 1),)), "divisor", id="divisor-negative"),
+    pytest.param(2, dict(divisor_pairings=((1, 1), (1, 2))), "divisor", id="divisor-repeated"),
+    pytest.param(1, dict(cup=_with_product(1, 1, 0, (0, 0))), "commutative", id="commutativity"),
+    pytest.param(1, dict(cup=_with_product(1, 1, 1, (1, 0))), "gradings", id="grading"),
+    # e2 . e2 = 2 e4, so (e1 e1) e2 = 2 e4 but e1 (e1 e2) = e4
+    pytest.param(
+        4, dict(cup=_with_product(4, 2, 2, (0, 0, 0, 0, 2))), "associative", id="associativity"
+    ),
+    # e1 . e1 = 2 e2, so eta(e0 e1, e1) = 1 but eta(e0, e1 e1) = 2
+    pytest.param(
+        2, dict(cup=_with_product(2, 1, 1, (0, 0, 2))), r"eta\(ab, c\)", id="eta-invariance"
+    ),
+]
+
+
+@pytest.mark.parametrize("r, changes, message", INVALID)
+def test_frobenius_data_checked(r, changes, message):
+    with pytest.raises(ValueError, match=message):
+        TargetModel(**_fields(r, **changes))
