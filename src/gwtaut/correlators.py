@@ -18,12 +18,18 @@ split term puts its lower-degree factor first, since
 ``evaluate_combination`` stops a product at its first zero factor and the
 lower-degree factor is the cheaper one.
 
-Checks run at the API boundary: the public ``MultiIndex(...)`` normalizes
-and the public ``CorrelatorKey(...)`` (so ``make_key``) validates.  The
-moves derive keys from valid ones through ``_normal_index`` and
-``_valid_key``, which check nothing: the ``MultiIndex`` operations keep the
-normal form, and each move shifts levels only within their ranges (tau
->= 0, kappa >= -1).  The selection rule is ``TargetModel.balanced``.
+Keys are tuples, so the memo hashes and compares them in C: a
+``MultiIndex`` is the tuple of its normal-form entries and a
+``CorrelatorKey`` the tuple (target, m, p, d).  So a key equals the plain
+tuple of its fields, and an empty ``MultiIndex`` is falsy.  Checks run only
+in the public constructors: ``MultiIndex(...)`` normalizes and
+``CorrelatorKey(...)`` (so ``make_key``) validates, each in its
+``__post_init__``.  The moves and the tree integrals derive keys through
+``_normal_index`` and ``_valid_key``, plain ``tuple.__new__`` calls that
+check nothing: the ``MultiIndex`` operations keep the normal form, each
+move shifts levels only within their ranges (tau >= 0, kappa >= -1), and
+``_decorated_tree_terms`` checks its entries once per tree.  The selection
+rule is ``TargetModel.balanced``.
 
 Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
 only through the divisor equation's 1/pairing or non-integral custom-target
@@ -34,7 +40,6 @@ data), and ``evaluate_combination`` and ``evaluate_tree_sum`` build one
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -51,81 +56,89 @@ ONE = Fraction(1)
 Entry = tuple[int, int]  # (level a, basis index alpha)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(tuple):
     """Finitely supported multiplicity function on (level, basis index).
 
-    The public constructor normalizes: ``entries`` is a signed sum, so
-    repeated entries add up; multiplicities must be ints with non-negative
-    totals; zeros drop, entries sort.  ``add``, ``remove``, ``merge``,
-    ``splits`` and the two parts keep this normal form and skip the
-    constructor.
+    The tuple of its ((level, alpha), mult) entries in normal form: sorted,
+    so by level first, with positive int multiplicities.  The public
+    constructor normalizes: ``entries`` is a signed sum, so repeated entries
+    add up; multiplicities must be ints with non-negative totals; zeros
+    drop, entries sort.  ``add``, ``remove``, ``merge``, ``splits`` and the
+    two parts keep this normal form and skip the constructor.
     """
 
-    entries: tuple[tuple[Entry, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[Entry, int], ...] = ()) -> "MultiIndex":
+        return tuple.__new__(cls, cls.__post_init__(entries))
+
+    @staticmethod
+    def __post_init__(entries) -> tuple[tuple[Entry, int], ...]:
+        """Check ``entries`` and return their normal form."""
         acc: dict[Entry, int] = {}
-        for key, mult in self.entries:
+        for key, mult in entries:
             if type(mult) is not int:
                 raise ValueError(f"multiplicity must be an integer, got {mult!r}")
             acc[key] = acc.get(key, 0) + mult
         if any(mult < 0 for mult in acc.values()):
             raise ValueError("negative multiplicity")
-        cleaned = tuple(sorted(item for item in acc.items() if item[1]))
-        object.__setattr__(self, "entries", cleaned)
-        object.__setattr__(self, "_cached_hash", hash(cleaned))
+        return tuple(sorted(item for item in acc.items() if item[1]))
 
-    def __hash__(self) -> int:
-        return self._cached_hash
+    def __repr__(self) -> str:
+        return f"MultiIndex(entries={tuple(self)!r})"
 
     @classmethod
     def from_list(cls, items) -> "MultiIndex":
         return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
 
+    @property
+    def entries(self) -> "MultiIndex":
+        return self
+
     # -- size bookkeeping (norms count levels a >= 0 only) ---------------------
 
     @property
     def size(self) -> int:
-        return sum(mult for _, mult in self.entries)
+        return sum(mult for _, mult in self)
 
     @property
     def norm(self) -> int:
-        return sum(mult for (a, _), mult in self.entries if a >= 0)
+        return sum(mult for (a, _), mult in self if a >= 0)
 
     @property
     def weight(self) -> int:
-        return sum(a * mult for (a, _), mult in self.entries if a >= 0)
+        return sum(a * mult for (a, _), mult in self if a >= 0)
 
     @property
     def max_level(self) -> int:
-        return max((a for (a, _), _ in self.entries), default=-10)
+        # entries sort by level, so the deepest one comes last
+        return self[-1][0][0] if self else -10
 
     def mult(self, a: int, alpha: int) -> int:
-        for key, m in self.entries:
+        for key, m in self:
             if key == (a, alpha):
                 return m
         return 0
 
     def expand(self) -> tuple[Entry, ...]:
         out: list[Entry] = []
-        for key, m in self.entries:
+        for key, m in self:
             out.extend([key] * m)
         return tuple(out)
 
     def add(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
         if type(k) is not int:
             raise ValueError(f"multiplicity must be an integer, got {k!r}")
-        entries, key = self.entries, (a, alpha)
-        i = bisect_left(entries, key, key=_entry_key)
-        if i < len(entries) and entries[i][0] == key:
-            k += entries[i][1]
-            tail = entries[i + 1 :]
+        key = (a, alpha)
+        i = bisect_left(self, key, key=_entry_key)
+        if i < len(self) and self[i][0] == key:
+            k += self[i][1]
+            tail = self[i + 1 :]
         else:
-            tail = entries[i:]
+            tail = self[i:]
         if k < 0:
             raise ValueError("negative multiplicity")
-        return _normal_index(entries[:i] + (((key, k),) if k else ()) + tail)
+        return _normal_index(self[:i] + (((key, k),) if k else ()) + tail)
 
     def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
         if self.mult(a, alpha) < k:
@@ -134,14 +147,14 @@ class MultiIndex:
 
     def factorial(self) -> int:
         out = 1
-        for _, m in self.entries:
+        for _, m in self:
             out *= factorial(m)
         return out
 
     def splits(self):
         """Yield (sub, complement, int binomial) over all sub-multi-indices."""
-        keys = [key for key, _ in self.entries]
-        mults = [m for _, m in self.entries]
+        keys = [key for key, _ in self]
+        mults = [m for _, m in self]
         for counts in product(*(range(m + 1) for m in mults)):
             sub, rest, mult = [], [], 1
             for key, m, c in zip(keys, mults, counts):
@@ -153,22 +166,18 @@ class MultiIndex:
             yield _normal_index(tuple(sub)), _normal_index(tuple(rest)), mult
 
     def nonneg_part(self) -> "MultiIndex":
-        return _normal_index(
-            tuple(item for item in self.entries if item[0][0] >= 0)
-        )
+        return _normal_index(tuple(item for item in self if item[0][0] >= 0))
 
     def neg_part(self) -> "MultiIndex":
-        return _normal_index(
-            tuple(item for item in self.entries if item[0][0] < 0)
-        )
+        return _normal_index(tuple(item for item in self if item[0][0] < 0))
 
     def merge(self, other: "MultiIndex") -> "MultiIndex":
-        if not other.entries:
+        if not other:
             return self
-        if not self.entries:
+        if not self:
             return other
-        acc = dict(self.entries)
-        for key, m in other.entries:
+        acc = dict(self)
+        for key, m in other:
             acc[key] = acc.get(key, 0) + m
         return _normal_index(tuple(sorted(acc.items())))
 
@@ -178,39 +187,59 @@ _entry_key = itemgetter(0)
 
 def _normal_index(entries: tuple[tuple[Entry, int], ...]) -> MultiIndex:
     """A ``MultiIndex`` on entries already in normal form; nothing is checked."""
-    idx = object.__new__(MultiIndex)
-    object.__setattr__(idx, "entries", entries)
-    object.__setattr__(idx, "_cached_hash", hash(entries))
-    return idx
+    return tuple.__new__(MultiIndex, entries)
 
 
-@dataclass(frozen=True)
-class CorrelatorKey:
-    """Correlator <tau_m kappa_p>_d; the public constructor validates it
-    (int d >= 0; int levels, tau >= 0 and kappa >= -1; basis indices in range)."""
+def _index_of(entries: list[Entry]) -> MultiIndex:
+    """The ``MultiIndex`` counting each of ``entries`` once; nothing is checked."""
+    acc: dict[Entry, int] = {}
+    for e in entries:
+        acc[e] = acc.get(e, 0) + 1
+    return _normal_index(tuple(sorted(acc.items())))
 
-    target: TargetModel
-    m: MultiIndex
-    p: MultiIndex
-    d: int
 
-    def __post_init__(self):
+def _check_entries(target: TargetModel, entries, lowest: int, kind: str) -> None:
+    """Each (level, alpha) needs an int level >= ``lowest`` and an int basis
+    index of ``target``."""
+    rank = target.rank
+    for a, alpha in entries:
+        if type(a) is not int or a < lowest:
+            raise ValueError(f"{kind} indices need levels a >= {lowest}")
+        if type(alpha) is not int or not 0 <= alpha < rank:
+            raise ValueError(f"basis index {alpha} out of range")
+
+
+class CorrelatorKey(tuple):
+    """Correlator <tau_m kappa_p>_d as the tuple (target, m, p, d).
+
+    The public constructor validates it (int d >= 0; int levels, tau >= 0
+    and kappa >= -1; basis indices in range)."""
+
+    __slots__ = ()
+
+    target = property(itemgetter(0))
+    m = property(itemgetter(1))
+    p = property(itemgetter(2))
+    d = property(itemgetter(3))
+
+    def __new__(
+        cls, target: TargetModel, m: MultiIndex, p: MultiIndex, d: int
+    ) -> "CorrelatorKey":
+        key = tuple.__new__(cls, (target, m, p, d))
+        key.__post_init__()
+        return key
+
+    def __post_init__(self) -> None:
         check_degree(self.d)
-        rank = self.target.rank
-        for idx, lowest, kind in ((self.m, 0, "tau"), (self.p, -1, "kappa")):
-            for (a, alpha), _ in idx.entries:
-                if type(a) is not int or a < lowest:
-                    raise ValueError(f"{kind} indices need levels a >= {lowest}")
-                if type(alpha) is not int or not 0 <= alpha < rank:
-                    raise ValueError(f"basis index {alpha} out of range")
-        object.__setattr__(
-            self,
-            "_cached_hash",
-            hash((hash(self.target), self.m, self.p, self.d)),
-        )
+        _check_entries(self.target, (e for e, _ in self.m.entries), 0, "tau")
+        _check_entries(self.target, (e for e, _ in self.p.entries), -1, "kappa")
 
-    def __hash__(self) -> int:
-        return self._cached_hash
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        target, m, p, d = self
+        return f"CorrelatorKey(target={target.name!r}, m={m!r}, p={p!r}, d={d!r})"
 
     @property
     def n(self) -> int:
@@ -221,13 +250,7 @@ def _valid_key(
     target: TargetModel, m: MultiIndex, p: MultiIndex, d: int
 ) -> CorrelatorKey:
     """A ``CorrelatorKey`` on parts already known valid; nothing is checked."""
-    key = object.__new__(CorrelatorKey)
-    object.__setattr__(key, "target", target)
-    object.__setattr__(key, "m", m)
-    object.__setattr__(key, "p", p)
-    object.__setattr__(key, "d", d)
-    object.__setattr__(key, "_cached_hash", hash((hash(target), m, p, d)))
-    return key
+    return tuple.__new__(CorrelatorKey, (target, m, p, d))
 
 
 def make_key(target: TargetModel, tau=(), kappa=(), d: int = 0) -> CorrelatorKey:
@@ -335,14 +358,19 @@ def _boundary_split(
     fixed insertions ``left_tau``/``left_kappa``; the right factor carries
     the complements plus ``right_tau``; the node carries
     eta^{s1 s2} e_{s1} x e_{s2} and the curve degree splits as b1 + (d - b1).
-    Only dimension-balanced terms are emitted: the selection rule is checked
-    on the integer degree sums and point counts of both factors before any
-    key is built.  Every term it skips has a factor that vanishes outright.
-    The factor of lower degree comes first.
+    Only dimension-balanced terms are emitted, and the split solves for
+    them rather than scanning: once the m-split, the p-split and b1 are
+    fixed, the left factor (point count n1, integrand degree deg1) is
+    balanced only for node classes s1 of grading
+    2(dim + n1 - 3 + b1 c1) - deg1, so only the eta^{-1} pairs of that
+    grading are read, and ``balanced`` checks the right factor.  Every term
+    it skips has a factor that vanishes outright.  The factor of lower
+    degree comes first.
     """
     target, d = key.target, key.d
     g, balanced = target.gradings, target.balanced
-    pairs = target.eta_inverse_pairs()
+    pairs_of_grading = target.eta_inverse_pairs_by_grading()
+    dim, c1 = target.dim_complex, target.c1_degree
     left_m, left_p, right_m = (
         MultiIndex(tuple((e, 1) for e in side))
         for side in (left_tau, left_kappa, right_tau)
@@ -358,19 +386,30 @@ def _boundary_split(
     for m1, m2, mbin in m0.splits():
         left, right = m1.merge(left_m), m2.merge(right_m)
         n1, n2 = left.size + 1, right.size + 1
+        lefts: dict[int, MultiIndex] = {}  # node class -> left.add(0, s1)
+        rights: dict[int, MultiIndex] = {}
         dm1 = _index_degree(g, m1)
+        # the left factor is stable only for b1 > 0 or n1 >= 3
+        b1_range = range(0 if n1 >= 3 else 1, d + 1)
         for p1, p2, pbin, dp1 in p_sides:
             deg1 = left_deg + dm1 + dp1
             deg2 = right_deg + m_deg - dm1 + p_deg - dp1
-            for s1, s2, w in pairs:
-                for b1 in range(d + 1):
-                    if balanced(deg1 + g[s1], n1, b1) and balanced(
-                        deg2 + g[s2], n2, d - b1
-                    ):
-                        k1 = _valid_key(target, left.add(0, s1), p1, b1)
-                        k2 = _valid_key(target, right.add(0, s2), p2, d - b1)
-                        pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
-                        terms.append((pair, mbin * pbin * w))
+            for b1 in b1_range:
+                node_pairs = pairs_of_grading.get(2 * (dim + n1 - 3 + b1 * c1) - deg1)
+                if node_pairs is None:
+                    continue
+                b2 = d - b1
+                for s1, s2, w in node_pairs:
+                    if not balanced(deg2 + g[s2], n2, b2):
+                        continue
+                    if s1 not in lefts:
+                        lefts[s1] = left.add(0, s1)
+                    if s2 not in rights:
+                        rights[s2] = right.add(0, s2)
+                    k1 = _valid_key(target, lefts[s1], p1, b1)
+                    k2 = _valid_key(target, rights[s2], p2, b2)
+                    pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
+                    terms.append((pair, mbin * pbin * w))
     return terms
 
 
@@ -503,8 +542,14 @@ def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
 
     <tau_0(D) X>_d = (D . d) <X>_d + sum_i <X with tau_{a_i}(e_i) replaced
     by tau_{a_i - 1}(e_i . D)>_d, the sum running over the points with
-    a_i >= 1; needs d >= 1 and a divisor pairing nontrivially with d.
+    a_i >= 1; needs d >= 1, a divisor pairing nontrivially with d and no
+    kappa class of level >= 0.
     """
+    if key.p.max_level >= 0:
+        raise ValueError(
+            "the divisor equation does not pull back kappa classes of level "
+            ">= 0; reduce them first"
+        )
     alpha_div, pairing = key.target.divisor_class(key.d)
     inverse = ONE / pairing  # a Fraction division, whatever type pairing has
     augmented = _valid_key(key.target, key.m.add(0, alpha_div), key.p, key.d)
@@ -602,12 +647,19 @@ def _tree_sum_terms(target: TargetModel, tree_sum: TreeSum, ambient: dict[int, E
 def _decorated_tree_terms(
     target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
 ):
-    """Each nonzero term of one tree's integral as int (numerator, denominator)."""
+    """Each nonzero term of one tree's integral as int (numerator, denominator).
+
+    The ambient insertions, the tail entries derived from them and the kappa
+    tokens are checked once, before the pick loops; the vertex keys are then
+    built unchecked, one at a time, and a product stops at its first zero
+    factor."""
     if set(ambient) != set(tree.labels):
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels "
             f"{sorted(tree.labels)}"
         )
+    # before an ev token reads the cup table at an ambient class
+    _check_entries(target, ambient.values(), 0, "tau")
 
     # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
     tail_choices: dict[int, list[tuple[Entry, Rational]]] = {}
@@ -632,6 +684,11 @@ def _decorated_tree_terms(
             tail_choices[label] = expanded
         else:
             raise ValueError(f"cannot integrate token kind {tok.kind!r}")
+    for choices in tail_choices.values():
+        _check_entries(target, (entry for entry, _ in choices), 0, "tau")
+    for entries in kappa_at.values():
+        _check_entries(target, entries, -1, "kappa")
+    kappa_index = [_index_of(kappa_at[v]) for v in range(tree.n_vertices)]
 
     labels = list(tree.labels)
     edge_pairs = target.eta_inverse_pairs()
@@ -654,9 +711,8 @@ def _decorated_tree_terms(
                 extra[v].append((0, s2))
             num, den = coeff.numerator, coeff.denominator
             for v in range(tree.n_vertices):
-                m = MultiIndex(tuple((e, 1) for e in tau_at[v] + extra[v]))
-                p = MultiIndex(tuple((e, 1) for e in kappa_at[v]))
-                value = evaluate(CorrelatorKey(target, m, p, tree.betas[v]))
+                m = _index_of(tau_at[v] + extra[v])
+                value = evaluate(_valid_key(target, m, kappa_index[v], tree.betas[v]))
                 if not value:
                     break
                 num *= value.numerator

@@ -17,10 +17,11 @@ own basis class of grading 2.
 
 Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
-eta^{-1}.  ``cup_product``, ``cup_vector`` and ``eta_inverse_pairs`` read
-them.  A table entry is an ``int`` when it is integral (always, on P^r)
-and a ``Fraction`` otherwise, so the correlator engine can keep integer
-coefficients as ``int``s.
+eta^{-1}, the latter also grouped by the grading of their first index.
+``cup_product``, ``cup_vector``, ``eta_inverse_pairs`` and
+``eta_inverse_pairs_by_grading`` read them.  A table entry is an ``int``
+when it is integral (always, on P^r) and a ``Fraction`` otherwise, so the
+correlator engine can keep integer coefficients as ``int``s.
 """
 
 from __future__ import annotations
@@ -113,6 +114,14 @@ class TargetModel:
         )
         object.__setattr__(self, "_eta_inverse", inverse)
         object.__setattr__(self, "_eta_inverse_pairs", pairs)
+        by_grading: dict[int, list] = {}
+        for pair in pairs:
+            by_grading.setdefault(self.gradings[pair[0]], []).append(pair)
+        object.__setattr__(
+            self,
+            "_eta_inverse_by_grading",
+            {grading: tuple(group) for grading, group in by_grading.items()},
+        )
         object.__setattr__(self, "_cup_table", cup_table)
         self._check_frobenius_axioms()
         object.__setattr__(
@@ -186,6 +195,13 @@ class TargetModel:
         """Nonzero entries (sigma1, sigma2, eta^{sigma1 sigma2}), built once;
         each weight is an ``int`` when integral, else a ``Fraction``."""
         return self._eta_inverse_pairs
+
+    def eta_inverse_pairs_by_grading(
+        self,
+    ) -> dict[int, tuple[tuple[int, int, Rational], ...]]:
+        """The pairs of ``eta_inverse_pairs`` grouped by the grading of
+        sigma1, in their order; built once, and read-only by contract."""
+        return self._eta_inverse_by_grading
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
         """int_V e_a e_b e_c, via cup and the pairing."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +9,7 @@ from math import comb
 
 import pytest
 
+import gwtaut.correlators as correlators
 from gwtaut.correlators import (
     CorrelatorKey,
     MultiIndex,
@@ -22,6 +25,8 @@ from gwtaut.correlators import (
     selection,
     _comparison_backwards,
     _divisor_backwards,
+    _index_degree,
+    _valid_key,
 )
 from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
@@ -477,6 +482,23 @@ def test_empty_tree_sum_checks_its_point_count():
             evaluate_tree_sum(P1, pres, ambient)  # was 0
 
 
+def test_tree_sum_rejects_bad_ambient_insertions():
+    # checked once per tree, before an ev token cups the class at tails 3
+    # and 4 and before any vertex key is built
+    pres = kappa_boundary_presentation(P2, 4, 1, 0, 1)
+    good = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
+    assert evaluate_tree_sum(P2, pres, good) == 2
+    for label, entry, match in (
+        (4, (-1, 2), "levels"),
+        (4, (0, 3), "out of range"),
+        (4, (0, -1), "out of range"),
+        (1, (0, 1.0), "out of range"),
+        (2, (True, 1), "levels"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            evaluate_tree_sum(P2, pres, {**good, label: entry})
+
+
 # -- a rescaled basis: the non-integral branch of the coefficient arithmetic -----------
 
 
@@ -588,3 +610,152 @@ def test_public_values_are_fractions():
     ]
     for i, (value, expected) in enumerate(cases):
         assert type(value) is Fraction and value == expected, (i, value)
+
+
+# -- keys are tuples ---------------------------------------------------------------------
+
+
+def test_move_keys_equal_public_keys():
+    key = make_key(P2, tau=[(2, 2, 1), (0, 2, 2), (0, 1, 1)], kappa=[(-1, 1, 1)], d=2)
+    built = [k for keys, _ in apply_trr_psi(key, (2, 2), ((0, 2), (0, 2))) for k in keys]
+    assert len(built) == 8
+    for k in built:
+        twin = make_key(
+            k.target,
+            tau=[(a, alpha, m) for (a, alpha), m in k.m.entries],
+            kappa=[(a, alpha, m) for (a, alpha), m in k.p.entries],
+            d=k.d,
+        )
+        assert (type(k), type(k.m), type(k.p)) == (CorrelatorKey, MultiIndex, MultiIndex)
+        assert k == twin and hash(k) == hash(twin)
+    # a key is the tuple of its fields, and an empty multi-index is falsy
+    assert key == (P2, key.m, key.p, 2) and tuple(key.m) == key.m.entries
+    assert not MultiIndex() and MultiIndex() == () and key.p.max_level == -1
+    assert "MultiIndex(entries=(((-1, 1), 1),))" in repr(key)
+
+
+def test_keys_pickle_and_deepcopy():
+    key = make_key(P3, tau=[(1, 3, 1), (0, 2, 2)], kappa=[(0, 1, 1), (-1, 2, 2)], d=1)
+    for clone in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), copy.copy(key)):
+        assert type(clone) is CorrelatorKey and clone == key and hash(clone) == hash(key)
+        assert type(clone.m) is MultiIndex and clone.p.entries == key.p.entries
+        assert evaluate(clone) == evaluate(key)
+    for idx in (key.m, key.p, MultiIndex()):
+        for clone in (pickle.loads(pickle.dumps(idx)), copy.deepcopy(idx)):
+            assert type(clone) is MultiIndex and clone == idx
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiIndex((((0, 1), 1.0),)),
+        lambda: MultiIndex((((0, 1), -1),)),
+        lambda: MultiIndex.from_list([(0, 1, 1)]).add(0, 1, 0.5),
+        lambda: CorrelatorKey(P1, MultiIndex.from_list([(-1, 0, 1)]), MultiIndex(), 1),
+        lambda: CorrelatorKey(P1, MultiIndex(), MultiIndex.from_list([(-2, 0, 1)]), 1),
+        lambda: CorrelatorKey(P1, MultiIndex.from_list([(0.0, 0, 1)]), MultiIndex(), 1),
+        lambda: CorrelatorKey(P1, MultiIndex.from_list([(0, 2, 1)]), MultiIndex(), 1),
+        lambda: CorrelatorKey(P1, MultiIndex(), MultiIndex.from_list([(0, -1, 1)]), 1),
+        lambda: CorrelatorKey(P1, MultiIndex.from_list([(0, True, 1)]), MultiIndex(), 1),
+        lambda: CorrelatorKey(P1, MultiIndex(), MultiIndex(), -1),
+        lambda: CorrelatorKey(P1, MultiIndex(), MultiIndex(), 1.0),
+    ],
+    ids=[
+        "float-multiplicity",
+        "negative-multiplicity",
+        "float-added-multiplicity",
+        "tau-level-below-0",
+        "kappa-level-below-minus-1",
+        "float-level",
+        "class-too-large",
+        "negative-class",
+        "bool-class",
+        "negative-degree",
+        "float-degree",
+    ],
+)
+def test_public_constructors_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# -- the solved degree split ---------------------------------------------------------------
+
+
+def _scanned_split(key, m0, p0, left_tau, left_kappa, right_tau):
+    """The boundary split as a plain scan, the reference for the solved one:
+    every eta^{-1} pair at every degree split b1, both factors checked by the
+    selection rule."""
+    target, d = key.target, key.d
+    g, balanced = target.gradings, target.balanced
+    left_m, left_p, right_m = (
+        MultiIndex(tuple((e, 1) for e in side))
+        for side in (left_tau, left_kappa, right_tau)
+    )
+    terms = []
+    for m1, m2, mbin in m0.splits():
+        left, right = m1.merge(left_m), m2.merge(right_m)
+        for p1, p2, pbin in p0.splits():
+            p1 = p1.merge(left_p)
+            deg1 = _index_degree(g, left) + _index_degree(g, p1)
+            deg2 = _index_degree(g, right) + _index_degree(g, p2)
+            for s1, s2, w in target.eta_inverse_pairs():
+                for b1 in range(d + 1):
+                    if balanced(deg1 + g[s1], left.size + 1, b1) and balanced(
+                        deg2 + g[s2], right.size + 1, d - b1
+                    ):
+                        k1 = _valid_key(target, left.add(0, s1), p1, b1)
+                        k2 = _valid_key(target, right.add(0, s2), p2, d - b1)
+                        pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
+                        terms.append((pair, mbin * pbin * w))
+    return terms
+
+
+def _p2_ring(c1: int) -> TargetModel:
+    """The ring of P^2 with c1 paired to the unit degree as ``c1``."""
+    return TargetModel(
+        name=f"P2 ring with c1 degree {c1}",
+        gradings=P2.gradings,
+        eta=P2.eta,
+        cup=P2.cup,
+        c1_degree=c1,
+        divisor_pairings=P2.divisor_pairings,
+    )
+
+
+@pytest.mark.parametrize(
+    "targets", [[P1, P2, P3], [_p2_ring(0)], [_p2_ring(-1)]], ids=["P1-P3", "c1-0", "c1-neg"]
+)
+def test_solved_split_emits_the_scanned_terms(monkeypatch, targets):
+    keys = sample_relation_keys(targets, 36, seed=13, d_max=3)
+
+    def split_moves():
+        return [
+            (name, Counter(terms))
+            for key in keys
+            for name, terms in _moves(key)
+            if name.startswith("trr")
+        ]
+
+    solved = split_moves()
+    monkeypatch.setattr(correlators, "_boundary_split", _scanned_split)
+    scanned = split_moves()
+    assert solved == scanned
+    names = Counter(name for name, _ in solved)
+    assert min(names["trr-psi"], names["trr-kappa"]) >= 5, names
+    assert sum(sum(terms.values()) for _, terms in solved) > 200
+
+
+# -- the divisor equation read backwards -----------------------------------------------------
+
+
+def test_divisor_backwards_rejects_kappa_of_level_zero_or_more():
+    # the pullbacks of kappa classes of level >= 0 add terms the move does not
+    # emit: its terms would sum to 0 here
+    key = make_key(P3, tau=[(0, 0, 1), (1, 2, 1)], kappa=[(0, 2, 1), (1, 1, 1), (1, 2, 1)], d=2)
+    assert evaluate(key) == oracle(key) == 1
+    with pytest.raises(ValueError, match="kappa"):
+        _divisor_backwards(key)
+    # kappa_{-1} classes alone are fine
+    lifted = make_key(P1, tau=[(1, 1, 1)], kappa=[(-1, 1, 1)], d=2)
+    assert evaluate_combination(_divisor_backwards(lifted)) == evaluate(lifted)

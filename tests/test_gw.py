@@ -49,9 +49,9 @@ def test_p2_line_through_two_points():
 
 def test_p2_counts_match_kontsevich_oracle():
     p2 = projective_space(2)
-    oracle = kontsevich_counts(5)
-    assert oracle[2] == 1 and oracle[3] == 12 and oracle[4] == 620
-    for d in range(1, 6):
+    oracle = kontsevich_counts(6)
+    assert [oracle[d] for d in range(1, 7)] == [1, 1, 12, 620, 87304, 26312976]
+    for d in range(1, 7):
         assert pure_gw(p2, [2] * (3 * d - 1), d) == oracle[d]
 
 
