@@ -363,21 +363,23 @@ def _boundary_split(
     fixed, the left factor (point count n1, integrand degree deg1) is
     balanced only for node classes s1 of grading
     2(dim + n1 - 3 + b1 c1) - deg1, so only the eta^{-1} pairs of that
-    grading are read, and ``balanced`` checks the right factor.  Every term
-    it skips has a factor that vanishes outright.  The factor of lower
-    degree comes first.
+    grading are read.  The right factor then balances by itself, for a key
+    that passes the selection rule (else there are no terms): n1 + n2 =
+    n + 2, the fixed insertions take 2 off the key's degree and the node
+    adds |e_s1| + |e_s2| = 2 dim (the pairing is graded).  Every term it
+    skips has a factor that vanishes outright.  The factor of lower degree
+    comes first.
     """
+    if not selection(key):
+        return []
     target, d = key.target, key.d
-    g, balanced = target.gradings, target.balanced
+    g = target.gradings
     pairs_of_grading = target.eta_inverse_pairs_by_grading()
     dim, c1 = target.dim_complex, target.c1_degree
     left_m, left_p, right_m = (
-        MultiIndex(tuple((e, 1) for e in side))
-        for side in (left_tau, left_kappa, right_tau)
+        _index_of(side) for side in (left_tau, left_kappa, right_tau)
     )
-    m_deg, p_deg = _index_degree(g, m0), _index_degree(g, p0)
     left_deg = _index_degree(g, left_m) + _index_degree(g, left_p)
-    right_deg = _index_degree(g, right_m)
     p_sides = [
         (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
         for p1, p2, pbin in p0.splits()
@@ -389,19 +391,16 @@ def _boundary_split(
         lefts: dict[int, MultiIndex] = {}  # node class -> left.add(0, s1)
         rights: dict[int, MultiIndex] = {}
         dm1 = _index_degree(g, m1)
-        # the left factor is stable only for b1 > 0 or n1 >= 3
-        b1_range = range(0 if n1 >= 3 else 1, d + 1)
+        # a factor is stable only for a positive degree or >= 3 points
+        b1_range = range(0 if n1 >= 3 else 1, d + 1 if n2 >= 3 else d)
         for p1, p2, pbin, dp1 in p_sides:
             deg1 = left_deg + dm1 + dp1
-            deg2 = right_deg + m_deg - dm1 + p_deg - dp1
             for b1 in b1_range:
                 node_pairs = pairs_of_grading.get(2 * (dim + n1 - 3 + b1 * c1) - deg1)
                 if node_pairs is None:
                     continue
                 b2 = d - b1
                 for s1, s2, w in node_pairs:
-                    if not balanced(deg2 + g[s2], n2, b2):
-                        continue
                     if s1 not in lefts:
                         lefts[s1] = left.add(0, s1)
                     if s2 not in rights:

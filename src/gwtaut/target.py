@@ -12,8 +12,12 @@ can be loaded from a JSON config.  Curve degrees are plain non-negative
 ints (effective multiples of the line class).  Tensor entries must be
 exact: ``int`` (not ``bool``) or ``Fraction``.  A target must satisfy the
 Frobenius axioms (the cup product is commutative, associative and graded,
-and eta(ab, c) = eta(a, bc)), and each divisor pairing must sit on its
-own basis class of grading 2.
+and eta(ab, c) = eta(a, bc)), and its pairing must be graded: eta_ab = 0
+unless |e_a| + |e_b| is the top grading, so eta^{-1} is graded too and a
+boundary node's two classes e_s1, e_s2 add up to the top grading.  Each
+divisor pairing must sit on its own basis class of grading 2, and each seed,
+given once, on basis classes (stored sorted, as ``seed_value`` reads them)
+at a degree d >= 1.
 
 Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
@@ -69,6 +73,8 @@ class TargetModel:
         json_int(self.c1_degree, "c1_degree")
         if any(g % 2 != 0 or g < 0 for g in self.gradings):
             raise ValueError("only even, non-negative cohomology gradings are supported")
+        if not self.gradings:
+            raise ValueError("the basis must not be empty")
         if self.gradings[0] != 0:
             raise ValueError("e_0 must have grading 0")
         if len(self.eta) != n or any(len(row) != n for row in self.eta):
@@ -100,6 +106,17 @@ class TargetModel:
             raise ValueError("a divisor pairing needs a basis class of grading 2")
         if len(set(divisors)) != len(divisors):
             raise ValueError("a divisor class may carry only one pairing")
+        seeds = []
+        for classes, d, value in self.seeds:
+            classes = tuple(sorted(json_int(c, "a seed class") for c in classes))
+            if any(not 0 <= c < n for c in classes):
+                raise ValueError(f"seed class out of range in {classes}")
+            if json_int(d, "a seed degree") < 1:
+                raise ValueError(f"a seed needs a degree d >= 1, got {d}")
+            seeds.append((classes, d, value))
+        if len({seed[:2] for seed in seeds}) != len(seeds):
+            raise ValueError("a seed may be given only once per classes and degree")
+        object.__setattr__(self, "seeds", tuple(seeds))
         # derived data, kept outside the fields, hash and equality
         inverse = _invert(self.eta)
         pairs = tuple(
@@ -135,11 +152,17 @@ class TargetModel:
 
     def _check_frobenius_axioms(self) -> None:
         """Check on the sparse cup table that the cup product is commutative,
-        graded and associative, and that eta(ab, c) = eta(a, bc)."""
+        graded and associative, that eta(ab, c) = eta(a, bc), and that the
+        pairing is graded."""
         table, g = self._cup_table, self.gradings
         eta = [[_narrow(x) for x in row] for row in self.eta]
         pairs = list(product(range(self.rank), repeat=2))
         triples = list(product(range(self.rank), repeat=3))
+        if any(eta[a][b] and g[a] + g[b] != 2 * self.dim_complex for a, b in pairs):
+            raise ValueError(
+                "the pairing must be graded: eta_ab = 0 unless |e_a| + |e_b| "
+                "is the top grading"
+            )
         if any(table[a][b] != table[b][a] for a, b in pairs):
             raise ValueError("the cup product must be commutative")
         if any(g[nu] != g[a] + g[b] for a, b in pairs for nu in table[a][b]):
@@ -164,7 +187,7 @@ class TargetModel:
 
     @cached_property
     def dim_complex(self) -> int:
-        # read by ``balanced`` in the innermost loop of the boundary split;
+        # read by ``balanced`` on every evaluation and by the boundary split;
         # cached in the instance dict, outside the fields, hash and equality
         return max(self.gradings) // 2
 

@@ -180,16 +180,21 @@ def sample_relation_keys(
 
 
 def two_sided_checks(key: CorrelatorKey) -> list[tuple[str, Fraction, Fraction]]:
-    """LHS/RHS pairs for every relation whose preconditions the key meets."""
+    """LHS/RHS pairs for every relation whose preconditions the key meets.
+
+    The recursions take the shallowest pivot and the last two other points
+    as co-pivots, where ``evaluate`` takes the deepest pivot and the first
+    two points, so a check compares two different moves whenever the key
+    allows more than one."""
     out = []
     lhs = evaluate(key)
     points = list(key.m.expand())
     psi_pivots = [e for e in points if e[0] >= 1]
     if psi_pivots and len(points) >= 3:
-        pivot = max(psi_pivots)
+        pivot = min(psi_pivots)
         others = list(points)
         others.remove(pivot)
-        comb = apply_trr_psi(key, pivot, (others[0], others[1]))
+        comb = apply_trr_psi(key, pivot, (others[-2], others[-1]))
         out.append(("trr-psi", lhs, evaluate_combination(comb)))
     if key.m.norm >= 2:
         for name, pred in (
@@ -198,7 +203,7 @@ def two_sided_checks(key: CorrelatorKey) -> list[tuple[str, Fraction, Fraction]]
         ):
             pivots = [e for e in key.p.expand() if pred(e[0])]
             if pivots:
-                comb = apply_trr_kappa(key, max(pivots))
+                comb = apply_trr_kappa(key, min(pivots), (points[-2], points[-1]))
                 out.append((name, lhs, evaluate_combination(comb)))
     if psi_pivots and not (key.d == 0 and key.n == 3):
         comb = apply_puncture_dilaton(key, max(psi_pivots))

@@ -72,6 +72,17 @@ def test_correlator_value_and_exit_zero(capsys):
         ("potential", "--r", "1", "--vars", "s-2:1"),
         # a divisor pairing on e_2 was accepted and printed <tau_1(e_2)>_1 = 0
         ("correlator", "--target", p2_config(2), "--degree", "1", "--tau", "1,2,1"),
+        # an empty basis was an IndexError traceback
+        (
+            "correlator", "--target",
+            '{"type":"custom","gradings":[],"eta":[],"cup":[],"c1_degree":1}',
+        ),
+        (  # a pairing that is not graded: eta(e0, e0) = 1 on P^1's ring
+            "correlator", "--tau", "0,0,3", "--degree", "0", "--target",
+            '{"type": "custom", "gradings": [0, 2], "eta": [[1, 1], [1, 0]], '
+            '"cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "c1_degree": 2, '
+            '"divisor_pairings": [[1, 1]], "seeds": [[[], 1, 1]]}',
+        ),
     ],
 )
 def test_bad_numeric_input_is_usage_error(capsys, argv):

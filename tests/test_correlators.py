@@ -4,12 +4,13 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 import gwtaut.correlators as correlators
+import gwtaut.verify as verify
 from gwtaut.correlators import (
     CorrelatorKey,
     MultiIndex,
@@ -32,7 +33,7 @@ from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
 from gwtaut.target import TargetModel, projective_space
 from gwtaut.trees import kappa_boundary_presentation, psi_boundary_presentation
-from gwtaut.verify import random_admissible_key, sample_relation_keys
+from gwtaut.verify import random_admissible_key, sample_relation_keys, two_sided_checks
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -723,13 +724,28 @@ def _p2_ring(c1: int) -> TargetModel:
     )
 
 
+# Keys that fail the selection rule, so the split gives no terms.  Without
+# that check the solved split, which checks only its left factor, emits terms
+# for all but the last key (unstable: two points at degree 0).  Their kappa
+# pivots have level >= 1, since a level-0 pivot adds its cup terms whatever
+# the key.
+UNBALANCED = [
+    make_key(P1, tau=[(2, 1, 1), (0, 1, 2)], d=1),
+    make_key(P3, tau=[(1, 2, 1), (0, 3, 2), (0, 1, 1)], d=1),
+    make_key(P1, tau=[(0, 1, 2)], kappa=[(1, 1, 1)], d=1),
+    make_key(P2, tau=[(0, 2, 3)], kappa=[(1, 1, 1)], d=1),
+    make_key(P2, tau=[(0, 2, 2), (0, 1, 1)], kappa=[(2, 0, 1)], d=2),
+    make_key(P1, tau=[(0, 0, 2)], kappa=[(1, 1, 1)], d=0),
+]
+
+
 @pytest.mark.parametrize(
     "targets", [[P1, P2, P3], [_p2_ring(0)], [_p2_ring(-1)]], ids=["P1-P3", "c1-0", "c1-neg"]
 )
 def test_solved_split_emits_the_scanned_terms(monkeypatch, targets):
     keys = sample_relation_keys(targets, 36, seed=13, d_max=3)
 
-    def split_moves():
+    def split_moves(keys):
         return [
             (name, Counter(terms))
             for key in keys
@@ -737,13 +753,67 @@ def test_solved_split_emits_the_scanned_terms(monkeypatch, targets):
             if name.startswith("trr")
         ]
 
-    solved = split_moves()
+    solved, solved_off = split_moves(keys), split_moves(UNBALANCED)
     monkeypatch.setattr(correlators, "_boundary_split", _scanned_split)
-    scanned = split_moves()
+    scanned, scanned_off = split_moves(keys), split_moves(UNBALANCED)
     assert solved == scanned
+    assert solved_off == scanned_off
+    assert all(not selection(key) for key in UNBALANCED)
+    assert all(not terms for _, terms in solved_off)
+    assert Counter(name for name, _ in solved_off) == {"trr-psi": 2, "trr-kappa": 4}
     names = Counter(name for name, _ in solved)
     assert min(names["trr-psi"], names["trr-kappa"]) >= 5, names
     assert sum(sum(terms.values()) for _, terms in solved) > 200
+
+
+def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
+    """On the pool of ``verify --suite trr --r 1 --r 2 --r 3 --samples 50
+    --seed 5``, every recursion line whose key offers a choice of pivot and
+    co-pivots other than the one ``evaluate`` took uses such a choice."""
+    engine, checks = {}, []
+
+    def recording(move, kind, record):
+        def wrapped(key, pivot, copivots=None):
+            # the kappa recursion's default co-pivots are the first two points
+            pair = tuple(sorted(copivots or key.m.expand()[:2]))
+            record(key, (kind, pivot, pair))
+            return move(key, pivot, copivots)
+
+        return wrapped
+
+    for module, record in (
+        (correlators, engine.__setitem__),
+        (verify, lambda key, move: checks.append((key, move))),
+    ):
+        monkeypatch.setattr(module, "apply_trr_psi", recording(apply_trr_psi, "psi", record))
+        monkeypatch.setattr(module, "apply_trr_kappa", recording(apply_trr_kappa, "kappa", record))
+    correlators.clear_caches()  # so evaluate applies its move to each key
+    for key in sample_relation_keys([P1, P2, P3], 50, seed=5):
+        two_sided_checks(key)
+
+    def choices(key, kind, level):
+        """Every move of ``kind`` on ``key`` with a pivot of the same sort
+        (psi; kappa of level >= 1; kappa of level 0) as one of ``level``."""
+        points = key.m.expand()
+        if kind == "psi":
+            pivots = {e for e in points if e[0] >= 1}
+        else:
+            pivots = {e for e in key.p.expand() if (e[0] >= 1 if level >= 1 else e[0] == 0)}
+        for pivot in pivots:
+            others = list(points)
+            if kind == "psi":
+                others.remove(pivot)
+            for pair in combinations(others, 2):
+                yield kind, pivot, pair
+
+    lines = Counter()
+    for key, move in checks:
+        taken = engine.get(key)
+        if set(choices(key, move[0], move[1][0])) - {taken}:
+            assert move != taken, (key, move)
+            lines[move[0], taken is not None and taken[0] == move[0]] += 1
+    # lines whose key evaluate reduced by the same recursion, and the rest
+    assert lines == {("psi", True): 20, ("kappa", True): 8, ("kappa", False): 44}, lines
 
 
 # -- the divisor equation read backwards -----------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gwtaut.gw import pure_gw
 from gwtaut.target import TargetModel, projective_space, target_from_config
 
 
@@ -221,6 +222,18 @@ INVALID = [
     pytest.param(
         2, dict(cup=_with_product(2, 1, 1, (0, 0, 2))), r"eta\(ab, c\)", id="eta-invariance"
     ),
+    # eta(e0, e0) = 1 pairs two classes of grading 0 on a space of dimension 1;
+    # there pure_gw gave <e0 e0 e0>_0 = 1 where evaluate and the oracle gave 0
+    pytest.param(1, dict(eta=((1, 1), (1, 0))), "graded", id="non-graded-pairing"),
+    pytest.param(1, dict(gradings=(), eta=(), cup=()), "empty", id="empty-basis"),
+    # seeds that pure_gw could never read
+    pytest.param(2, dict(seeds=(((2, 3), 1, 1),)), "seed class", id="seed-class-out-of-range"),
+    pytest.param(2, dict(seeds=(((-1, 2), 1, 1),)), "seed class", id="seed-class-negative"),
+    pytest.param(2, dict(seeds=(((2, 2), 0, 1),)), "degree", id="seed-degree-zero"),
+    # stored sorted, these two are one seed with two values
+    pytest.param(
+        3, dict(seeds=(((2, 3), 1, 1), ((3, 2), 1, 2))), "only once", id="seed-repeated"
+    ),
 ]
 
 
@@ -228,3 +241,24 @@ INVALID = [
 def test_frobenius_data_checked(r, changes, message):
     with pytest.raises(ValueError, match=message):
         TargetModel(**_fields(r, **changes))
+
+
+def test_seed_classes_are_stored_sorted():
+    # Q^3 on the basis 1, H, H^2, H^3, with H^3 twice the point class: the
+    # seed <H^3, H^2>_1 = 4 was stored as given, so pure_gw never found it
+    config = {
+        "type": "custom",
+        "name": "Q3",
+        "gradings": [0, 2, 4, 6],
+        "eta": [[2 if a + b == 3 else 0 for b in range(4)] for a in range(4)],
+        "cup": [
+            [[1 if nu == a + b else 0 for nu in range(4)] for b in range(4)]
+            for a in range(4)
+        ],
+        "c1_degree": 3,
+        "divisor_pairings": [[1, 1]],
+        "seeds": [[[3, 2], 1, 4]],
+    }
+    q3 = target_from_config(config)
+    assert q3.seeds == (((2, 3), 1, 4),)
+    assert pure_gw(q3, (3, 3, 3), 2) == 8
