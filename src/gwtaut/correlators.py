@@ -48,7 +48,7 @@ from operator import itemgetter
 
 from .gw import _pure_gw, pure_gw
 from .target import Rational, TargetModel, check_degree
-from .trees import DecoratedTree, TreeSum, aut_order
+from .trees import DecoratedTree, TreeSum, _kappa_presentation, _psi_presentation, aut_order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -596,11 +596,17 @@ def evaluate(key: CorrelatorKey) -> Fraction:
 evaluate_kappa_first = evaluate
 
 # bound at import, so clearing still works if the module names are rebound
-_CACHE_CLEARS = (evaluate.cache_clear, _pure_gw.cache_clear)
+_CACHE_CLEARS = (
+    evaluate.cache_clear,
+    _pure_gw.cache_clear,
+    _psi_presentation.cache_clear,
+    _kappa_presentation.cache_clear,
+)
 
 
 def clear_caches():
-    """Empty the memos of ``evaluate`` and ``pure_gw``."""
+    """Empty the memos of ``evaluate``, ``pure_gw`` and the boundary
+    presentations."""
     for cache_clear in _CACHE_CLEARS:
         cache_clear()
 
@@ -624,7 +630,9 @@ def evaluate_tree_sum(
     Edges contribute the inverse Poincare pairing with level-0 insertions
     on both sides; vertex tokens contribute kappa insertions, psi powers
     at their tail, or cup products with the tail's class.  Each tree's
-    contribution carries its 1/|Aut| normalization.
+    contribution carries its 1/|Aut| normalization.  Vertex balance is
+    checked on ints before any vertex key is built, so a term with an
+    unbalanced vertex builds no key and leaves no entry in the memo.
     """
     n = tree_sum.n
     if n is not None and set(ambient) != set(range(1, n + 1)):
@@ -649,9 +657,12 @@ def _decorated_tree_terms(
     """Each nonzero term of one tree's integral as int (numerator, denominator).
 
     The ambient insertions, the tail entries derived from them and the kappa
-    tokens are checked once, before the pick loops; the vertex keys are then
-    built unchecked, one at a time, and a product stops at its first zero
-    factor."""
+    tokens are checked once, before the pick loops.  Each vertex's integrand
+    degree (tau entries plus kappa classes) is summed once per tail pick; an
+    edge pick adds its node classes' gradings and is skipped unless every
+    vertex passes ``TargetModel.balanced``, the int check ``evaluate`` makes
+    first.  Only then are the vertex keys built, unchecked, one at a time,
+    and a product stops at its first zero factor."""
     if set(ambient) != set(tree.labels):
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels "
@@ -689,27 +700,38 @@ def _decorated_tree_terms(
         _check_entries(target, entries, -1, "kappa")
     kappa_index = [_index_of(kappa_at[v]) for v in range(tree.n_vertices)]
 
+    gradings = target.gradings
+    vertices = range(tree.n_vertices)
+    kappa_deg = [_index_degree(gradings, idx) for idx in kappa_index]
+    shape = [(tree.valence(v), tree.betas[v]) for v in vertices]
     labels = list(tree.labels)
+    vertex_of = dict(tree.tails)
     edge_pairs = target.eta_inverse_pairs()
     for tail_pick in product(*(tail_choices[lab] for lab in labels)):
         tail_coeff = 1
-        tau_at: dict[int, list[Entry]] = {v: [] for v in range(tree.n_vertices)}
-        for lab, (entry, c) in zip(labels, tail_pick):
+        tau_at: dict[int, list[Entry]] = {v: [] for v in vertices}
+        tail_deg = list(kappa_deg)
+        for lab, ((a, alpha), c) in zip(labels, tail_pick):
             tail_coeff *= c
-            tau_at[tree.tail_vertex(lab)].append(entry)
+            v = vertex_of[lab]
+            tau_at[v].append((a, alpha))
+            tail_deg[v] += 2 * a + gradings[alpha]
         if tail_coeff == 0:
             continue
         for edge_pick in product(edge_pairs, repeat=len(tree.edges)):
             coeff = tail_coeff
-            extra: dict[int, list[Entry]] = {
-                v: [] for v in range(tree.n_vertices)
-            }
+            deg = list(tail_deg)
+            extra: dict[int, list[Entry]] = {v: [] for v in vertices}
             for (u, v), (s1, s2, w) in zip(tree.edges, edge_pick):
                 coeff *= w
+                deg[u] += gradings[s1]
+                deg[v] += gradings[s2]
                 extra[u].append((0, s1))
                 extra[v].append((0, s2))
+            if not all(target.balanced(deg[v], *shape[v]) for v in vertices):
+                continue
             num, den = coeff.numerator, coeff.denominator
-            for v in range(tree.n_vertices):
+            for v in vertices:
                 m = _index_of(tau_at[v] + extra[v])
                 value = evaluate(_valid_key(target, m, kappa_index[v], tree.betas[v]))
                 if not value:

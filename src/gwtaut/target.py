@@ -17,7 +17,9 @@ unless |e_a| + |e_b| is the top grading, so eta^{-1} is graded too and a
 boundary node's two classes e_s1, e_s2 add up to the top grading.  Each
 divisor pairing must sit on its own basis class of grading 2, and each seed,
 given once, on basis classes (stored sorted, as ``seed_value`` reads them)
-at a degree d >= 1.
+at a degree d >= 1.  A seed must also be one ``pure_gw`` can read: no class
+of grading 0 or 2 (the unit and divisor axioms fire first), and its classes
+and degree pass the selection rule.
 
 Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
@@ -113,6 +115,11 @@ class TargetModel:
                 raise ValueError(f"seed class out of range in {classes}")
             if json_int(d, "a seed degree") < 1:
                 raise ValueError(f"a seed needs a degree d >= 1, got {d}")
+            # pure_gw reads a seed only after the unit and divisor axioms
+            if any(self.gradings[c] in (0, 2) for c in classes):
+                raise ValueError(f"a seed class needs a grading other than 0 and 2: {classes}")
+            if not self.balanced(sum(self.gradings[c] for c in classes), len(classes), d):
+                raise ValueError(f"seed {classes} at degree {d} fails the selection rule")
             seeds.append((classes, d, value))
         if len({seed[:2] for seed in seeds}) != len(seeds):
             raise ValueError("a seed may be given only once per classes and degree")

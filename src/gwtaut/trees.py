@@ -8,6 +8,11 @@ correct automorphism-ratio coefficients, and writes down the boundary
 presentations of psi powers and kappa classes.  Pairing a tree sum with
 actual cohomology classes is the correlator engine's job.
 
+Each boundary presentation is built once per argument tuple, after its
+arguments are checked, and memoized as a tuple of (tree, coefficient)
+pairs; every call returns a fresh ``TreeSum`` of them, so a caller that
+adds to it leaves the memo as it was.
+
 Trees are equal when isomorphic.  One recursion over rooted branches
 gives, for every choice of root, the rooted code and the order of the
 root-fixing automorphism group.  The canonical key is the least rooted
@@ -20,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from .series import exact_rational
-from .target import TargetModel, check_degree
+from .target import TargetModel, check_degree, json_int
 
 
 @dataclass(frozen=True)
@@ -429,20 +435,26 @@ def psi_boundary_presentation(n: int, d: int, a: int) -> TreeSum:
 
     Tail 1 rides one vertex, the reference tails 2 and 3 the other, the
     remaining tails and the degree split in all stable ways.  For a >= 2
-    the tail-1 vertex carries the leftover psi power as a token.
+    the tail-1 vertex carries the leftover psi power as a token.  Built
+    once per (n, d, a), returned as a fresh sum.
     """
-    if a < 1:
+    if json_int(a, "a psi power") < 1:
         raise ValueError("psi presentation needs a >= 1")
-    if n < 3:
+    if json_int(n, "a point count") < 3:
         raise ValueError("psi presentation needs the two reference tails")
     check_degree(d)
+    return TreeSum(dict(_psi_presentation(n, d, a)), n)
+
+
+@cache
+def _psi_presentation(n: int, d: int, a: int) -> tuple[tuple[DecoratedTree, Fraction], ...]:
     decor = (Decoration("psi", (1, a - 1), 2 * (a - 1)),) if a > 1 else ()
     out = TreeSum(n=n)
     for first, second, b1, b2 in _two_vertex_splits(
         n, d, pin_first=(2, 3), pin_second=(1,)
     ):
         out.add_term(two_vertex_tree(first, second, b1, b2, decor), Fraction(1))
-    return out
+    return tuple(out.items())
 
 
 def kappa_boundary_presentation(
@@ -453,13 +465,23 @@ def kappa_boundary_presentation(
     The splitting sum demotes the class to kappa_{a-1,alpha} on the vertex
     away from the reference tails 1 and 2; for a = 0 the destabilizing
     strata contribute the extra evaluation-class terms, one per
-    non-reference tail.
+    non-reference tail.  Built once per (target, n, d, a, alpha), returned
+    as a fresh sum.
     """
-    if a < 0:
+    if json_int(a, "a kappa level") < 0:
         raise ValueError("kappa presentation needs a >= 0")
-    if n < 2:
+    if json_int(n, "a point count") < 2:
         raise ValueError("kappa presentation needs the two reference tails")
     check_degree(d)
+    if not 0 <= json_int(alpha, "a kappa class") < target.rank:
+        raise ValueError(f"kappa class {alpha} outside the basis 0..{target.rank - 1}")
+    return TreeSum(dict(_kappa_presentation(target, n, d, a, alpha)), n)
+
+
+@cache
+def _kappa_presentation(
+    target: TargetModel, n: int, d: int, a: int, alpha: int
+) -> tuple[tuple[DecoratedTree, Fraction], ...]:
     grade = target.gradings[alpha]
     token = Decoration("kappa", (a - 1, alpha), 2 * (a - 1) + grade)
     out = TreeSum(n=n)
@@ -473,4 +495,4 @@ def kappa_boundary_presentation(
         for i in range(3, n + 1):
             tok = Decoration("ev", (i, alpha), grade)
             out.add_term(single_vertex_tree(n, d, (tok,)), Fraction(1))
-    return out
+    return tuple(out.items())

@@ -462,6 +462,51 @@ def test_psi_power_presentation_matches_engine():
     assert via_trees == direct == 2
 
 
+# (r, presentation, level-0 ambient classes): ("psi", n, d, a) is psi_1^a,
+# ("kappa", n, d, a, alpha) is kappa_{a,alpha}; the kappa_0 ones carry ev tokens
+TREE_CASES = [
+    (1, ("psi", 4, 1, 1), (1, 1, 1, 0)),
+    (1, ("kappa", 3, 1, 0, 0), (1, 1, 1)),
+    (1, ("kappa", 3, 2, 2, 1), (1, 1, 0)),
+    (2, ("psi", 4, 2, 1), (2, 2, 2, 2)),
+    (2, ("psi", 3, 1, 2), (2, 1, 0)),
+    (2, ("kappa", 4, 2, 0, 2), (2, 2, 2, 1)),
+    (3, ("psi", 3, 2, 2), (3, 3, 3)),
+    (3, ("psi", 4, 1, 2), (3, 3, 0, 0)),
+    (3, ("kappa", 3, 1, 0, 2), (3, 2, 0)),
+]
+
+
+def test_tree_integral_builds_only_balanced_vertex_keys(monkeypatch):
+    seen, depth = [], [0]
+
+    def recorder(key):
+        # the tree integral's own calls, not the recursion below them
+        if not depth[0]:
+            seen.append(key)
+        depth[0] += 1
+        try:
+            return evaluate(key)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(correlators, "evaluate", recorder)
+    for r, (kind, n, d, a, *alpha), classes in TREE_CASES:
+        target = projective_space(r)
+        ambient = {i: (0, c) for i, c in enumerate(classes, 1)}
+        tau = [(0, c, 1) for c in classes]
+        if kind == "psi":
+            pres, kappa = psi_boundary_presentation(n, d, a), []
+            tau[0] = (a, classes[0], 1)
+        else:
+            pres = kappa_boundary_presentation(target, n, d, a, *alpha)
+            kappa = [(a, *alpha, 1)]
+        seen.clear()
+        value = evaluate_tree_sum(target, pres, ambient)
+        assert seen and all(selection(k) for k in seen), (r, kind, n, d, a, seen)
+        assert value == evaluate(make_key(target, tau, kappa, d)) != 0
+
+
 def test_tree_sum_rejects_ambient_labels_no_tail_carries():
     pres = psi_boundary_presentation(5, 2, 2)
     ambient = {1: (0, 1), 2: (1, 0), 3: (0, 1), 4: (0, 1), 5: (0, 1)}

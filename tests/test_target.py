@@ -230,9 +230,17 @@ INVALID = [
     pytest.param(2, dict(seeds=(((2, 3), 1, 1),)), "seed class", id="seed-class-out-of-range"),
     pytest.param(2, dict(seeds=(((-1, 2), 1, 1),)), "seed class", id="seed-class-negative"),
     pytest.param(2, dict(seeds=(((2, 2), 0, 1),)), "degree", id="seed-degree-zero"),
+    # balanced, but the unit axiom (grading 0) or the divisor axiom (grading 2)
+    # fires before the seed lookup: a P^1 seed <e_1>_1 = 5 was stored while
+    # pure_gw gave 1
+    pytest.param(
+        2, dict(seeds=(((0, 2, 2, 2), 1, 1),)), "grading other", id="seed-unit-class"
+    ),
+    pytest.param(2, dict(seeds=(((1, 2, 2), 1, 1),)), "grading other", id="seed-divisor-class"),
+    pytest.param(2, dict(seeds=(((2, 2), 2, 1),)), "selection rule", id="seed-unbalanced"),
     # stored sorted, these two are one seed with two values
     pytest.param(
-        3, dict(seeds=(((2, 3), 1, 1), ((3, 2), 1, 2))), "only once", id="seed-repeated"
+        3, dict(seeds=(((2, 2, 3), 1, 1), ((3, 2, 2), 1, 2))), "only once", id="seed-repeated"
     ),
 ]
 

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from gwtaut.correlators import clear_caches
 from gwtaut.target import projective_space
 from gwtaut.trees import (
     DecoratedTree,
     Decoration,
     TreeSum,
+    _kappa_presentation,
+    _psi_presentation,
     aut_order,
     enumerate_two_vertex_divisors,
     forgetful_pullback,
@@ -16,6 +19,8 @@ from gwtaut.trees import (
     single_vertex_tree,
     two_vertex_tree,
 )
+
+P1 = projective_space(1)
 
 
 def test_decorations_break_symmetry():
@@ -248,3 +253,44 @@ def test_tree_sum_coefficients_and_scalars_must_be_exact():
         with pytest.raises(ValueError, match="int or a Fraction"):
             TreeSum().add_term(tree, bad)
     assert (TreeSum({tree: 3}) * Fraction(1, 3)).coefficient(tree) == 1
+
+
+PSI, KAPPA = psi_boundary_presentation, kappa_boundary_presentation
+
+PRESENTATION_ARGUMENTS = [
+    pytest.param(PSI, (4.0, 1, 2), "point count", id="psi-n-float"),
+    pytest.param(PSI, (4, True, 2), "curve degree", id="psi-d-bool"),
+    # a cached float-token sum would be returned to a later (4, 1, 2) call
+    pytest.param(PSI, (4, 1, 2.0), "psi power", id="psi-a-float"),
+    pytest.param(PSI, (4, 1, True), "psi power", id="psi-a-bool"),
+    pytest.param(KAPPA, (P1, True, 1, 0, 1), "point count", id="kappa-n-bool"),
+    pytest.param(KAPPA, (P1, 3, 1.0, 0, 1), "curve degree", id="kappa-d-float"),
+    pytest.param(KAPPA, (P1, 3, 1, False, 1), "kappa level", id="kappa-a-bool"),
+    pytest.param(KAPPA, (P1, 3, 1, 0, 1.0), "kappa class", id="kappa-alpha-float"),
+    # -1 built 3 terms on the wrapped top class, 5 raised a bare IndexError
+    pytest.param(KAPPA, (P1, 3, 1, 0, -1), "outside", id="kappa-alpha-negative"),
+    pytest.param(KAPPA, (P1, 3, 1, 0, 5), "outside", id="kappa-alpha-too-big"),
+]
+
+
+@pytest.mark.parametrize("presentation, args, message", PRESENTATION_ARGUMENTS)
+def test_presentation_arguments_checked(presentation, args, message):
+    with pytest.raises(ValueError, match=message):
+        presentation(*args)
+
+
+def test_presentation_memo_is_safe():
+    for call in (
+        lambda: psi_boundary_presentation(4, 1, 2),
+        lambda: kappa_boundary_presentation(P1, 4, 1, 0, 1),
+    ):
+        original = call()
+        changed = call()
+        tree, coeff = next(iter(changed.items()))
+        changed.add_term(tree, -coeff)
+        changed.add_term(single_vertex_tree(4, 1), 1)
+        again = call()
+        assert again == original and again.n == 4 and again is not changed
+    clear_caches()
+    assert _psi_presentation.cache_info().currsize == 0
+    assert _kappa_presentation.cache_info().currsize == 0
