@@ -28,8 +28,17 @@ in the public constructors: ``MultiIndex(...)`` normalizes and
 ``_normal_index`` and ``_valid_key``, plain ``tuple.__new__`` calls that
 check nothing: the ``MultiIndex`` operations keep the normal form, each
 move shifts levels only within their ranges (tau >= 0, kappa >= -1), and
-``_decorated_tree_terms`` checks its entries once per tree.  The selection
-rule is ``TargetModel.balanced``.
+``evaluate_tree_sum`` checks the ambient insertions once per sum and
+``_decorated_tree_terms`` what each tree adds to them.  The selection rule
+is ``TargetModel.balanced``.
+
+Besides ``evaluate``'s memo, three private ``functools.cache`` memos hold
+what the moves read per multi-index, each keyed only by what it depends
+on: ``_split_table`` per ``MultiIndex`` (the rows (sub, complement,
+binomial, sub's size), which ``MultiIndex.splits`` reads), ``_index_degree``
+per (gradings, index) (the integrand degree), and ``_comparison_table`` per
+(target, kappa index) (the comparison relation's split rows with their cup
+vectors).  ``clear_caches()`` empties them with the others.
 
 Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
 only through the divisor equation's 1/pairing or non-integral custom-target
@@ -152,18 +161,10 @@ class MultiIndex(tuple):
         return out
 
     def splits(self):
-        """Yield (sub, complement, int binomial) over all sub-multi-indices."""
-        keys = [key for key, _ in self]
-        mults = [m for _, m in self]
-        for counts in product(*(range(m + 1) for m in mults)):
-            sub, rest, mult = [], [], 1
-            for key, m, c in zip(keys, mults, counts):
-                if c:
-                    sub.append((key, c))
-                if c < m:
-                    rest.append((key, m - c))
-                mult *= comb(m, c)
-            yield _normal_index(tuple(sub)), _normal_index(tuple(rest)), mult
+        """Yield (sub, complement, int binomial) over all sub-multi-indices,
+        read from the split table (``_split_table``)."""
+        for sub, rest, mult, _ in _split_table(self):
+            yield sub, rest, mult
 
     def nonneg_part(self) -> "MultiIndex":
         return _normal_index(tuple(item for item in self if item[0][0] >= 0))
@@ -188,6 +189,28 @@ _entry_key = itemgetter(0)
 def _normal_index(entries: tuple[tuple[Entry, int], ...]) -> MultiIndex:
     """A ``MultiIndex`` on entries already in normal form; nothing is checked."""
     return tuple.__new__(MultiIndex, entries)
+
+
+@cache
+def _split_table(
+    idx: MultiIndex,
+) -> tuple[tuple[MultiIndex, MultiIndex, int, int], ...]:
+    """The rows (sub, complement, int binomial, sub's size) over all
+    sub-multi-indices of ``idx``, built once per index."""
+    keys = [key for key, _ in idx]
+    mults = [m for _, m in idx]
+    rows = []
+    for counts in product(*(range(m + 1) for m in mults)):
+        sub, rest, mult = [], [], 1
+        for key, m, c in zip(keys, mults, counts):
+            if c:
+                sub.append((key, c))
+            if c < m:
+                rest.append((key, m - c))
+            mult *= comb(m, c)
+        sub_idx, rest_idx = _normal_index(tuple(sub)), _normal_index(tuple(rest))
+        rows.append((sub_idx, rest_idx, mult, sum(counts)))
+    return tuple(rows)
 
 
 def _index_of(entries: list[Entry]) -> MultiIndex:
@@ -267,6 +290,7 @@ Term = tuple[tuple[CorrelatorKey, ...], Rational]
 # -- dimension bookkeeping -------------------------------------------------------
 
 
+@cache
 def _index_degree(gradings: tuple[int, ...], idx: MultiIndex) -> int:
     return sum(mult * (2 * a + gradings[alpha]) for (a, alpha), mult in idx.entries)
 
@@ -288,6 +312,23 @@ def selection(key: CorrelatorKey) -> bool:
 # -- the four reduction moves ------------------------------------------------------
 
 
+@cache
+def _comparison_table(target: TargetModel, p: MultiIndex):
+    """The rows (p2, rest, binomial, p2.weight, cup vector of 1 . (p2's
+    classes)) of the comparison relation's kappa split of p, built once per
+    (target, p): p2 runs over the sub-multisets of the level >= 0 kappa
+    classes of p, and rest is their complement merged with p's kappa_{-1}
+    part.  The cup vectors are read-only."""
+    neg = p.neg_part()
+    rows = []
+    for p2, rest, binm, _ in _split_table(p.nonneg_part()):
+        vec = {0: 1}
+        for _, beta in p2.expand():
+            vec = target.cup_vector(vec, beta)
+        rows.append((p2, rest.merge(neg), binm, p2.weight, vec))
+    return tuple(rows)
+
+
 def _comparison_terms(
     target: TargetModel, m: MultiIndex, p: MultiIndex, level: int, alpha: int, d: int
 ):
@@ -296,13 +337,9 @@ def _comparison_terms(
     Yields (p2, key, coefficient) for each sub-multiset p2 of the level >= 0
     kappa classes of p: the key carries m, the rest of p and a kappa class
     of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha."""
-    neg = p.neg_part()
-    for p2, rest, binm in p.nonneg_part().splits():
-        vec = {0: 1}
-        for _, beta in p2.expand():
-            vec = target.cup_vector(vec, beta)
+    for p2, rest, binm, weight, vec in _comparison_table(target, p):
         for nu, c_nu in target.cup_vector(vec, alpha).items():
-            p1 = rest.merge(neg).add(p2.weight + level, nu)
+            p1 = rest.add(weight + level, nu)
             yield p2, _valid_key(target, m, p1, d), binm * c_nu
 
 
@@ -382,12 +419,14 @@ def _boundary_split(
     left_deg = _index_degree(g, left_m) + _index_degree(g, left_p)
     p_sides = [
         (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
-        for p1, p2, pbin in p0.splits()
+        for p1, p2, pbin, _ in _split_table(p0)
     ]
+    n = key.n
     terms = []
-    for m1, m2, mbin in m0.splits():
+    for m1, m2, mbin, size1 in _split_table(m0):
         left, right = m1.merge(left_m), m2.merge(right_m)
-        n1, n2 = left.size + 1, right.size + 1
+        n1 = size1 + len(left_tau) + 1
+        n2 = n + 2 - n1  # the node adds a point to each side
         lefts: dict[int, MultiIndex] = {}  # node class -> left.add(0, s1)
         rights: dict[int, MultiIndex] = {}
         dm1 = _index_degree(g, m1)
@@ -598,6 +637,9 @@ evaluate_kappa_first = evaluate
 # bound at import, so clearing still works if the module names are rebound
 _CACHE_CLEARS = (
     evaluate.cache_clear,
+    _split_table.cache_clear,
+    _index_degree.cache_clear,
+    _comparison_table.cache_clear,
     _pure_gw.cache_clear,
     _psi_presentation.cache_clear,
     _kappa_presentation.cache_clear,
@@ -606,7 +648,9 @@ _CACHE_CLEARS = (
 
 def clear_caches():
     """Empty the memos of ``evaluate``, ``pure_gw`` and the boundary
-    presentations."""
+    presentations, and the split table (per ``MultiIndex``), the index
+    degree (per gradings and index) and the comparison table (per target
+    and kappa index)."""
     for cache_clear in _CACHE_CLEARS:
         cache_clear()
 
@@ -625,8 +669,8 @@ def evaluate_tree_sum(
     its labels must equal each tree's tail labels, since an insertion that
     no tail carries would be dropped silently.  When the sum knows its
     point count n (a boundary presentation does), the labels must be
-    1..n, which is checked before any tree is read, so an empty sum is
-    checked too.
+    1..n.  That and the ambient entries are checked once per sum, before
+    any tree is read, so an empty sum is checked too.
     Edges contribute the inverse Poincare pairing with level-0 insertions
     on both sides; vertex tokens contribute kappa insertions, psi powers
     at their tail, or cup products with the tail's class.  Each tree's
@@ -639,6 +683,8 @@ def evaluate_tree_sum(
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels 1..{n}"
         )
+    # before an ev token reads the cup table at an ambient class
+    _check_entries(target, ambient.values(), 0, "tau")
     return _exact_sum(_tree_sum_terms(target, tree_sum, ambient))
 
 
@@ -656,8 +702,9 @@ def _decorated_tree_terms(
 ):
     """Each nonzero term of one tree's integral as int (numerator, denominator).
 
-    The ambient insertions, the tail entries derived from them and the kappa
-    tokens are checked once, before the pick loops.  Each vertex's integrand
+    The tree's tail labels, the tail entries its psi and ev tokens derive
+    from the (already checked) ambient insertions and its kappa tokens are
+    checked once, before the pick loops.  Each vertex's integrand
     degree (tau entries plus kappa classes) is summed once per tail pick; an
     edge pick adds its node classes' gradings and is skipped unless every
     vertex passes ``TargetModel.balanced``, the int check ``evaluate`` makes
@@ -668,11 +715,9 @@ def _decorated_tree_terms(
             f"ambient labels {sorted(ambient)} differ from the tail labels "
             f"{sorted(tree.labels)}"
         )
-    # before an ev token reads the cup table at an ambient class
-    _check_entries(target, ambient.values(), 0, "tau")
-
     # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
     tail_choices: dict[int, list[tuple[Entry, Rational]]] = {}
+    derived: set[int] = set()  # the tails whose entries a token changed
     for label in tree.labels:
         a, alpha = ambient[label]
         tail_choices[label] = [((a, alpha), 1)]
@@ -682,11 +727,13 @@ def _decorated_tree_terms(
             kappa_at[v].append(tok.data)
         elif tok.kind == "psi":
             label, power = tok.data
+            derived.add(label)
             tail_choices[label] = [
                 ((a + power, alpha), c) for (a, alpha), c in tail_choices[label]
             ]
         elif tok.kind == "ev":
             label, extra = tok.data
+            derived.add(label)
             expanded = []
             for (a, alpha), c in tail_choices[label]:
                 for nu, c_nu in target.cup_product(alpha, extra).items():
@@ -694,8 +741,8 @@ def _decorated_tree_terms(
             tail_choices[label] = expanded
         else:
             raise ValueError(f"cannot integrate token kind {tok.kind!r}")
-    for choices in tail_choices.values():
-        _check_entries(target, (entry for entry, _ in choices), 0, "tau")
+    for label in derived:
+        _check_entries(target, (entry for entry, _ in tail_choices[label]), 0, "tau")
     for entries in kappa_at.values():
         _check_entries(target, entries, -1, "kappa")
     kappa_index = [_index_of(kappa_at[v]) for v in range(tree.n_vertices)]

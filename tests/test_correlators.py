@@ -10,6 +10,8 @@ from math import comb
 import pytest
 
 import gwtaut.correlators as correlators
+import gwtaut.gw as gw
+import gwtaut.trees as trees
 import gwtaut.verify as verify
 from gwtaut.correlators import (
     CorrelatorKey,
@@ -31,8 +33,9 @@ from gwtaut.correlators import (
 )
 from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
+from gwtaut.potentials import build_H_series, make_spec
 from gwtaut.target import TargetModel, projective_space
-from gwtaut.trees import kappa_boundary_presentation, psi_boundary_presentation
+from gwtaut.trees import TreeSum, kappa_boundary_presentation, psi_boundary_presentation
 from gwtaut.verify import random_admissible_key, sample_relation_keys, two_sided_checks
 
 P1 = projective_space(1)
@@ -529,8 +532,8 @@ def test_empty_tree_sum_checks_its_point_count():
 
 
 def test_tree_sum_rejects_bad_ambient_insertions():
-    # checked once per tree, before an ev token cups the class at tails 3
-    # and 4 and before any vertex key is built
+    # checked once per sum, before any tree is read, so before an ev token
+    # cups the class at tails 3 and 4 and before any vertex key is built
     pres = kappa_boundary_presentation(P2, 4, 1, 0, 1)
     good = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
     assert evaluate_tree_sum(P2, pres, good) == 2
@@ -543,6 +546,34 @@ def test_tree_sum_rejects_bad_ambient_insertions():
     ):
         with pytest.raises(ValueError, match=match):
             evaluate_tree_sum(P2, pres, {**good, label: entry})
+
+
+@pytest.mark.parametrize("n", [4, None])
+def test_empty_tree_sum_rejects_bad_ambient_insertions(n):
+    good = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
+    assert evaluate_tree_sum(P2, TreeSum(n=n), good) == 0
+    for label, entry, match in ((4, (-1, 2), "levels"), (1, (0, 3), "out of range")):
+        with pytest.raises(ValueError, match=match):
+            evaluate_tree_sum(P2, TreeSum(n=n), {**good, label: entry})
+
+
+def test_clear_caches_empties_every_memo():
+    # a small grid-like batch (a P^2 window with kappa_{-1} and kappa_0
+    # variables) and one tree sum of each presentation fill every memo
+    spec = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (0, 0), (0, 1)], 3, 2, 4)
+    build_H_series(spec)
+    ambient = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
+    evaluate_tree_sum(P2, kappa_boundary_presentation(P2, 4, 1, 0, 1), ambient)
+    evaluate_tree_sum(P2, psi_boundary_presentation(4, 1, 1), ambient)
+    memos = {
+        f"{module.__name__}.{name}": obj
+        for module in (correlators, trees, gw)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert {name for name, memo in memos.items() if not memo.cache_info().currsize} == set()
+    correlators.clear_caches()
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == set()
 
 
 # -- a rescaled basis: the non-integral branch of the coefficient arithmetic -----------

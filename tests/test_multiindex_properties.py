@@ -1,6 +1,8 @@
-"""Property tests: the MultiIndex algebra agrees with collections.Counter."""
+"""Property tests: the MultiIndex algebra agrees with collections.Counter,
+and the memoized split table and index degree with a direct computation."""
 
 from collections import Counter
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -9,11 +11,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
+import gwtaut.correlators as correlators  # noqa: E402
 from gwtaut.correlators import MultiIndex  # noqa: E402
 
 entry = st.tuples(st.integers(-1, 3), st.integers(0, 3))
 items = st.lists(st.tuples(entry, st.integers(0, 3)), max_size=6)
 signed_items = st.lists(st.tuples(entry, st.integers(-3, 3)), max_size=6)
+even = st.integers(0, 4).map(lambda k: 2 * k)
+gradings = st.tuples(even, even, even, even)  # one per basis index of ``entry``
 
 
 def counter(m: MultiIndex) -> Counter:
@@ -59,3 +64,46 @@ def test_splits_merge_back_with_binomial_counts(raw):
         assert sub.merge(rest) == m
         assert count == prod(comb(c[key], k) for key, k in sub.entries)
     assert sum(count for _, _, count in splits) == 2 ** m.size
+
+
+def brute_split_rows(m: MultiIndex, grading: tuple) -> list:
+    """Every (sub, complement, binomial, size, degree) of m, built from Counters
+    in the order of m's sorted entries."""
+    c = counter(m)
+    keys = sorted(c)
+    rows = []
+    for counts in product(*(range(c[key] + 1) for key in keys)):
+        sub = Counter(dict(zip(keys, counts)))
+        binomial = prod(comb(c[key], k) for key, k in zip(keys, counts))
+        degree = sum(k * (2 * a + grading[alpha]) for (a, alpha), k in sub.items())
+        rows.append((canonical(sub), canonical(c - sub), binomial, sum(counts), degree))
+    return rows
+
+
+@given(items, gradings)
+def test_split_table_agrees_with_counter_enumeration(raw, grading):
+    m = MultiIndex(tuple(raw))
+    rows = correlators._split_table(m)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(sub) is type(rest) is MultiIndex for sub, rest, _, _ in rows)
+    read = [
+        (sub, rest, binomial, size, correlators._index_degree(grading, sub))
+        for sub, rest, binomial, size in rows
+    ]
+    assert read == brute_split_rows(m, grading)
+    assert list(m.splits()) == [row[:3] for row in rows]
+    assert correlators._split_table(m) == rows
+    correlators.clear_caches()
+    assert correlators._split_table(m) == rows
+
+
+@given(items, gradings)
+def test_index_degree_memo_agrees_with_direct_sum(raw, grading):
+    m = MultiIndex(tuple(raw))
+    direct = sum(k * (2 * a + grading[alpha]) for (a, alpha), k in m.entries)
+    memo = correlators._index_degree
+    assert memo(grading, m) == direct
+    hits = memo.cache_info().hits
+    assert memo(grading, m) == direct and memo.cache_info().hits == hits + 1
+    correlators.clear_caches()
+    assert memo.cache_info().currsize == 0 and memo(grading, m) == direct
