@@ -702,14 +702,17 @@ def _decorated_tree_terms(
 ):
     """Each nonzero term of one tree's integral as int (numerator, denominator).
 
-    The tree's tail labels, the tail entries its psi and ev tokens derive
-    from the (already checked) ambient insertions and its kappa tokens are
-    checked once, before the pick loops.  Each vertex's integrand
-    degree (tau entries plus kappa classes) is summed once per tail pick; an
-    edge pick adds its node classes' gradings and is skipped unless every
-    vertex passes ``TargetModel.balanced``, the int check ``evaluate`` makes
-    first.  Only then are the vertex keys built, unchecked, one at a time,
-    and a product stops at its first zero factor."""
+    The tree's tail labels and tokens are checked once, before the pick
+    loops: each psi or ev token must sit at one of its tails, a psi power
+    must be an int >= 0 and an ev class an int basis index (``bool``
+    excluded), so the tail entries they derive from the (already checked)
+    ambient insertions are valid; and the kappa tokens must be valid kappa
+    entries.  Each vertex's integrand degree (tau entries plus kappa
+    classes) is summed once per tail pick; an edge pick adds its node
+    classes' gradings and is skipped unless every vertex passes
+    ``TargetModel.balanced``, the int check ``evaluate`` makes first.  Only
+    then are the vertex keys built, unchecked, one at a time, and a product
+    stops at its first zero factor."""
     if set(ambient) != set(tree.labels):
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels "
@@ -717,7 +720,6 @@ def _decorated_tree_terms(
         )
     # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
     tail_choices: dict[int, list[tuple[Entry, Rational]]] = {}
-    derived: set[int] = set()  # the tails whose entries a token changed
     for label in tree.labels:
         a, alpha = ambient[label]
         tail_choices[label] = [((a, alpha), 1)]
@@ -725,24 +727,26 @@ def _decorated_tree_terms(
     for v, tok in tree.decorations:
         if tok.kind == "kappa":
             kappa_at[v].append(tok.data)
-        elif tok.kind == "psi":
-            label, power = tok.data
-            derived.add(label)
+            continue
+        if tok.kind not in ("psi", "ev"):
+            raise ValueError(f"cannot integrate token kind {tok.kind!r}")
+        label, value = tok.data
+        if label not in tail_choices:
+            raise ValueError(f"{tok.kind} token at tail {label!r}, which the tree lacks")
+        if tok.kind == "psi":
+            if type(value) is not int or value < 0:
+                raise ValueError(f"psi token power {value!r} must be an int >= 0")
             tail_choices[label] = [
-                ((a + power, alpha), c) for (a, alpha), c in tail_choices[label]
+                ((a + value, alpha), c) for (a, alpha), c in tail_choices[label]
             ]
-        elif tok.kind == "ev":
-            label, extra = tok.data
-            derived.add(label)
+        else:
+            if type(value) is not int or not 0 <= value < target.rank:
+                raise ValueError(f"ev token class {value!r} is not a basis index")
             expanded = []
             for (a, alpha), c in tail_choices[label]:
-                for nu, c_nu in target.cup_product(alpha, extra).items():
+                for nu, c_nu in target.cup_product(alpha, value).items():
                     expanded.append(((a, nu), c * c_nu))
             tail_choices[label] = expanded
-        else:
-            raise ValueError(f"cannot integrate token kind {tok.kind!r}")
-    for label in derived:
-        _check_entries(target, (entry for entry, _ in tail_choices[label]), 0, "tau")
     for entries in kappa_at.values():
         _check_entries(target, entries, -1, "kappa")
     kappa_index = [_index_of(kappa_at[v]) for v in range(tree.n_vertices)]

@@ -4,8 +4,8 @@
 H = sum 1/m! 1/p! <tau^m kappa^p>_d t^m s^p q^d over an active variable
 set; the pure potential is the spec with no s entries (which is what
 ``gw.gw_potential_series`` builds).  ``wdvv_residuals`` checks the
-associativity of any potential with every t_0^alpha active, the s
-variables riding along as parameters; ``trr_pde_residuals`` checks the
+associativity of any potential of its target with every t_0^alpha active,
+the s variables riding along as parameters; ``trr_pde_residuals`` checks the
 recursion relations in differential form; and the P^1 helpers reproduce
 the closed-form solution, its h-number recursion, and the single
 q-log-derivative equation the recursions collapse to.
@@ -25,6 +25,14 @@ from .target import TargetModel, projective_space
 Entry = tuple[int, int]
 
 ZERO = Fraction(0)
+
+
+def _grading(target: TargetModel, kind: str, a: int, alpha: int) -> int:
+    """The grading of a potential's variable on ``target``: t_a^alpha is
+    2a - 2 + |e_alpha|, s_a^alpha is 2a + |e_alpha| and q is -2 c1."""
+    if kind == "q":
+        return -2 * target.c1_degree
+    return 2 * a + target.gradings[alpha] - (2 if kind == "t" else 0)
 
 
 @dataclass(frozen=True)
@@ -64,14 +72,12 @@ class PotentialSpec:
     def context(self) -> tuple[VarRegistry, Truncation]:
         t = self.target
         variables = [
-            Variable("t", a, alpha, 2 * a - 2 + t.gradings[alpha])
-            for a, alpha in self.t_entries
+            Variable("t", a, alpha, _grading(t, "t", a, alpha)) for a, alpha in self.t_entries
         ]
         variables += [
-            Variable("s", a, alpha, 2 * a + t.gradings[alpha])
-            for a, alpha in self.s_entries
+            Variable("s", a, alpha, _grading(t, "s", a, alpha)) for a, alpha in self.s_entries
         ]
-        variables.append(Variable("q", 0, 0, -2 * t.c1_degree))
+        variables.append(Variable("q", 0, 0, _grading(t, "q", 0, 0)))
         registry = VarRegistry(variables)
         trunc = Truncation(self.caps + (self.q_cap,), self.total_cap)
         return registry, trunc
@@ -272,33 +278,67 @@ def _partials(series: QSeries, window: Truncation):
     return d
 
 
+def _check_registry(registry: VarRegistry, target: TargetModel) -> None:
+    """Reject a registry that is not a potential's on ``target``: every t_0^alpha
+    must be present, and every variable graded as ``PotentialSpec.context``
+    grades it (so its class is a basis index of ``target``)."""
+    rank = target.rank
+    for v in registry:
+        in_basis = v.kind == "q" or (type(v.alpha) is int and 0 <= v.alpha < rank)
+        if not (in_basis and v.grading == _grading(target, v.kind, v.a, v.alpha)):
+            raise ValueError(f"variable {v.name} is not graded as on {target.name}")
+    keys = {v.key for v in registry}
+    missing = [f"x{alpha}" for alpha in range(rank) if ("t", 0, alpha) not in keys]
+    if missing:
+        raise ValueError(f"the potential lacks {', '.join(missing)}")
+
+
 def wdvv_residuals(
     potential: QSeries, target: TargetModel
 ) -> dict[tuple[int, int, int, int], QSeries]:
     """Associativity residuals, one series per index quadruple (a, b, c, d).
 
-    The quadruple residual is sum_{e,f} eta^{ef} (F_abe F_fcd - F_bce F_fad),
-    computed on the window where all third partials are exact.
+    The quadruple residual is G(ab|cd) - G(bc|ad), computed on the window
+    where all third partials are exact, with the contraction
+    G(ab|cd) = sum_{e,f} eta^{ef} F_abe F_fcd.  G is symmetric under a <-> b,
+    under c <-> d (F is), and under swapping the two pairs (eta^{-1} is
+    symmetric, which ``TargetModel`` enforces).  So G is keyed by the sorted
+    pair of sorted pairs, each entry is built once, and an eta^{-1} term with
+    an empty third partial is skipped before any product.  The table is local
+    to the call.  The potential's registry must be one of ``target``'s: every
+    t_0^alpha present and every variable graded as ``PotentialSpec.context``
+    grades it, or ``ValueError`` is raised.
     """
     registry = potential.registry
+    _check_registry(registry, target)
     rank = target.rank
     window = _window(registry, potential.trunc, 3)
     d = _partials(potential, window)
     x = [("t", 0, alpha) for alpha in range(rank)]
+    pairs = target.eta_inverse_pairs()
+    table: dict[tuple, QSeries] = {}
+
+    def contracted(a, b, c, dd) -> QSeries:
+        key = tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, dd))))))
+        if key not in table:
+            (a, b), (c, dd) = key
+            acc = QSeries.zero(registry, window)
+            for e, f, w in pairs:
+                left = d(x[a], x[b], x[e])
+                if not left:
+                    continue
+                right = d(x[f], x[c], x[dd])
+                if right:
+                    acc = acc + left * right * w
+            table[key] = acc
+        return table[key]
 
     out = {}
-    pairs = target.eta_inverse_pairs()
     for a in range(rank):
         for c in range(a + 1, rank):
             for b in range(rank):
                 for dd in range(rank):
-                    residual = QSeries.zero(registry, window)
-                    for e, f, w in pairs:
-                        residual = residual + (
-                            d(x[a], x[b], x[e]) * d(x[f], x[c], x[dd])
-                            - d(x[b], x[c], x[e]) * d(x[f], x[a], x[dd])
-                        ) * w
-                    out[(a, b, c, dd)] = residual
+                    out[(a, b, c, dd)] = contracted(a, b, c, dd) - contracted(b, c, a, dd)
     return out
 
 

@@ -557,6 +557,52 @@ def test_empty_tree_sum_rejects_bad_ambient_insertions(n):
             evaluate_tree_sum(P2, TreeSum(n=n), {**good, label: entry})
 
 
+def _one_vertex_tree(token):
+    # degree 1 on P^2, tails 1, 2, 3 and one psi or ev token at tail 3
+    tails = ((1, 0), (2, 0), (3, 0))
+    return TreeSum({trees.DecoratedTree((1,), (), tails, ((0, token),)): 1})
+
+
+EV_AMBIENT = {1: (0, 1), 2: (0, 2), 3: (0, 0)}
+PSI_AMBIENT = {1: (0, 2), 2: (0, 2), 3: (0, 1)}
+
+
+def test_tree_integral_reads_token_data():
+    ev = _one_vertex_tree(trees.Decoration("ev", (3, 2), 4))
+    assert evaluate_tree_sum(P2, ev, EV_AMBIENT) == 1
+    psi = _one_vertex_tree(trees.Decoration("psi", (3, 0), 0))
+    assert evaluate_tree_sum(P2, psi, PSI_AMBIENT) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, value, ambient, match",
+    [
+        ("ev", -1, EV_AMBIENT, "class"),  # was 1, the value of class 2
+        ("ev", 3, EV_AMBIENT, "class"),  # was a bare IndexError
+        ("ev", True, EV_AMBIENT, "class"),  # was read as class 1
+        ("ev", 1.0, EV_AMBIENT, "class"),
+        ("psi", -1, {**PSI_AMBIENT, 3: (1, 1)}, "power"),  # was 1, the level-0 value
+        ("psi", True, PSI_AMBIENT, "power"),  # was read as power 1
+        ("psi", 1.0, PSI_AMBIENT, "power"),
+    ],
+    ids=["ev-negative", "ev-rank", "ev-bool", "ev-float", "psi-negative", "psi-bool",
+         "psi-float"],
+)
+def test_tree_integral_rejects_bad_token_data(kind, value, ambient, match):
+    # checked once per tree, before an ev token reads the cup table or a psi
+    # token shifts a tail's level
+    bad = _one_vertex_tree(trees.Decoration(kind, (3, value), 2))
+    with pytest.raises(ValueError, match=match):
+        evaluate_tree_sum(P2, bad, ambient)
+
+
+@pytest.mark.parametrize("kind, value", [("ev", 1), ("psi", 1)])
+def test_tree_integral_rejects_a_token_at_a_missing_tail(kind, value):
+    tree = _one_vertex_tree(trees.Decoration(kind, (4, value), 2))
+    with pytest.raises(ValueError, match="lacks"):
+        evaluate_tree_sum(P2, tree, {1: (0, 1), 2: (0, 2), 3: (0, 1)})
+
+
 def test_clear_caches_empties_every_memo():
     # a small grid-like batch (a P^2 window with kappa_{-1} and kappa_0
     # variables) and one tree sum of each presentation fill every memo

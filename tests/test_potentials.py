@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -17,12 +18,15 @@ from gwtaut.potentials import (
     trr_pde_residuals,
     wdvv_residual,
     wdvv_residuals,
+    _partials,
+    _window,
 )
-from gwtaut.series import QSeries
+from gwtaut.series import QSeries, Truncation, Variable, VarRegistry
 from gwtaut.target import projective_space
 
 P1 = projective_space(1)
 P2 = projective_space(2)
+P3 = projective_space(3)
 
 
 def test_h_sequence_values():
@@ -223,6 +227,132 @@ def test_twisted_p2_potential_satisfies_wdvv():
     assert dict(h.items())[exps] == Fraction(1, 2)
     broken = h + QSeries(h.registry, h.trunc, {exps: Fraction(1, 2)})
     assert sum(not r.is_zero() for r in wdvv_residuals(broken, P2).values()) == 10
+
+
+def _direct_wdvv_residuals(potential, target):
+    """The quadruple residuals term by term: every eta^{-1} pair of every
+    quadruple multiplies its two third partials afresh."""
+    registry = potential.registry
+    window = _window(registry, potential.trunc, 3)
+    d = _partials(potential, window)
+    x = [("t", 0, alpha) for alpha in range(target.rank)]
+    out = {}
+    for a in range(target.rank):
+        for c in range(a + 1, target.rank):
+            for b in range(target.rank):
+                for dd in range(target.rank):
+                    residual = QSeries.zero(registry, window)
+                    for e, f, w in target.eta_inverse_pairs():
+                        residual = residual + (
+                            d(x[a], x[b], x[e]) * d(x[f], x[c], x[dd])
+                            - d(x[b], x[c], x[e]) * d(x[f], x[a], x[dd])
+                        ) * w
+                    out[(a, b, c, dd)] = residual
+    return out
+
+
+def _perturbed(series, seed, count=12):
+    """``series`` plus ``count`` seeded terms of degree 3 or 4 in the x
+    variables, so that they survive three x-derivatives."""
+    rng = random.Random(seed)
+    xs = [i for i, v in enumerate(series.registry) if v.kind == "t" and v.a == 0]
+    caps = series.trunc.caps
+    terms = {}
+    for _ in range(count):
+        exps = [0 if i in xs else rng.randint(0, min(c, 1)) for i, c in enumerate(caps)]
+        for _ in range(rng.choice([3, 4])):
+            exps[rng.choice(xs)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return series + QSeries(series.registry, series.trunc, terms)
+
+
+def _pairs(a, b, c, d):
+    return sorted((tuple(sorted((a, b))), tuple(sorted((c, d)))))
+
+
+WDVV_POTENTIALS = {
+    "P1": (P1, lambda: gw_potential_series(P1, (3, 8), 3)),
+    "P2": (P2, lambda: gw_potential_series(P2, (3, 6, 6), 2)),
+    "P3": (P3, lambda: gw_potential_series(P3, (3, 6, 6, 6), 2)),
+    "P2-twisted": (
+        P2,
+        lambda: build_H_series(make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (0, 1)], 4, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WDVV_POTENTIALS))
+def test_contracted_wdvv_residuals_equal_the_direct_formula(name):
+    # the reference residuals all vanish, so compare on non-associative
+    # potentials: every quadruple whose two contractions are not the same by
+    # the symmetries of G must come out nonzero
+    target, build = WDVV_POTENTIALS[name]
+    broken = _perturbed(build(), seed=1)
+    contracted = wdvv_residuals(broken, target)
+    direct = _direct_wdvv_residuals(broken, target)
+    assert list(contracted) == list(direct)
+    for quad, residual in direct.items():
+        assert contracted[quad] == residual, quad
+    forced_zero = {q for q in direct if _pairs(*q) == _pairs(q[1], q[2], q[0], q[3])}
+    nonzero = {q for q, r in contracted.items() if not r.is_zero()}
+    assert nonzero == set(direct) - forced_zero
+    assert len(nonzero) >= len(direct) // 2
+
+
+def test_wdvv_residuals_build_each_product_once(monkeypatch):
+    # the P^3 residuals batch: 768 series products term by term, and 64
+    # once each contracted entry is built once and empty partials are skipped
+    f3 = gw_potential_series(P3, (3, 6, 6, 6), 2)
+    products = []
+    multiply = QSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, QSeries):
+            products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    residuals = wdvv_residuals(f3, P3)
+    assert len(residuals) == 96 and all(r.is_zero() for r in residuals.values())
+    assert len(products) <= 64
+
+
+def _registry_with(target, drop=(), grading_of=None):
+    """The pure potential's registry on ``target``, without the x variables
+    in ``drop``, with the gradings ``grading_of`` changes."""
+    variables = [Variable("t", 0, alpha, g - 2) for alpha, g in enumerate(target.gradings)]
+    variables.append(Variable("q", 0, 0, -2 * target.c1_degree))
+    changed = grading_of or {}
+    return VarRegistry(
+        Variable(v.kind, v.a, v.alpha, changed.get(v.name, v.grading))
+        for v in variables
+        if v.name not in drop
+    )
+
+
+@pytest.mark.parametrize(
+    "registry, match",
+    [
+        (_registry_with(P2, drop={"x1"}), "lacks x1"),
+        (_registry_with(P2, drop={"x0", "x2"}), "lacks x0, x2"),
+        (_registry_with(P2, grading_of={"q": -4}), "q is not graded"),
+        (_registry_with(P2, grading_of={"x1": 2}), "x1 is not graded"),
+        (VarRegistry([*_registry_with(P2), Variable("s", 0, 1, 0)]), "s0,1 is not graded"),
+        (VarRegistry([*_registry_with(P2), Variable("t", 1, 3, 6)]), "t1,3 is not graded"),
+    ],
+    ids=["missing-x1", "missing-x0-x2", "q-grading", "x1-grading", "s-grading", "class-past-rank"],
+)
+def test_wdvv_residuals_check_the_registry(registry, match):
+    potential = QSeries.zero(registry, Truncation(tuple([3] * len(registry)), None))
+    with pytest.raises(ValueError, match=match):
+        wdvv_residuals(potential, P2)
+
+
+def test_wdvv_residuals_reject_another_targets_potential():
+    # P^2's potential read on P^1 gave 4 zero quadruples with no error
+    f2 = gw_potential_series(P2, (3, 6, 6), 2)
+    with pytest.raises(ValueError, match="x2 is not graded as on P1"):
+        wdvv_residuals(f2, P1)
 
 
 def test_empty_variable_potential_is_q_layer():
