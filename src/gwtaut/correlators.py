@@ -8,7 +8,12 @@ recursions (``apply_trr_psi``, ``apply_trr_kappa``, which share one
 boundary-split loop emitting only dimension-balanced terms), the
 comparison relation along the forgetful map and the divisor equation,
 both read backwards, and the lift of kappa_{-1} classes to extra marked
-points (``lift_kappa_minus_one``).  The forward comparison relation
+points (``lift_kappa_minus_one``).  Before all of them it reads kappa_{-1}
+of a divisor and of a class of grading 0 as numbers: kappa_{-1}(g) is
+pi_*(ev^* g) along the map forgetting a point, whose fibre is the curve,
+so it is (int_d g) times 1 for a divisor (the divisor axiom of
+Kontsevich-Manin) and 0 for a class of grading 0 (it would land in
+degree -2).  The forward comparison relation
 (``apply_puncture_dilaton``) is not on that path; the verify suites check
 it against ``evaluate``, and ``gwtaut.oracle`` checks ``evaluate`` with
 code it does not share.
@@ -503,7 +508,9 @@ def lift_kappa_minus_one(key: CorrelatorKey) -> tuple[tuple[int, ...], int]:
     """Convert kappa_{-1} insertions into extra evaluation points.
 
     Only valid once every tau level is 0 and every kappa level is -1;
-    returns the pure Gromov-Witten key (classes, degree).
+    returns the pure Gromov-Witten key (classes, degree).  From ``evaluate``
+    it sees only kappa_{-1} classes of grading >= 4 or of divisors without a
+    configured pairing: the others are numbers, read before the branches.
     """
     if key.m.max_level >= 1:
         raise ValueError("psi powers remain; the lift needs plain insertions")
@@ -599,6 +606,15 @@ def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
 def evaluate(key: CorrelatorKey) -> Fraction:
     """Exact correlator value; the first branch that applies reduces the key.
 
+    After the selection rule, one step reads the kappa_{-1} classes that
+    are numbers (``TargetModel.kappa_minus_one_per_unit``): each
+    kappa_{-1}(D) of a divisor with a configured pairing c is c * d, the
+    divisor axiom on the fibre of the forgetful map, so those entries drop
+    and the rest of the key is scaled by (c * d)^mult; a kappa_{-1} class of
+    grading 0 pushes forward to degree -2, so the key is 0.  A key that is
+    left with kappa_{-1} classes of grading >= 4, or of divisors without a
+    pairing, goes on to the branches:
+
     1. psi on >= 3 points: the psi recursion (``apply_trr_psi``);
     2. kappa of level >= 0, no psi, >= 2 points: the kappa recursion
        (``apply_trr_kappa``);
@@ -612,21 +628,35 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     global _REDUCTIONS
     if not selection(key):
         return ZERO
-    psi = key.m.max_level >= 1
-    kappa = key.p.max_level >= 0
+    target, m, p, d = key
+    if p and p[0][0][0] < 0:  # kappa_{-1} entries sort first
+        per_unit = target.kappa_minus_one_per_unit()
+        scale, kept = 1, []
+        for entry in p:
+            (a, alpha), mult = entry
+            if a < 0 and alpha in per_unit:
+                scale *= (per_unit[alpha] * d) ** mult
+            else:
+                kept.append(entry)
+        if len(kept) < len(p):
+            _REDUCTIONS += 1
+            if not scale:
+                return ZERO
+            return scale * evaluate(_valid_key(target, m, _normal_index(tuple(kept)), d))
+    psi = m.max_level >= 1
+    kappa = p.max_level >= 0
     if psi and key.n >= 3:
         # entries sort by level, so the deepest psi and kappa classes come last
-        points = key.m.expand()
+        points = m.expand()
         terms = apply_trr_psi(key, points[-1], points[:2])
     elif kappa and not psi and key.n >= 2:
-        terms = apply_trr_kappa(key, key.p.entries[-1][0])
+        terms = apply_trr_kappa(key, p[-1][0])
     elif kappa:
         terms = _comparison_backwards(key)
     elif psi:
         terms = _divisor_backwards(key)
     else:
-        classes, d = lift_kappa_minus_one(key)
-        return pure_gw(key.target, classes, d)
+        return pure_gw(target, *lift_kappa_minus_one(key))
     _REDUCTIONS += 1
     return evaluate_combination(terms)
 

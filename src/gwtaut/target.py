@@ -25,9 +25,12 @@ Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
 eta^{-1}, the latter also grouped by the grading of their first index.
 ``cup_product``, ``cup_vector``, ``eta_inverse_pairs`` and
-``eta_inverse_pairs_by_grading`` read them.  A table entry is an ``int``
-when it is integral (always, on P^r) and a ``Fraction`` otherwise, so the
-correlator engine can keep integer coefficients as ``int``s.
+``eta_inverse_pairs_by_grading`` read them.  It also keeps the classes
+whose kappa_{-1} is a number, c * d at curve degree d, with c the divisor
+pairing or 0 for a class of grading 0 (``kappa_minus_one_per_unit``).  A
+table entry is an ``int`` when it is integral (always, on P^r) and a
+``Fraction`` otherwise, so the correlator engine can keep integer
+coefficients as ``int``s.
 """
 
 from __future__ import annotations
@@ -146,6 +149,9 @@ class TargetModel:
             "_eta_inverse_by_grading",
             {grading: tuple(group) for grading, group in by_grading.items()},
         )
+        per_unit = {alpha: 0 for alpha, g in enumerate(self.gradings) if g == 0}
+        per_unit.update((alpha, _narrow(c)) for alpha, c in self.divisor_pairings)
+        object.__setattr__(self, "_kappa_minus_one_per_unit", per_unit)
         object.__setattr__(self, "_cup_table", cup_table)
         self._check_frobenius_axioms()
         object.__setattr__(
@@ -232,6 +238,12 @@ class TargetModel:
         """The pairs of ``eta_inverse_pairs`` grouped by the grading of
         sigma1, in their order; built once, and read-only by contract."""
         return self._eta_inverse_by_grading
+
+    def kappa_minus_one_per_unit(self) -> dict[int, Rational]:
+        """{alpha: c} with kappa_{-1}(e_alpha) = c * d on degree-d maps: the
+        per-unit pairing of each paired divisor (the divisor axiom) and 0 for
+        each class of grading 0; built once, and read-only by contract."""
+        return self._kappa_minus_one_per_unit
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
         """int_V e_a e_b e_c, via cup and the pairing."""

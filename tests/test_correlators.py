@@ -735,6 +735,169 @@ def test_public_values_are_fractions():
         assert type(value) is Fraction and value == expected, (i, value)
 
 
+# -- kappa_{-1} of a divisor is the number (int_d D), of a grading-0 class 0 -----------
+
+
+def divisor_targets():
+    """(target, per-unit pairing c of its divisor e_1): P^1-P^3 and the
+    rescaled P^2 with c = 2 and c = 1/2."""
+    half = Fraction(1, 2)
+    return [(P1, 1), (P2, 1), (P3, 1), (rescaled_p2(2), 2), (rescaled_p2(half), half)]
+
+
+DIVISOR_TARGET_IDS = ["P1", "P2", "P3", "c-2", "c-1/2"]
+
+
+def sampled_base_keys(target, seed):
+    """Admissible keys on ``target`` of degree 1 or 2, one per pivot shape
+    plus two unconstrained samples, each kept only if it has a positive
+    degree and no kappa_{-1} class of grading 0."""
+    rng = random.Random(seed)
+    keys = []
+    for need in ("psi", "kappa_pos", "kappa_zero", "pd", None, None):
+        key = random_admissible_key(target, rng, d_max=2, need=need)
+        if key.d >= 1 and not key.p.mult(-1, 0):
+            keys.append(key)
+    return keys
+
+
+@pytest.mark.parametrize("index", range(5), ids=DIVISOR_TARGET_IDS)
+def test_kappa_minus_one_of_the_divisor_is_its_pairing(index):
+    target, c = divisor_targets()[index]
+    nonzero = 0
+    for base in sampled_base_keys(target, 43 + index):
+        value = evaluate(base)
+        for k in (1, 2, 3):
+            key = CorrelatorKey(target, base.m, base.p.add(-1, 1, k), base.d)
+            assert evaluate(key) == (c * base.d) ** k * value == oracle(key), (key, k)
+        nonzero += value != 0
+    assert nonzero >= 2
+
+
+@pytest.mark.parametrize("index", range(5), ids=DIVISOR_TARGET_IDS)
+def test_kappa_minus_one_vanishes_at_degree_zero_and_on_the_unit(index):
+    target, _ = divisor_targets()[index]
+    r = target.rank - 1
+    # <e_0 e_1 e_{r-1}>_0 = int_V e_1 e_{r-1}, which is not 0
+    bases = [make_key(target, tau=[(0, 0, 1), (0, 1, 1), (0, r - 1, 1)], d=0)]
+    bases.append(make_key(target, tau=[(1, 0, 1), (0, 0, 1), (0, 1, 1), (0, r - 1, 1)], d=0))
+    rng = random.Random(47 + index)
+    bases += [random_admissible_key(target, rng, d_max=2) for _ in range(6)]
+    keys = [
+        CorrelatorKey(target, base.m, base.p.add(-1, 1, k), 0)
+        for base in bases
+        if base.d == 0
+        for k in (1, 2)
+    ]
+    # kappa_{-1}(e_0) takes 2 off the degree; tau_1(e_1) adds a point and 4
+    keys += [CorrelatorKey(target, base.m.add(1, 1), base.p.add(-1, 0), base.d) for base in bases]
+    assert all(selection(key) for key in keys) and evaluate(bases[0]) != 0
+    for key in keys:
+        assert evaluate(key) == oracle(key) == 0, key
+
+
+def unpaired_p2() -> TargetModel:
+    """P^2 with no divisor pairing configured: e_1 has grading 2, but its
+    kappa_{-1} is not a known number."""
+    return TargetModel(
+        name="P2 without a divisor pairing",
+        gradings=P2.gradings,
+        eta=P2.eta,
+        cup=P2.cup,
+        c1_degree=3,
+        seeds=(((2, 2), 1, 1),),
+    )
+
+
+def test_kappa_minus_one_of_an_unpaired_divisor_takes_the_lift(monkeypatch):
+    target = unpaired_p2()
+    lifted = []
+
+    def recording(key):
+        lifted.append(key)
+        return lift_kappa_minus_one(key)
+
+    monkeypatch.setattr(correlators, "lift_kappa_minus_one", recording)
+    correlators.clear_caches()
+    # the lift reaches pure_gw, whose divisor axiom needs the pairing
+    key = make_key(target, tau=[(0, 2, 2)], kappa=[(-1, 1, 1)], d=1)
+    with pytest.raises(ValueError, match="no divisor pairing configured for e_1"):
+        evaluate(key)
+    assert lifted == [key]
+    # psi on two points: the divisor equation needs a divisor with a pairing
+    key = make_key(target, tau=[(1, 2, 1), (0, 1, 1)], kappa=[(-1, 1, 1)], d=1)
+    with pytest.raises(ValueError, match="no divisor class"):
+        evaluate(key)
+    # at degree 0 the lift reads a four-point degree-0 invariant, which is 0
+    key = make_key(target, tau=[(0, 0, 1), (0, 1, 2)], kappa=[(-1, 1, 1)], d=0)
+    assert evaluate(key) == oracle(key) == 0
+    assert lifted[-1] == key
+    # a kappa_{-1} class of grading 0 is 0 whatever the pairings, with no lift
+    # and no divisor equation (which would need a pairing here)
+    count = len(lifted)
+    for key in (
+        make_key(target, tau=[(0, 2, 2), (1, 1, 1)], kappa=[(-1, 0, 1), (-1, 1, 1)], d=1),
+        make_key(target, tau=[(1, 2, 1), (0, 2, 1)], kappa=[(-1, 0, 1)], d=1),
+    ):
+        assert evaluate(key) == 0
+    assert len(lifted) == count
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        make_key(P1, tau=[(1, 1, 1), (0, 1, 2)], kappa=[(0, 1, 1)], d=2),
+        make_key(P2, tau=[(2, 2, 1), (0, 2, 2), (0, 1, 1)], d=2),
+        make_key(P2, tau=[(0, 0, 1), (0, 1, 2), (0, 2, 1)], kappa=[(0, 2, 1), (1, 2, 1)], d=2),
+        make_key(P3, tau=[(0, 0, 1), (0, 2, 1), (3, 2, 1)], kappa=[(1, 3, 1)], d=2),
+    ],
+    ids=["P1-psi-kappa", "P2-psi", "P2-kappa", "P3-psi-kappa"],
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_kappa_minus_one_of_the_divisor_costs_one_reduction(key, k):
+    with_k = CorrelatorKey(key.target, key.m, key.p.add(-1, 1, k), key.d)
+    counts = []
+    for probe in (key, with_k):
+        correlators.clear_caches()
+        before = correlators.reduction_count()
+        evaluate(probe)
+        counts.append(correlators.reduction_count() - before)
+    assert evaluate(key) != 0 and selection(key)
+    assert counts[1] == counts[0] + 1, counts
+
+
+# -- degree-0 anchors: Weil-Petersson volumes of M_{0,n} ---------------------------------
+
+
+def zograf_volumes(n_max: int) -> dict[int, Fraction]:
+    """v_n = int over M_{0,n} of kappa_1^{n-3}, by Zograf's recursion (1993):
+    v_3 = 1, v_n = 1/2 sum_{i=1}^{n-3} i(n-i-2)/(n-1) C(n-4, i-1) C(n, i+1)
+    v_{i+2} v_{n-i}."""
+    v = {3: Fraction(1)}
+    for n in range(4, n_max + 1):
+        v[n] = Fraction(1, 2) * sum(
+            Fraction(i * (n - i - 2), n - 1) * comb(n - 4, i - 1) * comb(n, i + 1)
+            * v[i + 2] * v[n - i]
+            for i in range(1, n - 2)
+        )
+    return v
+
+
+@pytest.mark.parametrize("target", [P1, P2], ids=["P1", "P2"])
+def test_degree_zero_kappa_integrals_are_weil_petersson_volumes(target):
+    # on M_{0,n}(V, 0) = M_{0,n} x V the point class leaves int_{M_{0,n}}
+    volumes = zograf_volumes(9)
+    assert [volumes[n] for n in range(4, 10)] == [1, 5, 61, 1379, 49946, 2648967]
+    pt = target.rank - 1
+    for n in range(4, 10):
+        key = make_key(target, tau=[(0, 0, n - 1), (0, pt, 1)], kappa=[(1, 0, n - 3)], d=0)
+        assert evaluate(key) == volumes[n], n
+    # kappa_1 kappa_2 on M_{0,6}: the Arbarello-Cornalba pushforward from
+    # M_{0,8} of psi_7^2 psi_8^3 is kappa_1 kappa_2 + kappa_3, so 5!/(2! 3!) - 1
+    key = make_key(target, tau=[(0, 0, 5), (0, pt, 1)], kappa=[(1, 0, 1), (2, 0, 1)], d=0)
+    assert evaluate(key) == 9
+
+
 # -- keys are tuples ---------------------------------------------------------------------
 
 
@@ -935,7 +1098,12 @@ def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
             assert move != taken, (key, move)
             lines[move[0], taken is not None and taken[0] == move[0]] += 1
     # lines whose key evaluate reduced by the same recursion, and the rest
-    assert lines == {("psi", True): 20, ("kappa", True): 8, ("kappa", False): 44}, lines
+    assert lines == {
+        ("psi", True): 16,
+        ("psi", False): 6,
+        ("kappa", True): 6,
+        ("kappa", False): 46,
+    }, lines
 
 
 # -- the divisor equation read backwards -----------------------------------------------------
