@@ -40,10 +40,10 @@ is ``TargetModel.balanced``.
 Besides ``evaluate``'s memo, three private ``functools.cache`` memos hold
 what the moves read per multi-index, each keyed only by what it depends
 on: ``_split_table`` per ``MultiIndex`` (the rows (sub, complement,
-binomial, sub's size), which ``MultiIndex.splits`` reads), ``_index_degree``
-per (gradings, index) (the integrand degree), and ``_comparison_table`` per
-(target, kappa index) (the comparison relation's split rows with their cup
-vectors).  ``clear_caches()`` empties them with the others.
+binomial, sub's size)), ``_index_degree`` per (gradings, index) (the
+integrand degree), and ``_comparison_table`` per (target, kappa index) (the
+comparison relation's split rows with their cup vectors).  ``clear_caches()``
+empties them with the others.
 
 Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
 only through the divisor equation's 1/pairing or non-integral custom-target
@@ -77,8 +77,8 @@ class MultiIndex(tuple):
     so by level first, with positive int multiplicities.  The public
     constructor normalizes: ``entries`` is a signed sum, so repeated entries
     add up; multiplicities must be ints with non-negative totals; zeros
-    drop, entries sort.  ``add``, ``remove``, ``merge``, ``splits`` and the
-    two parts keep this normal form and skip the constructor.
+    drop, entries sort.  ``add``, ``remove``, ``merge``, the split table and
+    the two parts keep this normal form and skip the constructor.
     """
 
     __slots__ = ()
@@ -104,10 +104,6 @@ class MultiIndex(tuple):
     @classmethod
     def from_list(cls, items) -> "MultiIndex":
         return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
-
-    @property
-    def entries(self) -> "MultiIndex":
-        return self
 
     # -- size bookkeeping (norms count levels a >= 0 only) ---------------------
 
@@ -164,12 +160,6 @@ class MultiIndex(tuple):
         for _, m in self:
             out *= factorial(m)
         return out
-
-    def splits(self):
-        """Yield (sub, complement, int binomial) over all sub-multi-indices,
-        read from the split table (``_split_table``)."""
-        for sub, rest, mult, _ in _split_table(self):
-            yield sub, rest, mult
 
     def nonneg_part(self) -> "MultiIndex":
         return _normal_index(tuple(item for item in self if item[0][0] >= 0))
@@ -259,8 +249,8 @@ class CorrelatorKey(tuple):
 
     def __post_init__(self) -> None:
         check_degree(self.d)
-        _check_entries(self.target, (e for e, _ in self.m.entries), 0, "tau")
-        _check_entries(self.target, (e for e, _ in self.p.entries), -1, "kappa")
+        _check_entries(self.target, (e for e, _ in self.m), 0, "tau")
+        _check_entries(self.target, (e for e, _ in self.p), -1, "kappa")
 
     def __getnewargs__(self):
         return tuple(self)
@@ -297,7 +287,7 @@ Term = tuple[tuple[CorrelatorKey, ...], Rational]
 
 @cache
 def _index_degree(gradings: tuple[int, ...], idx: MultiIndex) -> int:
-    return sum(mult * (2 * a + gradings[alpha]) for (a, alpha), mult in idx.entries)
+    return sum(mult * (2 * a + gradings[alpha]) for (a, alpha), mult in idx)
 
 
 def degree_sum(key: CorrelatorKey) -> int:
@@ -354,7 +344,7 @@ def _cup_at_points(
     """Yield the terms that replace one point tau_a(e_alpha) of ``points``
     (part of key.m), a >= drop, by tau_{a-drop}(e_alpha . e_g); the keys
     carry the kappa classes p."""
-    for (a, alpha), mult in points.entries:
+    for (a, alpha), mult in points:
         if a < drop:
             continue
         for nu, c_nu in key.target.cup_product(alpha, g).items():
@@ -514,7 +504,7 @@ def lift_kappa_minus_one(key: CorrelatorKey) -> tuple[tuple[int, ...], int]:
     """
     if key.m.max_level >= 1:
         raise ValueError("psi powers remain; the lift needs plain insertions")
-    if key.p.nonneg_part().entries:
+    if key.p.nonneg_part():
         raise ValueError("kappa levels >= 0 remain; reduce them first")
     classes = [alpha for (_, alpha) in key.m.expand()]
     classes += [alpha for (_, alpha) in key.p.expand()]
@@ -575,11 +565,11 @@ def _comparison_backwards(key: CorrelatorKey) -> list[Term]:
     augmented key minus the terms where kappa classes merged with the
     forgotten point.
     """
-    b, nu0 = key.p.entries[-1][0]
+    b, nu0 = key.p[-1][0]
     p_hat = key.p.remove(b, nu0)
     augmented = _valid_key(key.target, key.m.add(b + 1, nu0), p_hat, key.d)
     terms = _comparison_terms(key.target, key.m, p_hat, b, nu0, key.d)
-    return [((augmented,), 1)] + [((sub,), -c) for p2, sub, c in terms if p2.entries]
+    return [((augmented,), 1)] + [((sub,), -c) for p2, sub, c in terms if p2]
 
 
 def _divisor_backwards(key: CorrelatorKey) -> list[Term]:

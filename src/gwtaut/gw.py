@@ -6,8 +6,9 @@ Invariants <e_{a1} ... e_{an}>_d are computed by exact recursion:
     moduli dimension;
   * degree 0 reduces to triple cup-product integrals (and vanishes for
     n != 3, where the integrand is pulled back from the target);
-  * a unit insertion vanishes in positive degree, a divisor insertion
-    multiplies by its pairing with the curve class;
+  * in positive degree a point carrying e_alpha drops with factor c * d
+    from ``TargetModel.kappa_minus_one_per_unit``: c = 0 for grading 0 (the
+    unit axiom), c the pairing of a divisor (the divisor axiom);
   * what remains is reconstructed through the associativity (WDVV)
     identity down to the two-point degree-one seed <e_r, e_r>_1 = 1
     (for P^1 the equivalent seed is the empty degree-one invariant).
@@ -30,11 +31,6 @@ from .target import TargetModel, check_degree
 ZERO = Fraction(0)
 
 
-def selection_holds(target: TargetModel, classes: tuple[int, ...], d: int) -> bool:
-    """Degree sum must equal twice the moduli dimension."""
-    return target.balanced(sum(target.gradings[a] for a in classes), len(classes), d)
-
-
 def pure_gw(target: TargetModel, classes, d: int) -> Fraction:
     """Exact genus-0 invariant of the class multiset at curve degree d."""
     check_degree(d)
@@ -52,19 +48,18 @@ def _pure_gw(target: TargetModel, classes: tuple[int, ...], d: int) -> Fraction:
         if n != 3:
             return ZERO
         return target.triple_integral(*classes)
-    if not selection_holds(target, classes, d):
+    if not target.balanced(sum(target.gradings[a] for a in classes), n, d):
         return ZERO
 
-    # unit axiom
-    if classes and classes[0] == 0:
-        return ZERO
-
-    # divisor axiom: strip degree-2 insertions
+    # unit and divisor axioms: the point carrying e_a drops with factor c * d
+    per_unit = target.kappa_minus_one_per_unit()
     for i, a in enumerate(classes):
-        if target.gradings[a] == 2:
-            factor = target.integral_over_beta(a, d)
+        c = per_unit.get(a)
+        if c is not None:
             rest = classes[:i] + classes[i + 1 :]
-            return factor * _pure_gw(target, rest, d)
+            return c * d * _pure_gw(target, rest, d) if c else ZERO
+        if target.gradings[a] == 2:
+            raise ValueError(f"no divisor pairing configured for e_{a}")
 
     seed = target.seed_value(classes, d)
     if seed is not None:

@@ -56,7 +56,7 @@ Insertions = tuple[tuple[int, int], ...]  # sorted (level, class) pairs
 def oracle(key) -> Fraction:
     """Reference value of a ``CorrelatorKey`` (read through its fields only)."""
     tau, kappa = (
-        tuple(sorted(e for e, mult in idx.entries for _ in range(mult)))
+        tuple(sorted(e for e, mult in idx for _ in range(mult)))
         for idx in (key.m, key.p)
     )
     return _value(key.target, tau, kappa, key.d)
@@ -127,7 +127,7 @@ def _value(target: TargetModel, tau: Insertions, kappa: Insertions, d: int) -> F
         vec = {0: Fraction(1)}
         for _, g in tau:
             vec = target.cup_vector(vec, g)
-        integral = sum(c * target.poincare_pairing(nu, 0) for nu, c in vec.items())
+        integral = sum(c * target.eta[nu][0] for nu, c in vec.items())
         multinomial = factorial(n - 3)
         for a, _ in tau:
             multinomial //= factorial(a)

@@ -20,7 +20,7 @@ from math import factorial
 
 from .correlators import _normal_index, _valid_key, evaluate
 from .series import QSeries, Truncation, Variable, VarRegistry
-from .target import TargetModel, projective_space
+from .target import TargetModel, json_int, projective_space
 
 Entry = tuple[int, int]
 
@@ -134,7 +134,7 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
 
 def cp1_h_sequence(n_terms: int) -> list[Fraction]:
     """h_1..h_N of the P^1 closed form, from the quadratic recursion."""
-    if n_terms < 1:
+    if json_int(n_terms, "a term count") < 1:
         raise ValueError("need at least one term")
     hs = [Fraction(1)]
     for n in range(1, n_terms):
@@ -156,6 +156,8 @@ def _cp1_sum(
     arg: QSeries, s01: QSeries, q: QSeries, n_max: int, hs: list[Fraction]
 ) -> QSeries:
     """Sum over n = 1..n_max of q^n e^{n arg} s01^{2n-2} h_n / (2n-2)!."""
+    if len(hs) < n_max:
+        raise ValueError(f"need h_1..h_{n_max}, got {len(hs)} h-numbers")
     acc = QSeries.zero(q.registry, q.trunc)
     q_power = QSeries.one(q.registry, q.trunc)
     s01_sq = s01 * s01
@@ -187,6 +189,8 @@ def cp1_closed_form_series(
         (0, 1),
     ):
         raise ValueError("the closed form needs the five-variable P^1 spec")
+    if json_int(n_terms, "a term count") < 0:
+        raise ValueError(f"the term count must be non-negative, got {n_terms}")
     registry, trunc = spec.context()
 
     def var(kind, a, alpha):
@@ -216,16 +220,10 @@ def cp1_penult_residual(
     """
     if n_terms < 1:
         raise ValueError("need at least one q order")
-    registry = VarRegistry(
-        [
-            Variable("t", 0, 0, -2),
-            Variable("t", 0, 1, 0),
-            Variable("s", 0, 1, 2),
-            Variable("q", 0, 0, -4),
-        ]
-    )
     s01_cap = max(2 * n_terms - 1, 1)
-    trunc = Truncation((n_terms, n_terms, s01_cap, n_terms), None)
+    caps = (n_terms, n_terms, s01_cap)
+    spec = PotentialSpec(projective_space(1), ((0, 0), (0, 1)), ((0, 1),), caps, n_terms)
+    registry, trunc = spec.context()
 
     def var(kind, a, alpha):
         return QSeries.variable(registry, trunc, kind, a, alpha)

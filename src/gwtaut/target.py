@@ -25,12 +25,16 @@ Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
 eta^{-1}, the latter also grouped by the grading of their first index.
 ``cup_product``, ``cup_vector``, ``eta_inverse_pairs`` and
-``eta_inverse_pairs_by_grading`` read them.  It also keeps the classes
-whose kappa_{-1} is a number, c * d at curve degree d, with c the divisor
-pairing or 0 for a class of grading 0 (``kappa_minus_one_per_unit``).  A
-table entry is an ``int`` when it is integral (always, on P^r) and a
-``Fraction`` otherwise, so the correlator engine can keep integer
-coefficients as ``int``s.
+``eta_inverse_pairs_by_grading`` read them.  It also keeps the one table
+of per-unit pairings (``kappa_minus_one_per_unit``): the classes whose
+kappa_{-1} is a number, c * d at curve degree d, with c the divisor pairing
+or 0 for a class of grading 0.  Forgetting a point that carries e_alpha
+multiplies a genus-0 invariant by the same number, so the table has three
+readers: the kappa_{-1} step of ``correlators.evaluate``, the unit and
+divisor axioms of ``gw.pure_gw``, and ``divisor_class``.  A table entry is
+an ``int`` when it is integral (always, on P^r) and a ``Fraction``
+otherwise, so the correlator engine can keep integer coefficients as
+``int``s.
 """
 
 from __future__ import annotations
@@ -128,10 +132,9 @@ class TargetModel:
             raise ValueError("a seed may be given only once per classes and degree")
         object.__setattr__(self, "seeds", tuple(seeds))
         # derived data, kept outside the fields, hash and equality
-        inverse = _invert(self.eta)
         pairs = tuple(
             (s1, s2, _narrow(w))
-            for s1, row in enumerate(inverse)
+            for s1, row in enumerate(_invert(self.eta))
             for s2, w in enumerate(row)
             if w
         )
@@ -139,7 +142,6 @@ class TargetModel:
             tuple({nu: _narrow(c) for nu, c in enumerate(row) if c} for row in plane)
             for plane in self.cup
         )
-        object.__setattr__(self, "_eta_inverse", inverse)
         object.__setattr__(self, "_eta_inverse_pairs", pairs)
         by_grading: dict[int, list] = {}
         for pair in pairs:
@@ -150,7 +152,7 @@ class TargetModel:
             {grading: tuple(group) for grading, group in by_grading.items()},
         )
         per_unit = {alpha: 0 for alpha, g in enumerate(self.gradings) if g == 0}
-        per_unit.update((alpha, _narrow(c)) for alpha, c in self.divisor_pairings)
+        per_unit.update((alpha, _narrow(c)) for alpha, c in sorted(self.divisor_pairings))
         object.__setattr__(self, "_kappa_minus_one_per_unit", per_unit)
         object.__setattr__(self, "_cup_table", cup_table)
         self._check_frobenius_axioms()
@@ -221,12 +223,6 @@ class TargetModel:
                 out[nu] = out.get(nu, 0) + c * d
         return {nu: c for nu, c in out.items() if c}
 
-    def poincare_pairing(self, alpha: int, beta: int) -> Fraction:
-        return self.eta[alpha][beta]
-
-    def inverse_pairing(self, sigma1: int, sigma2: int) -> Fraction:
-        return self._eta_inverse[sigma1][sigma2]
-
     def eta_inverse_pairs(self) -> tuple[tuple[int, int, Rational], ...]:
         """Nonzero entries (sigma1, sigma2, eta^{sigma1 sigma2}), built once;
         each weight is an ``int`` when integral, else a ``Fraction``."""
@@ -242,7 +238,9 @@ class TargetModel:
     def kappa_minus_one_per_unit(self) -> dict[int, Rational]:
         """{alpha: c} with kappa_{-1}(e_alpha) = c * d on degree-d maps: the
         per-unit pairing of each paired divisor (the divisor axiom) and 0 for
-        each class of grading 0; built once, and read-only by contract."""
+        each class of grading 0 (the unit axiom), the paired divisors in basis
+        order; built once, and read-only by contract.  Read by ``evaluate``'s
+        kappa_{-1} step, ``pure_gw``'s axiom loop and ``divisor_class``."""
         return self._kappa_minus_one_per_unit
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
@@ -270,24 +268,12 @@ class TargetModel:
             self.dim_complex + n - 3 + d * self.c1_degree
         )
 
-    def integral_over_beta(self, alpha: int, d: int) -> Fraction:
-        """Pairing of a divisor class with the degree-d curve class."""
-        check_degree(d)
-        if self.gradings[alpha] != 2:
-            raise ValueError(
-                f"integral_over_beta needs a degree-2 class, |e_{alpha}| = "
-                f"{self.gradings[alpha]}"
-            )
-        for idx, per_unit in self.divisor_pairings:
-            if idx == alpha:
-                return per_unit * d
-        raise ValueError(f"no divisor pairing configured for e_{alpha}")
-
-    def divisor_class(self, d: int) -> tuple[int, Fraction]:
-        """Least degree-2 basis class pairing nontrivially with degree d > 0."""
-        for idx, per_unit in sorted(self.divisor_pairings):
-            if per_unit * d != 0:
-                return idx, per_unit * d
+    def divisor_class(self, d: int) -> tuple[int, Rational]:
+        """The least class whose per-unit pairing c is nonzero, with c * d;
+        read from ``kappa_minus_one_per_unit`` at a degree d > 0."""
+        for alpha, c in self._kappa_minus_one_per_unit.items():
+            if c * d:
+                return alpha, c * d
         raise ValueError(
             f"target {self.name!r} has no divisor class with nonzero pairing "
             f"against degree {d}"

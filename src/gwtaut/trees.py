@@ -154,33 +154,11 @@ class DecoratedTree:
 
     # -- identity is isomorphism ------------------------------------------------
 
-    @property
-    def canonical_key(self):
-        return self._ckey
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DecoratedTree) and self._ckey == other._ckey
 
     def __hash__(self) -> int:
         return hash(self._ckey)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                {
-                    "beta": self.betas[v],
-                    "decor": [
-                        [tok.kind, list(tok.data), tok.degree]
-                        for tok in self.decorations_at(v)
-                    ],
-                }
-                for v in range(self.n_vertices)
-            ],
-            "edges": [list(e) for e in self.edges],
-            "tails": [{"label": lab, "vertex": v} for lab, v in self.tails],
-        }
 
 
 def _vertex_color(t: DecoratedTree, v: int):
@@ -337,6 +315,8 @@ def enumerate_two_vertex_divisors(
     pin_second: Iterable[int] = (),
 ) -> list[DecoratedTree]:
     """All stable one-edge boundary strata, one tree per isomorphism class."""
+    if json_int(n, "a point count") < 0:
+        raise ValueError(f"point count must be non-negative, got {n}")
     check_degree(d)
     seen: dict[DecoratedTree, None] = {}
     for first, second, b1, b2 in _two_vertex_splits(n, d, pin_first, pin_second):

@@ -125,10 +125,10 @@ def random_admissible_key(
         while gap > 0 and key.n < MAX_POINTS + 3:
             key = CorrelatorKey(target, key.m.add(0, 0), key.p, key.d)
             gap = _degree_gap(key)
-        while gap < 0 and key.m.entries:
+        while gap < 0 and key.m:
             a, alpha = max(key.m.expand())
             step = (((a, alpha), -1), ((a + 1, alpha), 1))
-            key = CorrelatorKey(target, MultiIndex(key.m.entries + step), key.p, key.d)
+            key = CorrelatorKey(target, MultiIndex(key.m + step), key.p, key.d)
             gap = _degree_gap(key)
         if gap != 0 or not selection(key):
             continue
@@ -137,7 +137,7 @@ def random_admissible_key(
         if need == "kappa_pos" and (key.p.max_level < 1 or key.m.norm < 2):
             continue
         if need == "kappa_zero" and (
-            not any(a == 0 for (a, _), _ in key.p.entries) or key.m.norm < 2
+            not any(a == 0 for (a, _), _ in key.p) or key.m.norm < 2
         ):
             continue
         if need == "pd":
@@ -153,11 +153,11 @@ def random_admissible_key(
 def _format_key(key: CorrelatorKey) -> str:
     taus = " ".join(
         f"tau_{a}^{alpha}" + (f"*{m}" if m > 1 else "")
-        for (a, alpha), m in key.m.entries
+        for (a, alpha), m in key.m
     )
     kappas = " ".join(
         f"kappa_{a},{alpha}" + (f"*{m}" if m > 1 else "")
-        for (a, alpha), m in key.p.entries
+        for (a, alpha), m in key.p
     )
     inner = " ".join(x for x in (taus, kappas) if x)
     return f"<{inner}>_{key.d}" if inner else f"<>_{key.d}"

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -29,6 +29,7 @@ from gwtaut.correlators import (
     _comparison_backwards,
     _divisor_backwards,
     _index_degree,
+    _split_table,
     _valid_key,
 )
 from gwtaut.gw import pure_gw
@@ -49,11 +50,11 @@ def test_multi_index_bookkeeping():
     assert m.factorial() == 2
     p = MultiIndex.from_list([(-1, 1, 2), (0, 1, 1)])
     assert p.size == 3 and p.norm == 1 and p.weight == 0
-    assert p.nonneg_part().entries == (((0, 1), 1),)
-    assert p.neg_part().entries == (((-1, 1), 2),)
-    assert len(list(m.splits())) == 6  # (2+1)*(1+1)
-    assert sorted(b for _, _, b in m.splits()) == [1, 1, 1, 1, 2, 2]
-    assert all(type(b) is int for _, _, b in m.splits())
+    assert p.nonneg_part() == (((0, 1), 1),)
+    assert p.neg_part() == (((-1, 1), 2),)
+    assert len(_split_table(m)) == 6  # (2+1)*(1+1)
+    assert sorted(b for _, _, b, _ in _split_table(m)) == [1, 1, 1, 1, 2, 2]
+    assert all(type(b) is int for _, _, b, _ in _split_table(m))
 
 
 def test_multi_index_validation():
@@ -69,9 +70,9 @@ def test_multi_index_validation():
 
 def test_multi_index_constructor_normalizes():
     m = MultiIndex((((1, 0), 1), ((0, 1), 2), ((1, 0), 2), ((0, 0), 0)))
-    assert m.entries == (((0, 1), 2), ((1, 0), 3))
+    assert m == (((0, 1), 2), ((1, 0), 3))
     # entries are a signed sum: a negative entry cancels a positive one
-    assert MultiIndex(m.entries + (((1, 0), -3),)).entries == (((0, 1), 2),)
+    assert MultiIndex(m + (((1, 0), -3),)) == (((0, 1), 2),)
     assert m == MultiIndex.from_list([(0, 1, 1), (1, 0, 3), (0, 1, 1)])
     with pytest.raises(ValueError, match="negative multiplicity"):
         MultiIndex((((0, 1), 1), ((0, 1), -2)))
@@ -121,7 +122,7 @@ def test_comparison_single_term():
     assert len(terms) == 1
     (keys, coeff) = terms[0]
     assert coeff == 1
-    assert keys[0].p.entries == (((0, 0), 1),)
+    assert keys[0].p == (((0, 0), 1),)
     assert evaluate_combination(terms) == 0  # kappa_{0,0} gives n - 2 = 0
     assert evaluate(key) == 0
 
@@ -131,7 +132,7 @@ def test_comparison_cup_kills_terms():
     terms = apply_puncture_dilaton(key, (0, 1))
     # the split putting kappa_{0,1} upstairs needs e1 . e1 = 0 on P1
     assert all(
-        min(a for (a, _), _ in k.p.entries) == -1
+        min(a for (a, _), _ in k.p) == -1
         for keys, _ in terms
         for k in keys
     )
@@ -252,10 +253,10 @@ def test_moves_build_keys_in_normal_form():
         for k in emitted:
             # rebuilt through the validating, normalizing constructors
             twin = CorrelatorKey(
-                k.target, MultiIndex(k.m.entries), MultiIndex(k.p.entries), k.d
+                k.target, MultiIndex(tuple(k.m)), MultiIndex(tuple(k.p)), k.d
             )
-            assert k.m.entries == twin.m.entries
-            assert k.p.entries == twin.p.entries
+            assert tuple(k.m) == tuple(twin.m)
+            assert tuple(k.p) == tuple(twin.p)
             assert k == twin and hash(k) == hash(twin)
         checked += len(emitted)
     assert checked >= 2000 and cup_corrections >= 20 and backwards >= 40
@@ -408,7 +409,7 @@ def test_engine_matches_oracle_on_sampled_keys():
     # not vacuous: the pool runs all five branches of evaluate, and 20 keys
     # carry kappa_{-1}
     assert sum(evaluate(k) != 0 for k in keys) >= 30
-    assert sum(k.p.entries[0][0][0] == -1 for k in keys if k.p.entries) >= 15
+    assert sum(k.p[0][0][0] == -1 for k in keys if k.p) >= 15
 
 
 def test_nonzero_results_pass_selection():
@@ -772,6 +773,16 @@ def test_kappa_minus_one_of_the_divisor_is_its_pairing(index):
             assert evaluate(key) == (c * base.d) ** k * value == oracle(key), (key, k)
         nonzero += value != 0
     assert nonzero >= 2
+    # pure_gw's axiom loop reads the same per-unit table: forgetting a point
+    # gives <tau_0(e_0) X>_d = 0 and <tau_0(D) X>_d = c d <X>_d
+    nonzero = 0
+    for n, d in product(range(5), (1, 2)):
+        for classes in combinations_with_replacement(range(target.rank), n):
+            value = pure_gw(target, classes, d)
+            assert pure_gw(target, classes + (0,), d) == 0, (classes, d)
+            assert pure_gw(target, classes + (1,), d) == c * d * value, (classes, d)
+            nonzero += value != 0
+    assert nonzero >= 3
 
 
 @pytest.mark.parametrize("index", range(5), ids=DIVISOR_TARGET_IDS)
@@ -843,6 +854,31 @@ def test_kappa_minus_one_of_an_unpaired_divisor_takes_the_lift(monkeypatch):
     assert len(lifted) == count
 
 
+def two_points() -> TargetModel:
+    """Two points: the unit e_0 and the class e_1 of one point, both of
+    grading 0, with no divisor."""
+    return TargetModel(
+        name="two points",
+        gradings=(0, 0),
+        eta=((2, 1), (1, 1)),
+        cup=(((1, 0), (0, 1)), ((0, 1), (0, 1))),
+        c1_degree=0,
+    )
+
+
+def test_a_grading_0_class_is_forgotten_to_0_in_positive_degree():
+    target = two_points()
+    assert target.kappa_minus_one_per_unit() == {0: 0, 1: 0}
+    assert pure_gw(target, (1, 1, 1), 0) == 1  # int_V e_1^3
+    # e_1 is pulled back along the forgetful map, as e_0 is, so a
+    # positive-degree key that carries it is 0; this ring has no seed and no
+    # WDVV step, so no other route could give it
+    for d in (1, 2):
+        assert pure_gw(target, (1, 1, 1), d) == 0
+        assert evaluate(make_key(target, tau=[(0, 1, 3)], d=d)) == 0
+        assert evaluate(make_key(target, tau=[(0, 1, 2)], kappa=[(-1, 1, 1)], d=d)) == 0
+
+
 @pytest.mark.parametrize(
     "key",
     [
@@ -908,14 +944,14 @@ def test_move_keys_equal_public_keys():
     for k in built:
         twin = make_key(
             k.target,
-            tau=[(a, alpha, m) for (a, alpha), m in k.m.entries],
-            kappa=[(a, alpha, m) for (a, alpha), m in k.p.entries],
+            tau=[(a, alpha, m) for (a, alpha), m in k.m],
+            kappa=[(a, alpha, m) for (a, alpha), m in k.p],
             d=k.d,
         )
         assert (type(k), type(k.m), type(k.p)) == (CorrelatorKey, MultiIndex, MultiIndex)
         assert k == twin and hash(k) == hash(twin)
     # a key is the tuple of its fields, and an empty multi-index is falsy
-    assert key == (P2, key.m, key.p, 2) and tuple(key.m) == key.m.entries
+    assert key == (P2, key.m, key.p, 2) and tuple(key.m) == key.m
     assert not MultiIndex() and MultiIndex() == () and key.p.max_level == -1
     assert "MultiIndex(entries=(((-1, 1), 1),))" in repr(key)
 
@@ -924,7 +960,7 @@ def test_keys_pickle_and_deepcopy():
     key = make_key(P3, tau=[(1, 3, 1), (0, 2, 2)], kappa=[(0, 1, 1), (-1, 2, 2)], d=1)
     for clone in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), copy.copy(key)):
         assert type(clone) is CorrelatorKey and clone == key and hash(clone) == hash(key)
-        assert type(clone.m) is MultiIndex and clone.p.entries == key.p.entries
+        assert type(clone.m) is MultiIndex and tuple(clone.p) == tuple(key.p)
         assert evaluate(clone) == evaluate(key)
     for idx in (key.m, key.p, MultiIndex()):
         for clone in (pickle.loads(pickle.dumps(idx)), copy.deepcopy(idx)):
@@ -979,9 +1015,9 @@ def _scanned_split(key, m0, p0, left_tau, left_kappa, right_tau):
         for side in (left_tau, left_kappa, right_tau)
     )
     terms = []
-    for m1, m2, mbin in m0.splits():
+    for m1, m2, mbin, _ in _split_table(m0):
         left, right = m1.merge(left_m), m2.merge(right_m)
-        for p1, p2, pbin in p0.splits():
+        for p1, p2, pbin, _ in _split_table(p0):
             p1 = p1.merge(left_p)
             deg1 = _index_degree(g, left) + _index_degree(g, p1)
             deg2 = _index_degree(g, right) + _index_degree(g, p2)

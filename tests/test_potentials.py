@@ -187,6 +187,21 @@ def test_penult_residual():
     assert not cp1_penult_residual(4, hs=hs).is_zero()
 
 
+CP1_BAD_COUNTS = {  # counts are ints of a valid size, and hs reaches h_{n_max}
+    "bool-h-count": lambda: cp1_h_sequence(True),
+    "negative-terms": lambda: cp1_closed_form_series(-1, cp1_spec(2, 3, 3)),
+    "bool-terms": lambda: cp1_closed_form_series(True, cp1_spec(2, 3, 3)),
+    "short-hs": lambda: cp1_closed_form_series(3, cp1_spec(3, 3, 3), hs=[Fraction(1)]),
+    "short-hs-penult": lambda: cp1_penult_residual(3, hs=[Fraction(1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CP1_BAD_COUNTS))
+def test_cp1_helpers_reject_bad_counts(case):
+    with pytest.raises(ValueError):
+        CP1_BAD_COUNTS[case]()
+
+
 def test_homogeneity_cp1():
     spec = cp1_spec(q_cap=2, var_cap=4, total_cap=4)
     assert build_H_series(spec).gradings() == {-4}

@@ -25,11 +25,10 @@ def test_unit_acts_trivially():
 
 def test_pairing_values():
     p1 = projective_space(1)
-    assert p1.poincare_pairing(0, 1) == 1
-    assert p1.poincare_pairing(0, 0) == 0
+    assert p1.eta[0][1] == 1
+    assert p1.eta[0][0] == 0
     p2 = projective_space(2)
-    assert p2.inverse_pairing(1, 1) == 1
-    assert p2.inverse_pairing(0, 1) == 0
+    assert p2.eta_inverse_pairs() == ((0, 2, 1), (1, 1, 1), (2, 0, 1))
 
 
 def test_moduli_dimension():
@@ -54,13 +53,13 @@ def test_moduli_dimension_universal_curve():
             assert p3.moduli_dimension(n + 1, d) == p3.moduli_dimension(n, d) + 1
 
 
-def test_integral_over_beta():
-    assert projective_space(1).integral_over_beta(1, 3) == 3
-    assert projective_space(2).integral_over_beta(1, 2) == 2
-    with pytest.raises(ValueError):
-        projective_space(2).integral_over_beta(0, 2)
-    with pytest.raises(ValueError):
-        projective_space(2).integral_over_beta(2, 2)
+def test_per_unit_pairing_table():
+    assert projective_space(1).divisor_class(3) == (1, 3)
+    assert projective_space(2).divisor_class(2) == (1, 2)
+    # e_0 is the unit (0 per unit); e_2 of P^2 is no divisor, so it is not listed
+    assert projective_space(2).kappa_minus_one_per_unit() == {0: 0, 1: 1}
+    with pytest.raises(ValueError, match="no divisor class"):
+        projective_space(2).divisor_class(0)
 
 
 def test_cup_associativity_exhaustive():

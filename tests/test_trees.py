@@ -61,6 +61,12 @@ def test_enumerate_unpointed_degree_two():
     assert aut_order(trees[0]) == 2
 
 
+@pytest.mark.parametrize("n", [-1, True])
+def test_enumerate_rejects_a_bad_point_count(n):
+    with pytest.raises(ValueError, match="point count"):
+        enumerate_two_vertex_divisors(n, 1)
+
+
 def test_all_enumerated_trees_stable():
     for n, d in ((0, 2), (3, 2), (4, 1), (5, 0)):
         for t in enumerate_two_vertex_divisors(n, d):
@@ -179,14 +185,6 @@ def test_pull_then_push_coefficients_are_reciprocal():
             assert up * down == 1
             total += up * down
         assert total == t.n_vertices
-
-
-def test_tree_json_shape():
-    t = two_vertex_tree((1, 2), (3,), 1, 1)
-    data = t.to_json_dict()
-    assert data["edges"] == [[0, 1]]
-    assert {d["label"] for d in data["tails"]} == {1, 2, 3}
-    assert [v["beta"] for v in data["vertices"]] == [1, 1]
 
 
 def test_psi_presentation_counts():
