@@ -34,16 +34,17 @@ in the public constructors: ``MultiIndex(...)`` normalizes and
 check nothing: the ``MultiIndex`` operations keep the normal form, each
 move shifts levels only within their ranges (tau >= 0, kappa >= -1), and
 ``evaluate_tree_sum`` checks the ambient insertions once per sum and
-``_decorated_tree_terms`` what each tree adds to them.  The selection rule
-is ``TargetModel.balanced``.
+``_tree_layout`` what each tree adds to them, once per (target, tree).  The
+selection rule is ``TargetModel.balanced``.
 
-Besides ``evaluate``'s memo, three private ``functools.cache`` memos hold
-what the moves read per multi-index, each keyed only by what it depends
-on: ``_split_table`` per ``MultiIndex`` (the rows (sub, complement,
+Besides ``evaluate``'s memo, four private ``functools.cache`` memos hold
+what the moves and the tree integrals read, each keyed only by what it
+depends on: ``_split_table`` per ``MultiIndex`` (the rows (sub, complement,
 binomial, sub's size)), ``_index_degree`` per (gradings, index) (the
-integrand degree), and ``_comparison_table`` per (target, kappa index) (the
-comparison relation's split rows with their cup vectors).  ``clear_caches()``
-empties them with the others.
+integrand degree), ``_comparison_table`` per (target, kappa index) (the
+comparison relation's split rows with their cup vectors), and
+``_tree_layout`` per (target, tree) (the checked tree's tails, vertices and
+leaf-to-root edges).  ``clear_caches()`` empties them with the others.
 
 Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
 only through the divisor equation's 1/pairing or non-integral custom-target
@@ -654,27 +655,6 @@ def evaluate(key: CorrelatorKey) -> Fraction:
 # the benchmark's cross-check route calls this name
 evaluate_kappa_first = evaluate
 
-# bound at import, so clearing still works if the module names are rebound
-_CACHE_CLEARS = (
-    evaluate.cache_clear,
-    _split_table.cache_clear,
-    _index_degree.cache_clear,
-    _comparison_table.cache_clear,
-    _pure_gw.cache_clear,
-    _psi_presentation.cache_clear,
-    _kappa_presentation.cache_clear,
-)
-
-
-def clear_caches():
-    """Empty the memos of ``evaluate``, ``pure_gw`` and the boundary
-    presentations, and the split table (per ``MultiIndex``), the index
-    degree (per gradings and index) and the comparison table (per target
-    and kappa index)."""
-    for cache_clear in _CACHE_CLEARS:
-        cache_clear()
-
-
 # -- pairing boundary presentations with insertions -----------------------------------
 
 
@@ -694,8 +674,9 @@ def evaluate_tree_sum(
     Edges contribute the inverse Poincare pairing with level-0 insertions
     on both sides; vertex tokens contribute kappa insertions, psi powers
     at their tail, or cup products with the tail's class.  Each tree's
-    contribution carries its 1/|Aut| normalization.  Vertex balance is
-    checked on ints before any vertex key is built, so a term with an
+    contribution carries its 1/|Aut| normalization.  Its tokens are checked
+    once per (target, tree), with its layout (``_tree_layout``), and its
+    node classes are solved leaf to root on ints, so a term with an
     unbalanced vertex builds no key and leaves no entry in the memo.
     """
     n = tree_sum.n
@@ -717,33 +698,20 @@ def _tree_sum_terms(target: TargetModel, tree_sum: TreeSum, ambient: dict[int, E
             yield scale_num * num, scale_den * den
 
 
-def _decorated_tree_terms(
-    target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
-):
-    """Each nonzero term of one tree's integral as int (numerator, denominator).
-
-    The tree's tail labels and tokens are checked once, before the pick
-    loops: each psi or ev token must sit at one of its tails, a psi power
-    must be an int >= 0 and an ev class an int basis index (``bool``
-    excluded), so the tail entries they derive from the (already checked)
-    ambient insertions are valid; and the kappa tokens must be valid kappa
-    entries.  Each vertex's integrand degree (tau entries plus kappa
-    classes) is summed once per tail pick; an edge pick adds its node
-    classes' gradings and is skipped unless every vertex passes
-    ``TargetModel.balanced``, the int check ``evaluate`` makes first.  Only
-    then are the vertex keys built, unchecked, one at a time, and a product
-    stops at its first zero factor."""
-    if set(ambient) != set(tree.labels):
-        raise ValueError(
-            f"ambient labels {sorted(ambient)} differ from the tail labels "
-            f"{sorted(tree.labels)}"
-        )
-    # per-tail tau entries, shifted by psi tokens, cupped by ev tokens
-    tail_choices: dict[int, list[tuple[Entry, Rational]]] = {}
-    for label in tree.labels:
-        a, alpha = ambient[label]
-        tail_choices[label] = [((a, alpha), 1)]
-    kappa_at: dict[int, list[Entry]] = {v: [] for v in range(tree.n_vertices)}
+@cache
+def _tree_layout(target: TargetModel, tree: DecoratedTree):
+    """What one tree's integral reads, built once per (target, tree) after
+    every tree check: each psi or ev token must sit at a tail, a psi power
+    be an int >= 0 and an ev class an int basis index (``bool`` excluded),
+    and each kappa token be a valid kappa entry.  Returns, read-only: each
+    tail label's [vertex, summed psi power, ev classes]; each vertex's
+    (curve degree, kappa index, its integrand degree); each vertex's
+    balanced degree 2(dim + valence - 3 + beta c1); and the edges as (child,
+    parent) from the leaves to vertex 0.  Keying trees up to isomorphism is
+    sound: renumbering the vertices leaves the integral as it is, and
+    eta^{-1} is symmetric."""
+    tails = {label: [v, 0, []] for label, v in tree.tails}
+    kappa_at: list[list[Entry]] = [[] for _ in tree.betas]
     for v, tok in tree.decorations:
         if tok.kind == "kappa":
             kappa_at[v].append(tok.data)
@@ -751,63 +719,113 @@ def _decorated_tree_terms(
         if tok.kind not in ("psi", "ev"):
             raise ValueError(f"cannot integrate token kind {tok.kind!r}")
         label, value = tok.data
-        if label not in tail_choices:
+        if label not in tails:
             raise ValueError(f"{tok.kind} token at tail {label!r}, which the tree lacks")
         if tok.kind == "psi":
             if type(value) is not int or value < 0:
                 raise ValueError(f"psi token power {value!r} must be an int >= 0")
-            tail_choices[label] = [
-                ((a + value, alpha), c) for (a, alpha), c in tail_choices[label]
-            ]
+            tails[label][1] += value
         else:
             if type(value) is not int or not 0 <= value < target.rank:
                 raise ValueError(f"ev token class {value!r} is not a basis index")
-            expanded = []
-            for (a, alpha), c in tail_choices[label]:
-                for nu, c_nu in target.cup_product(alpha, value).items():
-                    expanded.append(((a, nu), c * c_nu))
-            tail_choices[label] = expanded
-    for entries in kappa_at.values():
+            tails[label][2].append(value)
+    vertices = []
+    for beta, entries in zip(tree.betas, kappa_at):
         _check_entries(target, entries, -1, "kappa")
-    kappa_index = [_index_of(kappa_at[v]) for v in range(tree.n_vertices)]
+        idx = _index_of(entries)
+        vertices.append((beta, idx, _index_degree(target.gradings, idx)))
+    balanced = tuple(
+        2 * target.moduli_dimension(tree.valence(v), beta) for v, beta in enumerate(tree.betas)
+    )
+    parent, order = {0: None}, [0]
+    for u in order:  # breadth first from vertex 0, so reversed it runs leaf to root
+        for w in tree.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    edges = tuple((v, parent[v]) for v in reversed(order[1:]))
+    return tails, tuple(vertices), balanced, edges
 
-    gradings = target.gradings
-    vertices = range(tree.n_vertices)
-    kappa_deg = [_index_degree(gradings, idx) for idx in kappa_index]
-    shape = [(tree.valence(v), tree.betas[v]) for v in vertices]
-    labels = list(tree.labels)
-    vertex_of = dict(tree.tails)
-    edge_pairs = target.eta_inverse_pairs()
-    for tail_pick in product(*(tail_choices[lab] for lab in labels)):
+
+def _decorated_tree_terms(
+    target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
+):
+    """Each nonzero term of one tree's integral as int (numerator, denominator).
+
+    The tree is checked once per (target, tree), by ``_tree_layout``, and
+    only the ambient labels per call.  For each tail pick the node classes
+    are solved from the leaves to vertex 0, as in ``_boundary_split``: a
+    child vertex balances only for a node class of grading (its balanced
+    degree) - (its degree so far), which gives its parent's class the
+    grading 2 dim minus that (the pairing is graded).  So only those eta^{-1}
+    pairs are read, and vertex 0 is checked last.  The vertex keys are then
+    built unchecked, one at a time, and a product stops at its first zero
+    factor."""
+    tails, vertices, balanced, edges = _tree_layout(target, tree)
+    if ambient.keys() != tails.keys():
+        raise ValueError(
+            f"ambient labels {sorted(ambient)} differ from the tail labels {sorted(tails)}"
+        )
+    gradings, top = target.gradings, 2 * target.dim_complex
+    pairs_of_grading = target.eta_inverse_pairs_by_grading()
+    # per tail: (vertex, level, class, coefficient), shifted by psi, cupped by ev
+    tail_choices = []
+    for label, (v, power, evs) in tails.items():
+        a, alpha = ambient[label]
+        vec = {alpha: 1}
+        for beta in evs:
+            vec = target.cup_vector(vec, beta)
+        tail_choices.append([(v, a + power, nu, c) for nu, c in vec.items()])
+    for tail_pick in product(*tail_choices):
         tail_coeff = 1
-        tau_at: dict[int, list[Entry]] = {v: [] for v in vertices}
-        tail_deg = list(kappa_deg)
-        for lab, ((a, alpha), c) in zip(labels, tail_pick):
+        tau_at: list[list[Entry]] = [[] for _ in vertices]
+        deg = [kappa_deg for _, _, kappa_deg in vertices]
+        for v, a, alpha, c in tail_pick:
             tail_coeff *= c
-            v = vertex_of[lab]
             tau_at[v].append((a, alpha))
-            tail_deg[v] += 2 * a + gradings[alpha]
-        if tail_coeff == 0:
+            deg[v] += 2 * a + gradings[alpha]
+        node_pairs = []
+        for child, parent in edges:
+            grading = balanced[child] - deg[child]
+            deg[parent] += top - grading
+            node_pairs.append(pairs_of_grading.get(grading, ()))
+        if deg[0] != balanced[0]:
             continue
-        for edge_pick in product(edge_pairs, repeat=len(tree.edges)):
+        for node_pick in product(*node_pairs):
             coeff = tail_coeff
-            deg = list(tail_deg)
-            extra: dict[int, list[Entry]] = {v: [] for v in vertices}
-            for (u, v), (s1, s2, w) in zip(tree.edges, edge_pick):
+            at = [list(entries) for entries in tau_at]
+            for (child, parent), (s1, s2, w) in zip(edges, node_pick):
                 coeff *= w
-                deg[u] += gradings[s1]
-                deg[v] += gradings[s2]
-                extra[u].append((0, s1))
-                extra[v].append((0, s2))
-            if not all(target.balanced(deg[v], *shape[v]) for v in vertices):
-                continue
+                at[child].append((0, s1))
+                at[parent].append((0, s2))
             num, den = coeff.numerator, coeff.denominator
-            for v in vertices:
-                m = _index_of(tau_at[v] + extra[v])
-                value = evaluate(_valid_key(target, m, kappa_index[v], tree.betas[v]))
+            for (beta, kappa, _), entries in zip(vertices, at):
+                value = evaluate(_valid_key(target, _index_of(entries), kappa, beta))
                 if not value:
                     break
                 num *= value.numerator
                 den *= value.denominator
             else:
                 yield num, den
+
+
+# bound at import, so clearing still works if the module names are rebound
+_CACHE_CLEARS = (
+    evaluate.cache_clear,
+    _split_table.cache_clear,
+    _index_degree.cache_clear,
+    _comparison_table.cache_clear,
+    _tree_layout.cache_clear,
+    _pure_gw.cache_clear,
+    _psi_presentation.cache_clear,
+    _kappa_presentation.cache_clear,
+)
+
+
+def clear_caches():
+    """Empty the memos of ``evaluate``, ``pure_gw`` and the boundary
+    presentations, and the split table (per ``MultiIndex``), the index
+    degree (per gradings and index), the comparison table (per target and
+    kappa index) and the tree layout (per target and tree)."""
+    for cache_clear in _CACHE_CLEARS:
+        cache_clear()

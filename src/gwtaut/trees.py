@@ -162,9 +162,10 @@ class DecoratedTree:
 
 
 def _vertex_color(t: DecoratedTree, v: int):
+    # the data's repr too, so a token on True or 1.0 differs from one on 1
     decor = tuple(
         sorted(
-            (tok.kind, tok.data, tok.degree, tok.pushable)
+            (tok.kind, tok.data, repr(tok.data), tok.degree, tok.pushable)
             for tok in t.decorations_at(v)
         )
     )
@@ -276,6 +277,8 @@ def _two_vertex_splits(
     for lab in (*pin_first, *pin_second):
         if lab not in labels:
             raise ValueError(f"pinned tail {lab} outside 1..{n}")
+        if lab in pin_first and lab in pin_second:
+            raise ValueError(f"tail {lab} pinned to both vertices")
     free = [lab for lab in labels if lab not in pin_first + pin_second]
     for extra in _subsets(free):
         second = tuple(sorted(pin_second + extra))

@@ -604,6 +604,140 @@ def test_tree_integral_rejects_a_token_at_a_missing_tail(kind, value):
         evaluate_tree_sum(P2, tree, {1: (0, 1), 2: (0, 2), 3: (0, 1)})
 
 
+def brute_force_tree_integral(target, tree, ambient) -> Fraction:
+    """One tree's integral over every eta^{-1} pair on every edge and every
+    cup term at every tail, each vertex key checked and evaluated, no
+    balance solved for or pruned."""
+    choices = {label: [(v, *ambient[label], 1)] for label, v in tree.tails}
+    kappa = [[] for _ in tree.betas]
+    for v, tok in tree.decorations:
+        if tok.kind == "kappa":
+            kappa[v].append((*tok.data, 1))
+        elif tok.kind == "psi":
+            label, power = tok.data
+            choices[label] = [(w, a + power, al, c) for w, a, al, c in choices[label]]
+        else:
+            label, beta = tok.data
+            choices[label] = [
+                (w, a, nu, c * c_nu)
+                for w, a, al, c in choices[label]
+                for nu, c_nu in target.cup_product(al, beta).items()
+            ]
+    total = Fraction(0)
+    for tail_pick in product(*choices.values()):
+        for edge_pick in product(target.eta_inverse_pairs(), repeat=len(tree.edges)):
+            tau, coeff = [[] for _ in tree.betas], Fraction(1)
+            for v, a, alpha, c in tail_pick:
+                tau[v].append((a, alpha, 1))
+                coeff *= c
+            for (u, v), (s1, s2, w) in zip(tree.edges, edge_pick):
+                tau[u].append((0, s1, 1))
+                tau[v].append((0, s2, 1))
+                coeff *= w
+            for v, beta in enumerate(tree.betas):
+                coeff *= evaluate(make_key(target, tau[v], kappa[v], beta))
+            total += coeff
+    return total / trees.aut_order(tree)
+
+
+def relabel(t: trees.DecoratedTree, perm) -> trees.DecoratedTree:
+    """The same tree with vertex v renamed perm[v]."""
+    betas = [0] * t.n_vertices
+    for v, b in enumerate(t.betas):
+        betas[perm[v]] = b
+    return trees.DecoratedTree(
+        betas=tuple(betas),
+        edges=tuple((perm[u], perm[v]) for u, v in t.edges),
+        tails=tuple((lab, perm[v]) for lab, v in t.tails),
+        decorations=tuple((perm[v], tok) for v, tok in t.decorations),
+    )
+
+
+def token_tree(betas, edges, tail_vertices, kappa, psi, ev) -> trees.DecoratedTree:
+    """Tail i at vertex tail_vertices[i - 1]; kappa = (vertex, a, alpha),
+    psi = (tail, power) and ev = (tail, class), each token at its vertex."""
+    v, *data = kappa
+    decorations = [(v, trees.Decoration("kappa", tuple(data), 2))]
+    for kind, (label, value) in (("psi", psi), ("ev", ev)):
+        token = trees.Decoration(kind, (label, value), 2)
+        decorations.append((tail_vertices[label - 1], token))
+    tails = tuple(enumerate(tail_vertices, 1))
+    return trees.DecoratedTree(tuple(betas), edges, tails, tuple(decorations))
+
+
+CHAIN, MIDDLE = ((0, 1), (1, 2)), ((0, 1), (0, 2))  # vertex 0 a leaf, then not
+STAR, LEAF_STAR = ((0, 1), (0, 2), (0, 3)), ((3, 0), (3, 1), (3, 2))
+
+# (target, betas, edges, tail vertices, kappa, psi, ev, level-0 classes, value)
+MULTI_EDGE_CASES = [
+    ("P1", (1, 2, 1), CHAIN, (1, 2, 1), (1, 1, 1), (1, 2), (2, 1), (1, 0, 1), 4),
+    ("P1", (0, 1, 1), MIDDLE, (2, 1, 0), (0, 0, 0), (1, 1), (2, 1), (1, 0, 0), 1),
+    ("P1", (0, 1, 1, 1), STAR, (3, 3, 2), (1, 0, 0), (1, 2), (2, 1), (0, 0, 1), 1),
+    ("P1", (1, 1, 1, 0), LEAF_STAR, (2, 2, 1), (1, 1, 0), (1, 2), (2, 1), (0, 0, 0), 1),
+    ("P2", (1, 0, 1), CHAIN, (1, 0, 1), (2, -1, 2), (1, 1), (2, 1), (2, 1, 0), 1),
+    ("P2", (0, 1, 1), MIDDLE, (2, 0, 1), (2, -1, 2), (1, 1), (2, 2), (0, 0, 2), -1),
+    ("P2", (0, 1, 1, 1), STAR, (3, 1, 1), (2, -1, 2), (1, 2), (2, 2), (2, 0, 1), 1),
+    ("P2", (1, 1, 1, 0), LEAF_STAR, (0, 1), (2, 1, 1), (1, 2), (2, 2), (1, 0), 4),
+    ("c-2", (1, 1, 1), CHAIN, (0, 2, 0, 0), (2, 1, 1), (1, 2), (2, 1), (2, 1, 0, 2), -128),
+    ("c-2", (0, 1, 1, 1), STAR, (2, 1), (3, 0, 2), (1, 1), (2, 1), (2, 1), 64),
+]
+
+
+@pytest.mark.parametrize(
+    "name, betas, edges, tail_vertices, kappa, psi, ev, classes, value", MULTI_EDGE_CASES
+)
+def test_multi_edge_tree_integral_is_the_brute_force_sum(
+    name, betas, edges, tail_vertices, kappa, psi, ev, classes, value
+):
+    # eta^{-1} weighs 1/4 on the rescaled P^2, so a wrong node weight shows
+    target = {"P1": P1, "P2": P2, "c-2": rescaled_p2(2)}[name]
+    tree = token_tree(betas, edges, tail_vertices, kappa, psi, ev)
+    ambient = {i: (0, c) for i, c in enumerate(classes, 1)}
+    solved = evaluate_tree_sum(target, TreeSum({tree: 1}), ambient)
+    assert solved == brute_force_tree_integral(target, tree, ambient) == value
+
+
+def test_isomorphic_trees_share_one_layout():
+    # each tree of the presentation with its vertices renumbered (the two
+    # vertices swap): equal trees, so each layout is built once and serves both
+    target, (n, d, a, alpha) = P2, (4, 1, 0, 1)
+    pres = kappa_boundary_presentation(target, n, d, a, alpha)
+    renumbered = TreeSum(
+        {relabel(t, list(reversed(range(t.n_vertices)))): c for t, c in pres.items()}, n
+    )
+    assert renumbered == pres and len(pres) > 1
+    ambient = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 2)}
+    direct = evaluate(make_key(target, tau=[(0, 1, 3), (0, 2, 1)], kappa=[(0, 1, 1)], d=1))
+    for first, second in ((pres, renumbered), (renumbered, pres)):
+        correlators.clear_caches()
+        assert evaluate_tree_sum(target, first, ambient) == direct == 2
+        assert correlators._tree_layout.cache_info().currsize == len(pres)
+        assert evaluate_tree_sum(target, second, ambient) == direct
+        assert correlators._tree_layout.cache_info().currsize == len(pres)
+    # a star, renumbered so that vertex 0 is a leaf and no longer the centre
+    _, betas, edges, tail_vertices, kappa, psi, ev, classes, value = MULTI_EDGE_CASES[6]
+    star = token_tree(betas, edges, tail_vertices, kappa, psi, ev)
+    renumbered_star = relabel(star, [3, 0, 1, 2])
+    assert renumbered_star == star and renumbered_star.edges != star.edges
+    ambient = {i: (0, c) for i, c in enumerate(classes, 1)}
+    for first, second in ((star, renumbered_star), (renumbered_star, star)):
+        correlators.clear_caches()
+        values = [evaluate_tree_sum(P2, TreeSum({t: 1}), ambient) for t in (first, second)]
+        assert values == [value, value]
+        assert correlators._tree_layout.cache_info().currsize == 1
+
+
+def test_token_on_a_bool_is_not_the_token_on_an_int():
+    # a tree is keyed by isomorphism, so an ev token on True must not meet the
+    # memo entry of the same token on 1
+    good = _one_vertex_tree(trees.Decoration("ev", (3, 1), 2))
+    bad = _one_vertex_tree(trees.Decoration("ev", (3, True), 2))
+    assert good != bad  # the sums hold unequal trees
+    assert evaluate_tree_sum(P2, good, EV_AMBIENT) == 0
+    with pytest.raises(ValueError, match="class"):
+        evaluate_tree_sum(P2, bad, EV_AMBIENT)
+
+
 def test_clear_caches_empties_every_memo():
     # a small grid-like batch (a P^2 window with kappa_{-1} and kappa_0
     # variables) and one tree sum of each presentation fill every memo

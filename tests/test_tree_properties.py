@@ -1,4 +1,5 @@
-"""Property tests: tree identity and automorphism order under relabelling."""
+"""Property tests: tree identity and automorphism order under relabelling, and
+the solved tree integral against the brute-force sum over node classes."""
 
 import random
 from collections import Counter
@@ -10,7 +11,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
-from gwtaut.trees import DecoratedTree, Decoration, aut_order  # noqa: E402
+from gwtaut.correlators import evaluate_tree_sum  # noqa: E402
+from gwtaut.target import projective_space  # noqa: E402
+from gwtaut.trees import DecoratedTree, Decoration, TreeSum, aut_order  # noqa: E402
+from test_correlators import brute_force_tree_integral, relabel  # noqa: E402
 
 TOKENS = (
     Decoration("class", ("gamma",), 2),
@@ -20,36 +24,24 @@ TOKENS = (
 
 
 @st.composite
-def trees(draw):
-    """Decorated trees of at most six vertices, built from parent arrays."""
-    n = draw(st.integers(1, 6))
+def trees(draw, max_vertices=6, max_tails=5, tokens=TOKENS):
+    """Decorated trees of at most ``max_vertices`` vertices and ``max_tails``
+    tails, built from parent arrays."""
+    n = draw(st.integers(1, max_vertices))
     vertex = st.integers(0, n - 1)
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    tail_vertices = draw(st.lists(vertex, max_size=5))
+    tail_vertices = draw(st.lists(vertex, max_size=max_tails))
     try:
         return DecoratedTree(
             betas=tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))),
             edges=tuple((p, v) for v, p in enumerate(parents, start=1)),
             tails=tuple((lab, v) for lab, v in enumerate(tail_vertices, start=1)),
             decorations=tuple(
-                draw(st.lists(st.tuples(vertex, st.sampled_from(TOKENS)), max_size=3))
+                draw(st.lists(st.tuples(vertex, st.sampled_from(tokens)), max_size=3))
             ),
         )
     except ValueError:  # an unstable vertex
         assume(False)
-
-
-def relabel(t: DecoratedTree, perm) -> DecoratedTree:
-    """The same tree with vertex v renamed perm[v]."""
-    betas = [0] * t.n_vertices
-    for v, b in enumerate(t.betas):
-        betas[perm[v]] = b
-    return DecoratedTree(
-        betas=tuple(betas),
-        edges=tuple((perm[u], perm[v]) for u, v in t.edges),
-        tails=tuple((lab, perm[v]) for lab, v in t.tails),
-        decorations=tuple((perm[v], tok) for v, tok in t.decorations),
-    )
 
 
 def brute_force_aut(t: DecoratedTree) -> int:
@@ -89,3 +81,39 @@ def test_canonical_form_invariant_under_relabeling(tree, rng):
 @example(EXAMPLE)
 def test_aut_order_is_a_brute_force_count(tree):
     assert aut_order(tree) == brute_force_aut(tree)
+
+
+# kappa tokens the tree integral reads on P^1 and P^2
+KAPPA_TOKENS = (Decoration("kappa", (0, 1), 2), Decoration("kappa", (-1, 1), 0))
+
+
+@st.composite
+def integrands(draw):
+    """(target, tree, ambient): a tree of at most four vertices and tails,
+    with psi and ev tokens drawn at its tails, and ambient insertions there."""
+    target = projective_space(draw(st.integers(1, 2)))
+    tree = draw(trees(max_vertices=4, max_tails=4, tokens=KAPPA_TOKENS))
+    classes = st.integers(0, target.rank - 1)
+    tokens = list(tree.decorations)
+    for label, v in tree.tails:
+        for power in draw(st.lists(st.integers(0, 2), max_size=1)):
+            tokens.append((v, Decoration("psi", (label, power), 2 * power)))
+        for alpha in draw(st.lists(classes, max_size=1)):
+            tokens.append((v, Decoration("ev", (label, alpha), target.gradings[alpha])))
+    ambient = {label: (draw(st.integers(0, 1)), draw(classes)) for label, _ in tree.tails}
+    # twice the dimension of the tree's stratum, less what the rest brings
+    missing = 2 * target.moduli_dimension(len(ambient), tree.total_degree)
+    missing -= 2 * len(tree.edges) + sum(tok.degree for _, tok in tokens)
+    missing -= sum(2 * a + target.gradings[alpha] for a, alpha in list(ambient.values())[:-1])
+    if ambient and missing >= 0 and missing % 2 == 0:
+        # the last insertion makes the degrees add up; else most sums are 0
+        alpha = min(missing // 2, target.rank - 1)
+        ambient[len(ambient)] = (missing // 2 - alpha, alpha)
+    return target, DecoratedTree(tree.betas, tree.edges, tree.tails, tuple(tokens)), ambient
+
+
+@given(integrands())
+def test_solved_tree_integral_is_the_brute_force_sum(integrand):
+    target, tree, ambient = integrand
+    solved = evaluate_tree_sum(target, TreeSum({tree: 1}), ambient)
+    assert solved == brute_force_tree_integral(target, tree, ambient)

@@ -55,6 +55,13 @@ def test_enumerate_pinned_splits():
     assert sorted(t.betas[t.tail_vertex(1)] for t in trees) == [1, 2]
 
 
+def test_enumerate_rejects_a_tail_pinned_to_both_vertices():
+    # tail 1 pinned first and second was put on the second vertex, breaking
+    # the first pin
+    with pytest.raises(ValueError, match="tail 1 pinned to both vertices"):
+        enumerate_two_vertex_divisors(4, 0, pin_first=(1, 2), pin_second=(1,))
+
+
 def test_enumerate_unpointed_degree_two():
     trees = enumerate_two_vertex_divisors(0, 2)
     assert len(trees) == 1
