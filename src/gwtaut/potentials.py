@@ -6,9 +6,11 @@ set; the pure potential is the spec with no s entries (which is what
 ``gw.gw_potential_series`` builds).  ``wdvv_residuals`` checks the
 associativity of any potential of its target with every t_0^alpha active,
 the s variables riding along as parameters; ``trr_pde_residuals`` checks the
-recursion relations in differential form; and the P^1 helpers reproduce
-the closed-form solution, its h-number recursion, and the single
-q-log-derivative equation the recursions collapse to.
+recursion relations in differential form.  Both read one context: a registry
+check, a partials memo and the eta^{-1} contraction G(L|R) = sum eta^{ef}
+F_{L e} F_{f R}.  The P^1 helpers reproduce the closed-form solution, its
+h-number recursion, and the single q-log-derivative equation the recursions
+collapse to.
 """
 
 from __future__ import annotations
@@ -189,6 +191,8 @@ def cp1_closed_form_series(
         (0, 1),
     ):
         raise ValueError("the closed form needs the five-variable P^1 spec")
+    if spec.target != projective_space(1):
+        raise ValueError(f"the closed form is P^1's, not {spec.target.name}'s")
     if json_int(n_terms, "a term count") < 0:
         raise ValueError(f"the term count must be non-negative, got {n_terms}")
     registry, trunc = spec.context()
@@ -244,42 +248,22 @@ def cp1_penult_residual(
 # -- residual systems ---------------------------------------------------------------
 
 
-def _window(registry: VarRegistry, trunc: Truncation, drop: int) -> Truncation:
-    qi = registry.q_index()
-    caps = tuple(
-        c if i == qi else max(c - drop, 0) for i, c in enumerate(trunc.caps)
-    )
-    total = trunc.total_cap
-    if total is not None:
-        total = max(total - drop, 0)
-    return Truncation(caps, total)
+def _residual_context(potential: QSeries, target: TargetModel):
+    """``(d, G)``: the partials and contractions of a potential of ``target``.
 
-
-def _partials(series: QSeries, window: Truncation):
-    """``d(*variables)``: a partial derivative of ``series``, read on ``window``.
-
-    Each variable is a ``(kind, a, alpha)`` triple.  Partials commute and
-    each one lowers only its own cap, so the result is memoized by the
-    sorted variables and every partial is taken once.
+    The registry must be a potential's on ``target`` (every variable graded as
+    ``PotentialSpec.context`` grades it, every t_0^alpha present), or
+    ``ValueError`` is raised.  Both read the window where all third partials
+    are exact: every cap but q's, and the total cap, lowered by 3.
+    ``d(*variables)`` is a partial derivative by ``(kind, a, alpha)`` triples;
+    partials commute, so it is memoized by the sorted variables.
+    ``G(left, right)`` is sum_{e,f} eta^{ef} d(*left, x_e) d(x_f, *right).  It
+    is symmetric within each side and, as eta^{-1} is (``TargetModel``
+    enforces it), under swapping the sides: it is memoized by the sorted pair
+    of sorted sides, and skips an eta^{-1} term with an empty partial before
+    its product.
     """
-    memo: dict[tuple, QSeries] = {}
-
-    def d(*variables) -> QSeries:
-        key = tuple(sorted(variables))
-        if key not in memo:
-            out = series
-            for variable in key:
-                out = out.partial_derivative(*variable)
-            memo[key] = out.restrict(window)
-        return memo[key]
-
-    return d
-
-
-def _check_registry(registry: VarRegistry, target: TargetModel) -> None:
-    """Reject a registry that is not a potential's on ``target``: every t_0^alpha
-    must be present, and every variable graded as ``PotentialSpec.context``
-    grades it (so its class is a basis index of ``target``)."""
+    registry = potential.registry
     rank = target.rank
     for v in registry:
         in_basis = v.kind == "q" or (type(v.alpha) is int and 0 <= v.alpha < rank)
@@ -289,6 +273,40 @@ def _check_registry(registry: VarRegistry, target: TargetModel) -> None:
     missing = [f"x{alpha}" for alpha in range(rank) if ("t", 0, alpha) not in keys]
     if missing:
         raise ValueError(f"the potential lacks {', '.join(missing)}")
+    qi, trunc = registry.q_index(), potential.trunc
+    caps = tuple(c if i == qi else max(c - 3, 0) for i, c in enumerate(trunc.caps))
+    total = trunc.total_cap
+    window = Truncation(caps, None if total is None else max(total - 3, 0))
+    x = [("t", 0, alpha) for alpha in range(rank)]
+    pairs = target.eta_inverse_pairs()
+    partials: dict[tuple, QSeries] = {}
+    contractions: dict[tuple, QSeries] = {}
+
+    def d(*variables) -> QSeries:
+        key = tuple(sorted(variables))
+        if key not in partials:
+            out = potential
+            for variable in key:
+                out = out.partial_derivative(*variable)
+            partials[key] = out.restrict(window)
+        return partials[key]
+
+    def G(left: tuple, right: tuple) -> QSeries:
+        key = tuple(sorted((tuple(sorted(left)), tuple(sorted(right)))))
+        if key not in contractions:
+            left, right = key
+            acc = QSeries.zero(registry, window)
+            for e, f, w in pairs:
+                first = d(*left, x[e])
+                if not first:
+                    continue
+                second = d(x[f], *right)
+                if second:
+                    acc = acc + first * second * w
+            contractions[key] = acc
+        return contractions[key]
+
+    return d, G
 
 
 def wdvv_residuals(
@@ -296,56 +314,31 @@ def wdvv_residuals(
 ) -> dict[tuple[int, int, int, int], QSeries]:
     """Associativity residuals, one series per index quadruple (a, b, c, d).
 
-    The quadruple residual is G(ab|cd) - G(bc|ad), computed on the window
-    where all third partials are exact, with the contraction
-    G(ab|cd) = sum_{e,f} eta^{ef} F_abe F_fcd.  G is symmetric under a <-> b,
-    under c <-> d (F is), and under swapping the two pairs (eta^{-1} is
-    symmetric, which ``TargetModel`` enforces).  So G is keyed by the sorted
-    pair of sorted pairs, each entry is built once, and an eta^{-1} term with
-    an empty third partial is skipped before any product.  The table is local
-    to the call.  The potential's registry must be one of ``target``'s: every
-    t_0^alpha present and every variable graded as ``PotentialSpec.context``
-    grades it, or ``ValueError`` is raised.
+    The quadruple residual is G(ab|cd) - G(bc|ad), where
+    G(ab|cd) = sum_{e,f} eta^{ef} F_abe F_fcd is the contraction of
+    ``_residual_context``, built once per call for each entry.
     """
-    registry = potential.registry
-    _check_registry(registry, target)
+    _, G = _residual_context(potential, target)
     rank = target.rank
-    window = _window(registry, potential.trunc, 3)
-    d = _partials(potential, window)
     x = [("t", 0, alpha) for alpha in range(rank)]
-    pairs = target.eta_inverse_pairs()
-    table: dict[tuple, QSeries] = {}
-
-    def contracted(a, b, c, dd) -> QSeries:
-        key = tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, dd))))))
-        if key not in table:
-            (a, b), (c, dd) = key
-            acc = QSeries.zero(registry, window)
-            for e, f, w in pairs:
-                left = d(x[a], x[b], x[e])
-                if not left:
-                    continue
-                right = d(x[f], x[c], x[dd])
-                if right:
-                    acc = acc + left * right * w
-            table[key] = acc
-        return table[key]
-
-    out = {}
-    for a in range(rank):
-        for c in range(a + 1, rank):
-            for b in range(rank):
-                for dd in range(rank):
-                    out[(a, b, c, dd)] = contracted(a, b, c, dd) - contracted(b, c, a, dd)
-    return out
+    return {
+        (a, b, c, dd): G((x[a], x[b]), (x[c], x[dd])) - G((x[b], x[c]), (x[a], x[dd]))
+        for a in range(rank)
+        for c in range(a + 1, rank)
+        for b in range(rank)
+        for dd in range(rank)
+    }
 
 
 def wdvv_residual(potential: QSeries, target: TargetModel) -> QSeries:
-    """Sum of the quadruple residuals over the canonical index list."""
+    """Sum of the quadruple residuals over the canonical index list.
+
+    A weaker check than ``wdvv_residuals``: nonzero residuals can cancel in
+    the sum, so a zero sum does not mean every residual vanishes.
+    """
+    d, _ = _residual_context(potential, target)
+    total = QSeries.zero(potential.registry, d().trunc)
     residuals = wdvv_residuals(potential, target)
-    registry = potential.registry
-    window = _window(registry, potential.trunc, 3)
-    total = QSeries.zero(registry, window)
     for quad in sorted(residuals):
         total = total + residuals[quad]
     return total
@@ -356,28 +349,19 @@ def trr_pde_residuals(
 ) -> list[tuple[str, QSeries]]:
     """Residuals of the three recursion-relation PDE families.
 
-    Instances are enumerated over the spec's active variables; an
-    instance whose cross-reference variable is inactive is skipped,
-    except that derivatives by s_{-1}^0 are identically zero (the
-    kappa_{-1} class of the unit vanishes).  Every family needs all
-    t_0^sigma, so without them there are no instances.
+    Instances are enumerated over the spec's active variables; an instance
+    whose cross-reference variable is inactive is skipped, except that
+    derivatives by s_{-1}^0 are identically zero (the kappa_{-1} class of the
+    unit vanishes).  Every family needs all t_0^sigma, so without them there
+    are no instances.  The series' registry must be a potential's on
+    ``spec.target``, or ``ValueError`` is raised.
     """
     target = spec.target
     t_act = set(spec.t_entries)
     s_act = set(spec.s_entries)
     if any((0, sigma) not in t_act for sigma in range(target.rank)):
         return []
-    registry = h_series.registry
-    window = _window(registry, h_series.trunc, 3)
-    d = _partials(h_series, window)
-    pairs = target.eta_inverse_pairs()
-
-    def eta_term(pivot, e2, e3):
-        acc = QSeries.zero(registry, window)
-        for s1, s2, w in pairs:
-            acc = acc + (d(pivot, ("t", 0, s1)) * d(("t", 0, s2), e2, e3)) * w
-        return acc
-
+    d, G = _residual_context(h_series, target)
     out: list[tuple[str, QSeries]] = []
     for (a2, alpha2), (a3, alpha3) in combinations_with_replacement(sorted(t_act), 2):
         e2, e3 = ("t", a2, alpha2), ("t", a3, alpha3)
@@ -388,7 +372,7 @@ def trr_pde_residuals(
                 if a1 < 1 or (a1 - 1, alpha1) not in active:
                     continue
                 lhs = d((kind, a1, alpha1), e2, e3)
-                rhs = eta_term((kind, a1 - 1, alpha1), e2, e3)
+                rhs = G(((kind, a1 - 1, alpha1),), (e2, e3))
                 out.append((f"{kind}{a1},{alpha1}{pair_name}", lhs - rhs))
         # family 3: kappa pivots of level 0, with the cup correction
         for a1, alpha1 in sorted(s_act):
@@ -402,15 +386,15 @@ def trr_pde_residuals(
             if any((a, nu) not in t_act for a, _, nu, _ in cup):
                 continue
             if (-1, alpha1) in s_act:
-                rhs = eta_term(("s", -1, alpha1), e2, e3)
+                rhs = G((("s", -1, alpha1),), (e2, e3))
             elif alpha1 == 0:
-                rhs = QSeries.zero(registry, window)  # kappa_{-1} of the unit vanishes
+                rhs = 0  # kappa_{-1} of the unit vanishes
             else:
                 continue
-            correction = QSeries.zero(registry, window)
-            for a, alpha, nu, c_nu in cup:
-                piece = d(("t", a, nu), e2, e3).multiply_variable("t", a, alpha)
-                correction = correction + piece * c_nu
+            correction = sum(
+                d(("t", a, nu), e2, e3).multiply_variable("t", a, alpha) * c_nu
+                for a, alpha, nu, c_nu in cup
+            )
             lhs = d(("s", 0, alpha1), e2, e3)
             out.append((f"s0,{alpha1}{pair_name}", lhs - rhs - correction))
     return out

@@ -198,9 +198,10 @@ class TreeSum:
     """Formal rational combination of trees, indexed by isomorphism class.
 
     ``n``, when known, is the number of marked points of the ambient space
-    (the boundary presentations set it).  It survives ``+`` and ``*``, and
-    ``+`` refuses sums on different spaces.  Coefficients and scalars must
-    be exact: ``int`` (not ``bool``) or ``Fraction``.
+    (the boundary presentations set it).  It survives ``+`` and ``*``;
+    ``+`` refuses sums on different spaces, and ``==`` finds them unequal.
+    Coefficients and scalars must be exact: ``int`` (not ``bool``) or
+    ``Fraction``.
     """
 
     def __init__(
@@ -249,7 +250,11 @@ class TreeSum:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TreeSum) and self._terms == other._terms
+        return (
+            isinstance(other, TreeSum)
+            and (None in (self.n, other.n) or self.n == other.n)
+            and self._terms == other._terms
+        )
 
     def __repr__(self) -> str:
         return f"TreeSum({len(self._terms)} terms)"

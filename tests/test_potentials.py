@@ -18,8 +18,7 @@ from gwtaut.potentials import (
     trr_pde_residuals,
     wdvv_residual,
     wdvv_residuals,
-    _partials,
-    _window,
+    _residual_context,
 )
 from gwtaut.series import QSeries, Truncation, Variable, VarRegistry
 from gwtaut.target import projective_space
@@ -247,16 +246,14 @@ def test_twisted_p2_potential_satisfies_wdvv():
 def _direct_wdvv_residuals(potential, target):
     """The quadruple residuals term by term: every eta^{-1} pair of every
     quadruple multiplies its two third partials afresh."""
-    registry = potential.registry
-    window = _window(registry, potential.trunc, 3)
-    d = _partials(potential, window)
+    d, _ = _residual_context(potential, target)
     x = [("t", 0, alpha) for alpha in range(target.rank)]
     out = {}
     for a in range(target.rank):
         for c in range(a + 1, target.rank):
             for b in range(target.rank):
                 for dd in range(target.rank):
-                    residual = QSeries.zero(registry, window)
+                    residual = QSeries.zero(potential.registry, d().trunc)
                     for e, f, w in target.eta_inverse_pairs():
                         residual = residual + (
                             d(x[a], x[b], x[e]) * d(x[f], x[c], x[dd])
@@ -314,10 +311,8 @@ def test_contracted_wdvv_residuals_equal_the_direct_formula(name):
     assert len(nonzero) >= len(direct) // 2
 
 
-def test_wdvv_residuals_build_each_product_once(monkeypatch):
-    # the P^3 residuals batch: 768 series products term by term, and 64
-    # once each contracted entry is built once and empty partials are skipped
-    f3 = gw_potential_series(P3, (3, 6, 6, 6), 2)
+def _count_products(monkeypatch):
+    """A list that grows by one per series-by-series product from now on."""
     products = []
     multiply = QSeries.__mul__
 
@@ -327,9 +322,35 @@ def test_wdvv_residuals_build_each_product_once(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(QSeries, "__mul__", counting)
+    return products
+
+
+def test_wdvv_residuals_build_each_product_once(monkeypatch):
+    # the P^3 residuals batch: 768 series products term by term, and 64
+    # once each contracted entry is built once and empty partials are skipped
+    f3 = gw_potential_series(P3, (3, 6, 6, 6), 2)
+    products = _count_products(monkeypatch)
     residuals = wdvv_residuals(f3, P3)
     assert len(residuals) == 96 and all(r.is_zero() for r in residuals.values())
     assert len(products) <= 64
+
+
+def test_trr_pde_residuals_build_each_product_once(monkeypatch):
+    # the wide P^2 window of the grid benchmark: 12 residuals, with 18 products
+    # in six contractions of three eta^{-1} pairs and 30 cup corrections
+    wide = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (-1, 2), (0, 0), (0, 1)], 5, 2, 6)
+    h = build_H_series(wide)
+    products = _count_products(monkeypatch)
+    residuals = trr_pde_residuals(h, wide)
+    assert len(residuals) == 12 and all(r.is_zero() for _, r in residuals)
+    assert len(products) <= 48
+
+
+def test_trr_pde_residuals_reject_another_targets_potential():
+    # a P^2 potential read on the P^1 window gave 6 residuals, 3 nonzero
+    spec = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (0, 0), (0, 1)], 4, 1, 4)
+    with pytest.raises(ValueError, match="x2 is not graded as on P1"):
+        trr_pde_residuals(build_H_series(spec), cp1_spec(1, 4, 4))
 
 
 def _registry_with(target, drop=(), grading_of=None):
@@ -381,6 +402,14 @@ def test_spec_validation():
         PotentialSpec(P1, ((0, 0),), (), (3, 3), 1, None)
     with pytest.raises(ValueError):
         cp1_closed_form_series(2, make_spec(P1, ((0, 0),), (), 3, 2))
+
+
+def test_cp1_closed_form_needs_the_p1_target():
+    # P^2 with the five P^1 entries gave the 56-term P^1 closed form, where
+    # the engine's series on that spec has 13 terms
+    spec = make_spec(P2, ((0, 0), (0, 1)), ((-1, 1), (0, 0), (0, 1)), 4, 2, 4)
+    with pytest.raises(ValueError, match="closed form is P\\^1's, not P2's"):
+        cp1_closed_form_series(2, spec)
 
 
 BAD_SPECS = {  # (t entries, s entries, caps, q_cap, total_cap) on P^1

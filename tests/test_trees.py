@@ -246,6 +246,18 @@ def test_tree_sum_keeps_its_point_count():
         TreeSum(n=-1)
 
 
+def test_tree_sums_on_different_point_counts_are_unequal():
+    # psi_1 on M_{0,3}(V, 0) is zero, but the empty sum on 5 points is not
+    # the same sum: ``+`` refuses the pair, so ``==`` must not match it
+    empty3 = psi_boundary_presentation(3, 0, 1)
+    assert not empty3 and empty3.n == 3
+    assert empty3 != TreeSum(n=5) and TreeSum(n=5) != empty3
+    assert empty3 == TreeSum() == TreeSum(n=5) and empty3 == TreeSum(n=3)
+    tree = single_vertex_tree(4, 1)
+    assert TreeSum({tree: 1}, n=4) != TreeSum({tree: 1}, n=5)
+    assert TreeSum({tree: 1}, n=4) == TreeSum({tree: 1})
+
+
 def test_tree_sum_coefficients_and_scalars_must_be_exact():
     tree = single_vertex_tree(3, 1)
     for bad in (0.5, 1.0, True, "1/2"):
