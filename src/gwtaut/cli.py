@@ -260,9 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_index_values(argv: list[str]) -> list[str]:
+    """``--kappa -1,1,2`` as ``--kappa=-1,1,2``: argparse reads a separate
+    value that starts with ``-`` (kappa_{-1}, the Novikov shift) as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--tau", "--kappa") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_index_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "correlator":
             return cmd_correlator(args)

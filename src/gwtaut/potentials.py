@@ -15,13 +15,12 @@ collapse to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
 from .correlators import _normal_index, _valid_key, evaluate
-from .series import QSeries, Truncation, Variable, VarRegistry
+from .series import QSeries, Record, Truncation, Variable, VarRegistry
 from .target import TargetModel, json_int, projective_space
 
 Entry = tuple[int, int]
@@ -37,8 +36,7 @@ def _grading(target: TargetModel, kind: str, a: int, alpha: int) -> int:
     return 2 * a + target.gradings[alpha] - (2 if kind == "t" else 0)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(Record):
     """Active variables and truncation bounds for an H-series build."""
 
     target: TargetModel

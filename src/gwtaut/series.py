@@ -32,15 +32,20 @@ derivative lowers the caps it lowers the exponents by), so they build
 their results through the unchecked ``QSeries._from_valid``, dropping
 zero numerators themselves; it restores lowest terms.  ``restrict`` still
 filters with ``Truncation.admits``, since its window is new.
+
+``Record``, the base of the package's frozen records, lives here at the
+bottom of the import graph.  It replaces ``dataclass(frozen=True)``, whose
+import pulls ``inspect``, ``ast`` and ``dis`` into every cold start.  Series
+of one window share their registry and truncation, so ``==`` and the
+operations compare those by identity first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping
+from operator import add, attrgetter, mul, sub
 
 Exponents = tuple[int, ...]
 
@@ -62,8 +67,63 @@ def _check_exponents(exps: Exponents, n: int) -> None:
         raise ValueError(f"negative or non-int exponent in {exps!r}")
 
 
-@dataclass(frozen=True)
-class Variable:
+class Record:
+    """Base of the frozen records; a subclass's annotated names are its fields.
+
+    A class attribute named like a field is its default.  The constructor
+    takes fields by position or keyword (``TypeError`` on a missing, unknown
+    or repeated one) and calls ``__post_init__``.  Attributes cannot be
+    assigned or deleted (``AttributeError``); derived data goes in with
+    ``object.__setattr__``.  ``repr`` (the dataclass form, which sort keys
+    rely on), ``==`` (same class only) and ``hash`` read the fields as one tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        cls._values = attrgetter(*names)  # two or more fields, so always a tuple
+        cls._repr = f"{cls.__qualname__}({', '.join(f'{name}=%r' for name in names)})"
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args) :]:
+            try:
+                values[name] = kwargs.pop(name) if name in kwargs else cls._defaults[name]
+            except KeyError:
+                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}") from None
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unknown or repeated arguments {[*kwargs]}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return self._repr % self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class Variable(Record):
     kind: str  # "t", "s" or "q"
     a: int
     alpha: int
@@ -134,8 +194,7 @@ class VarRegistry:
         return sum(k * v.grading for k, v in zip(exps, self._vars))
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Record):
     """Per-variable exponent caps plus an optional total cap on non-q vars.
 
     Every bound is a non-negative int.  That lets a product test its
@@ -350,8 +409,8 @@ class QSeries:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QSeries)
-            and self.registry == other.registry
-            and self.trunc == other.trunc
+            and (self.registry is other.registry or self.registry == other.registry)
+            and (self.trunc is other.trunc or self.trunc == other.trunc)
             and self._den == other._den
             and self._terms == other._terms
         )
@@ -360,9 +419,10 @@ class QSeries:
         return hash((self.registry, self.trunc, self._den, tuple(sorted(self._terms.items()))))
 
     def _check_compat(self, other: "QSeries"):
-        if self.registry != other.registry:
+        # series of one window share their registry and truncation objects
+        if self.registry is not other.registry and self.registry != other.registry:
             raise ValueError("series registries differ")
-        if self.trunc != other.trunc:
+        if self.trunc is not other.trunc and self.trunc != other.trunc:
             raise ValueError("series truncations differ")
 
     # -- ring operations ----------------------------------------------------

@@ -39,12 +39,11 @@ otherwise, so the correlator engine can keep integer coefficients as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .series import exact_rational, parse_rational
+from .series import Record, exact_rational, parse_rational
 
 FrMatrix = tuple[tuple[Fraction, ...], ...]
 Rational = int | Fraction
@@ -63,8 +62,7 @@ def check_degree(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class TargetModel:
+class TargetModel(Record):
     name: str
     gradings: tuple[int, ...]
     eta: FrMatrix

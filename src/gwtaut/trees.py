@@ -23,17 +23,15 @@ one of them.  Both are computed once, when the tree is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Mapping
 
-from .series import exact_rational
+from .series import Record, exact_rational
 from .target import TargetModel, check_degree, json_int
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Record):
     """Opaque class token on a vertex.
 
     kind "class": data = (name,), a generic cohomology class;
@@ -53,8 +51,7 @@ class Decoration:
         return Decoration("class", (f"pi_*({self.data[0]})",), self.degree - 2, False)
 
 
-@dataclass(frozen=True, eq=False)
-class DecoratedTree:
+class DecoratedTree(Record):
     betas: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     tails: tuple[tuple[int, int], ...]  # (label, vertex)

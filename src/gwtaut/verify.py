@@ -3,7 +3,8 @@
 Each suite returns (ok, lines); lines are human-readable one-per-check
 reports, each written by ``Report.check`` (the one home of the
 ``ok  ``/``FAIL`` line format).  Randomized suites take an explicit seed
-and report it.
+and report it.  The ``paths`` suite imports the oracle itself, so a process
+that runs no such suite never compiles ``gwtaut.oracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .correlators import (
     make_key,
     selection,
 )
-from .oracle import oracle
 from .potentials import (
     PotentialSpec,
     build_H_series,
@@ -259,6 +259,8 @@ def verify_path_independence(
     targets: list[TargetModel], samples: int, seed: int
 ) -> tuple[bool, list[str]]:
     """The engine versus the oracle (``gwtaut.oracle``) on the same key pool."""
+    from .oracle import oracle
+
     report = Report(f"seed {seed}")
     for key in sample_relation_keys(targets, samples, seed):
         report.equal("paths", key, evaluate(key), oracle(key))

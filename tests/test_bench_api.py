@@ -3,12 +3,18 @@
 The benchmark runs on the parent commit and on a change alike, so a name it
 reads cannot be deleted before the benchmark moves off it.  ``tracer.py``
 imports nothing from ``gwtaut`` and is loaded by path; ``workloads.py`` is
-read as text.
+read as text.  The tracer also reads ``sys.modules`` right after
+``import gwtaut, gwtaut.cli``, so that import must load every module it
+wraps, and, since every CLI run pays for it, nothing more.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +72,16 @@ def test_the_benchmark_reads_names():
     # not vacuous: the tracer's tables and the workloads' gt.<name> reads
     assert len(BENCH_NAMES) >= 50
     assert (gwtaut, "evaluate_kappa_first") in BENCH_NAMES
+
+
+def test_cold_import_loads_what_the_tracer_wraps_and_nothing_heavy():
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    script = "import sys, json, gwtaut, gwtaut.cli; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(run.stdout))
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    assert not loaded & {"dataclasses", "inspect", "typing", "gwtaut.oracle"}
+    wrapped = {module for module, _, _ in load_tracer().FUNCTIONS}
+    assert wrapped | {"gwtaut.series", "gwtaut.target"} <= loaded

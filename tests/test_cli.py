@@ -182,6 +182,14 @@ def test_deepest_p2_ladder_key_work_is_pinned(capsys):
     assert payload["value"] == "-420/1" and payload["reductions"] <= 50
 
 
+def test_kappa_minus_one_value_may_follow_its_flag(capsys):
+    # argparse reads a separate "-1,1,2" as an option unless the CLI joins it
+    base = ("correlator", "--r", "1", "--degree", "1")
+    joined = run(capsys, *base, "--kappa=-1,1,2")
+    assert joined == run(capsys, *base, "--kappa", "-1,1,2")
+    assert joined[0] == 0 and json.loads(joined[1])["value"] == "1/1"
+
+
 def test_potential_json_is_golden(capsys):
     argv = ("potential", "--r", "1", "--vars", "x1,s0:1", "--cap", "2", "--qmax", "2")
     code, out, err = run(capsys, *argv, "--format", "json")
