@@ -9,11 +9,13 @@ boundary-split loop emitting only dimension-balanced terms), the
 comparison relation along the forgetful map and the divisor equation,
 both read backwards, and the lift of kappa_{-1} classes to extra marked
 points (``lift_kappa_minus_one``).  Before all of them it reads kappa_{-1}
-of a divisor and of a class of grading 0 as numbers: kappa_{-1}(g) is
-pi_*(ev^* g) along the map forgetting a point, whose fibre is the curve,
-so it is (int_d g) times 1 for a divisor (the divisor axiom of
-Kontsevich-Manin) and 0 for a class of grading 0 (it would land in
-degree -2).  The forward comparison relation
+of a divisor and of a class of grading 0, and kappa_0(e_0), as numbers:
+kappa_a(g) is pi_*(psi^{a+1} ev^* g) along the map forgetting a point, whose
+fibre is the curve, so kappa_{-1}(g) is (int_d g) times 1 for a divisor
+(the divisor axiom of Kontsevich-Manin) and 0 for a class of grading 0 (it
+would land in degree -2), and kappa_0(e_0) is the degree of psi on the
+fibre, 2g - 2 + n = n - 2 for a key with n points (Arbarello-Cornalba).
+The forward comparison relation
 (``apply_puncture_dilaton``) is not on that path; the verify suites check
 it against ``evaluate``, and ``gwtaut.oracle`` checks ``evaluate`` with
 code it does not share.
@@ -597,14 +599,15 @@ def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
 def evaluate(key: CorrelatorKey) -> Fraction:
     """Exact correlator value; the first branch that applies reduces the key.
 
-    After the selection rule, one step reads the kappa_{-1} classes that
-    are numbers (``TargetModel.kappa_minus_one_per_unit``): each
-    kappa_{-1}(D) of a divisor with a configured pairing c is c * d, the
-    divisor axiom on the fibre of the forgetful map, so those entries drop
-    and the rest of the key is scaled by (c * d)^mult; a kappa_{-1} class of
-    grading 0 pushes forward to degree -2, so the key is 0.  A key that is
-    left with kappa_{-1} classes of grading >= 4, or of divisors without a
-    pairing, goes on to the branches:
+    After the selection rule, one step reads the kappa classes that are
+    numbers, drops their entries and scales the rest of the key by
+    number^mult: each kappa_{-1}(D) of a divisor with a configured pairing c
+    (``TargetModel.kappa_minus_one_per_unit``) is c * d, the divisor axiom on
+    the fibre of the forgetful map; a kappa_{-1} class of grading 0 pushes
+    forward to degree -2, so it is 0; and kappa_0(e_0) = pi_*(psi_{n+1}) is
+    the degree of psi_{n+1} on that fibre, n - 2 for a key with n points (so
+    0 at two points).  A key that is left with kappa_{-1} classes of
+    grading >= 4, or of divisors without a pairing, goes on to the branches:
 
     1. psi on >= 3 points: the psi recursion (``apply_trr_psi``);
     2. kappa of level >= 0, no psi, >= 2 points: the kappa recursion
@@ -620,13 +623,15 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     if not selection(key):
         return ZERO
     target, m, p, d = key
-    if p and p[0][0][0] < 0:  # kappa_{-1} entries sort first
+    if p and p[0][0] <= (0, 0):  # kappa_{-1} entries sort first, then kappa_0(e_0)
         per_unit = target.kappa_minus_one_per_unit()
         scale, kept = 1, []
         for entry in p:
             (a, alpha), mult = entry
             if a < 0 and alpha in per_unit:
                 scale *= (per_unit[alpha] * d) ** mult
+            elif a == 0 and alpha == 0:
+                scale *= (m.size - 2) ** mult
             else:
                 kept.append(entry)
         if len(kept) < len(p):

@@ -76,6 +76,9 @@ class Record:
     assigned or deleted (``AttributeError``); derived data goes in with
     ``object.__setattr__``.  ``repr`` (the dataclass form, which sort keys
     rely on), ``==`` (same class only) and ``hash`` read the fields as one tuple.
+    Pickle and ``deepcopy`` rebuild a record through its constructor, so the
+    checks and the derived data (a cached hash, say) are made afresh: string
+    hashes differ between processes.
     """
 
     _fields: tuple[str, ...] = ()
@@ -121,6 +124,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class Variable(Record):

@@ -34,7 +34,7 @@ from gwtaut.correlators import (
 )
 from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
-from gwtaut.potentials import build_H_series, make_spec
+from gwtaut.potentials import build_H_series, cp1_h_sequence, make_spec
 from gwtaut.target import TargetModel, projective_space
 from gwtaut.trees import TreeSum, kappa_boundary_presentation, psi_boundary_presentation
 from gwtaut.verify import random_admissible_key, sample_relation_keys, two_sided_checks
@@ -1013,7 +1013,21 @@ def test_a_grading_0_class_is_forgotten_to_0_in_positive_degree():
         assert evaluate(make_key(target, tau=[(0, 1, 2)], kappa=[(-1, 1, 1)], d=d)) == 0
 
 
-@pytest.mark.parametrize(
+def extra_reductions(key: CorrelatorKey, entry: tuple[int, int], k: int) -> int:
+    """Reductions that ``entry``^k adds to ``key``, each counted on empty memos."""
+    with_k = CorrelatorKey(key.target, key.m, key.p.add(*entry, k), key.d)
+    counts = []
+    for probe in (key, with_k):
+        correlators.clear_caches()
+        before = correlators.reduction_count()
+        evaluate(probe)
+        counts.append(correlators.reduction_count() - before)
+    assert evaluate(key) != 0 and selection(key)
+    return counts[1] - counts[0]
+
+
+# nonzero keys with neither a kappa_{-1} class nor kappa_0(e_0)
+NUMBER_STEP_KEYS = pytest.mark.parametrize(
     "key",
     [
         make_key(P1, tau=[(1, 1, 1), (0, 1, 2)], kappa=[(0, 1, 1)], d=2),
@@ -1023,17 +1037,89 @@ def test_a_grading_0_class_is_forgotten_to_0_in_positive_degree():
     ],
     ids=["P1-psi-kappa", "P2-psi", "P2-kappa", "P3-psi-kappa"],
 )
+
+
+@NUMBER_STEP_KEYS
 @pytest.mark.parametrize("k", [1, 3])
 def test_kappa_minus_one_of_the_divisor_costs_one_reduction(key, k):
-    with_k = CorrelatorKey(key.target, key.m, key.p.add(-1, 1, k), key.d)
-    counts = []
-    for probe in (key, with_k):
-        correlators.clear_caches()
-        before = correlators.reduction_count()
-        evaluate(probe)
-        counts.append(correlators.reduction_count() - before)
-    assert evaluate(key) != 0 and selection(key)
-    assert counts[1] == counts[0] + 1, counts
+    assert extra_reductions(key, (-1, 1), k) == 1
+
+
+# -- kappa_0(e_0) is the number n - 2 ---------------------------------------------------
+#
+# kappa_0(e_0) = pi_*(psi_{n+1}), and psi_{n+1} has degree 2g - 2 + n on the
+# fibre of the map forgetting the last point (Arbarello-Cornalba), so in genus
+# 0 it is n - 2.  evaluate reads it so; the oracle and the kappa recursion
+# reach it by other routes.
+
+
+@NUMBER_STEP_KEYS
+@pytest.mark.parametrize("k", [1, 3])
+def test_kappa_zero_of_the_unit_costs_one_reduction(key, k):
+    assert extra_reductions(key, (0, 0), k) == 1
+
+
+def test_kappa_zero_of_the_unit_scales_the_p1_closed_form():
+    # <kappa_{0,1}^{2n-2}>_n = h_n on P^1, with no points, so kappa_0(e_0) is -2
+    hs = cp1_h_sequence(4)
+    for n, j in product(range(1, 5), (1, 2, 3)):
+        key = make_key(P1, kappa=[(0, 0, j), (0, 1, 2 * n - 2)], d=n)
+        assert evaluate(key) == (-2) ** j * hs[n - 1] == oracle(key), (n, j)
+
+
+def kappa_zero_unit_bases(target: TargetModel, seed: int) -> list[CorrelatorKey]:
+    """Admissible keys with at most five points: tau_0(e_1)^k for k = 0..5
+    at degree 1, where kappa_{0,1}^{2r-2} fills the rest of the dimension
+    and, if r >= 2, again with one kappa_{0,1} traded for kappa_{-1}(e_2);
+    sampled keys, one per pivot shape and unconstrained; and each sampled
+    key of positive degree again with kappa_{-1}(e_1)."""
+    r = target.rank - 1
+    fills = [[(0, 1, 2 * r - 2)]]
+    if r >= 2:
+        fills.append([(0, 1, 2 * r - 3), (-1, 2, 1)])
+    bases = [
+        make_key(target, tau=[(0, 1, k)][:k], kappa=kappa, d=1) for kappa in fills for k in range(6)
+    ]
+    rng = random.Random(seed)
+    sampled = []
+    for need in ("psi", "kappa_pos", "kappa_zero", "pd", None, None, None, None) * 2:
+        base = random_admissible_key(target, rng, d_max=2, need=need)
+        if base.n <= 5 and not base.p.mult(0, 0):
+            sampled.append(base)
+    bases += sampled
+    bases += [CorrelatorKey(target, b.m, b.p.add(-1, 1), b.d) for b in sampled if b.d >= 1]
+    return bases
+
+
+@pytest.mark.parametrize("index", range(5), ids=DIVISOR_TARGET_IDS)
+def test_kappa_zero_of_the_unit_agrees_with_the_oracle(index):
+    target, _ = divisor_targets()[index]
+    points, minus_one, nonzero = Counter(), Counter(), 0
+    for base in kappa_zero_unit_bases(target, 71 + index):
+        value = evaluate(base)
+        for j in (1, 2, 3):
+            key = CorrelatorKey(target, base.m, base.p.add(0, 0, j), base.d)
+            assert evaluate(key) == (base.n - 2) ** j * value == oracle(key), (key, j)
+        points[base.n] += 1
+        minus_one.update(target.gradings[alpha] for (a, alpha), _ in base.p if a < 0)
+        nonzero += value != 0 and base.n != 2
+    assert set(points) == set(range(6)), points
+    # kappa_{-1} of the divisor is read as a number; one of grading 4 is lifted
+    assert minus_one[2] >= 5 and (minus_one[4] >= 6 or target.rank < 3), minus_one
+    assert nonzero >= 10
+
+
+def test_kappa_recursion_agrees_on_kappa_zero_of_the_unit():
+    checked = Counter()
+    for base in sample_relation_keys([P1, P2, P3], 60, seed=7):
+        if base.n < 2:
+            continue
+        for j in (1, 2):
+            key = CorrelatorKey(base.target, base.m, base.p.add(0, 0, j), base.d)
+            value = evaluate(key)
+            assert evaluate_combination(apply_trr_kappa(key, (0, 0))) == value, key
+            checked[value != 0] += 1
+    assert checked[True] >= 20 and checked[False] >= 20, checked
 
 
 # -- degree-0 anchors: Weil-Petersson volumes of M_{0,n} ---------------------------------
@@ -1267,12 +1353,13 @@ def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
         if set(choices(key, move[0], move[1][0])) - {taken}:
             assert move != taken, (key, move)
             lines[move[0], taken is not None and taken[0] == move[0]] += 1
-    # lines whose key evaluate reduced by the same recursion, and the rest
+    # lines whose key evaluate reduced by the same recursion, and the rest;
+    # evaluate reads kappa_0(e_0) as n - 2, so it recurses on fewer keys
     assert lines == {
-        ("psi", True): 16,
-        ("psi", False): 6,
-        ("kappa", True): 6,
-        ("kappa", False): 46,
+        ("psi", True): 12,
+        ("psi", False): 10,
+        ("kappa", True): 5,
+        ("kappa", False): 47,
     }, lines
 
 

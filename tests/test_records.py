@@ -6,8 +6,13 @@ repr is pinned byte for byte.
 """
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,46 @@ def test_pickle_and_deepcopy_round_trip(name):
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert copied == record and hash(copied) == hash(record)
         assert repr(copied) == repr(record)
+
+
+LOAD_IN_ANOTHER_PROCESS = """
+import json, pickle, sys
+from gwtaut.correlators import evaluate, make_key
+from gwtaut.target import projective_space
+loaded, fresh = pickle.loads(sys.stdin.buffer.read()), projective_space(1)
+evaluate(make_key(loaded, tau=[(0, 1, 3)], d=1))
+before = evaluate.cache_info()
+evaluate(make_key(fresh, tau=[(0, 1, 3)], d=1))
+after = evaluate.cache_info()
+print(json.dumps({
+    "equal": loaded == fresh,
+    "same_hash": hash(loaded) == hash(fresh),
+    "in_a_set": len({loaded, fresh}),
+    "hits": after.hits - before.hits,
+    "misses": after.misses - before.misses,
+}))
+"""
+
+
+def test_target_pickled_under_another_hash_seed_hits_the_memo():
+    """String hashes differ between processes, so an unpickled target must
+    hash afresh, or it misses every memo keyed by its target."""
+
+    def python(hash_seed, script, stdin=b""):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        command = [sys.executable, "-c", script]
+        return subprocess.run(command, env=env, input=stdin, capture_output=True, check=True).stdout
+
+    dump = (
+        "import pickle, sys; from gwtaut.target import projective_space; "
+        "sys.stdout.buffer.write(pickle.dumps(projective_space(1)))"
+    )
+    report = json.loads(python("2", LOAD_IN_ANOTHER_PROCESS, python("1", dump)))
+    assert report == {"equal": True, "same_hash": True, "in_a_set": 1, "hits": 1, "misses": 0}
 
 
 def test_records_equal_only_records_of_their_class():
