@@ -5,20 +5,22 @@ multi-index p (levels a >= -1) and a curve degree d.  Values are exact
 rationals.  ``evaluate`` is the one evaluator, memoized; its docstring
 gives the one order in which it applies the relations: the psi and kappa
 recursions (``apply_trr_psi``, ``apply_trr_kappa``, which share one
-boundary-split loop emitting only dimension-balanced terms), the
-comparison relation along the forgetful map and the divisor equation,
-both read backwards, and the lift of kappa_{-1} classes to extra marked
-points (``lift_kappa_minus_one``).  Before all of them it reads kappa_{-1}
-of a divisor and of a class of grading 0, and kappa_0(e_0), as numbers:
-kappa_a(g) is pi_*(psi^{a+1} ev^* g) along the map forgetting a point, whose
-fibre is the curve, so kappa_{-1}(g) is (int_d g) times 1 for a divisor
-(the divisor axiom of Kontsevich-Manin) and 0 for a class of grading 0 (it
-would land in degree -2), and kappa_0(e_0) is the degree of psi on the
-fibre, 2g - 2 + n = n - 2 for a key with n points (Arbarello-Cornalba).
-The forward comparison relation
-(``apply_puncture_dilaton``) is not on that path; the verify suites check
-it against ``evaluate``, and ``gwtaut.oracle`` checks ``evaluate`` with
-code it does not share.
+boundary-split loop emitting only dimension-balanced terms); the
+comparison relation along the forgetful map, read forward to forget a
+tau_0(e_0) point of a psi-free key (``apply_puncture_dilaton``, the string
+equation for kappa classes) and backwards to trade a kappa class for a
+point; the divisor equation read backwards; and the lift of kappa_{-1}
+classes to extra marked points (``lift_kappa_minus_one``).  Before all of
+them it reads kappa_{-1} of a divisor and of a class of grading 0, and
+kappa_0(e_0), as numbers: kappa_a(g) is pi_*(psi^{a+1} ev^* g) along the
+map forgetting a point, whose fibre is the curve, so kappa_{-1}(g) is
+(int_d g) times 1 for a divisor (the divisor axiom of Kontsevich-Manin)
+and 0 for a class of grading 0 (it would land in degree -2), and
+kappa_0(e_0) is the degree of psi on the fibre, 2g - 2 + n = n - 2 for a
+key with n points (Arbarello-Cornalba).
+The forward comparison relation at a psi pivot is not on that path; the
+verify suites check it against ``evaluate``, and ``gwtaut.oracle`` checks
+``evaluate`` with code it does not share.
 
 Each move returns a plain list of (keys, coefficient) terms, unmerged.  A
 split term puts its lower-degree factor first, since
@@ -360,7 +362,9 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
 
     Valid for pivot level a >= 1, or a = 0 when every other tau insertion
     has level 0; never on a three-point degree-0 key.  Returns the list of
-    the relation's one-factor terms.
+    the relation's one-factor terms.  ``evaluate`` applies it at a tau_0(e_0)
+    pivot of a psi-free key with kappa classes of level >= 0; the p2 = empty
+    term then carries kappa_{-1}(e_0), which its number step reads as 0.
     """
     a, alpha = pivot
     if key.m.mult(a, alpha) == 0:
@@ -610,13 +614,19 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     grading >= 4, or of divisors without a pairing, goes on to the branches:
 
     1. psi on >= 3 points: the psi recursion (``apply_trr_psi``);
-    2. kappa of level >= 0, no psi, >= 2 points: the kappa recursion
+    2. kappa of level >= 0, no psi and a tau_0(e_0) point, unless the key
+       has degree 0 and three points (the forgotten space would not
+       exist): the comparison relation forgetting that point
+       (``apply_puncture_dilaton``), the string equation for kappa classes.
+       Its terms have one factor and no boundary split, where the kappa
+       recursion splits the key and most of its terms vanish;
+    3. kappa of level >= 0, no psi, >= 2 points: the kappa recursion
        (``apply_trr_kappa``);
-    3. any other kappa of level >= 0: the comparison relation read
+    4. any other kappa of level >= 0: the comparison relation read
        backwards, a tau_{b+1} point for the kappa_b class;
-    4. psi on < 3 points: the divisor equation read backwards, which adds
+    5. psi on < 3 points: the divisor equation read backwards, which adds
        a point;
-    5. otherwise tau levels are 0 and kappa levels -1: the lift to
+    6. otherwise tau levels are 0 and kappa levels -1: the lift to
        ``pure_gw`` (``lift_kappa_minus_one``).
     """
     global _REDUCTIONS
@@ -645,6 +655,9 @@ def evaluate(key: CorrelatorKey) -> Fraction:
         # entries sort by level, so the deepest psi and kappa classes come last
         points = m.expand()
         terms = apply_trr_psi(key, points[-1], points[:2])
+    # tau entries sort by level, then class, so a tau_0(e_0) point comes first
+    elif kappa and not psi and m and m[0][0] == (0, 0) and (d or key.n > 3):
+        terms = apply_puncture_dilaton(key, (0, 0))
     elif kappa and not psi and key.n >= 2:
         terms = apply_trr_kappa(key, p[-1][0])
     elif kappa:

@@ -19,6 +19,7 @@ from gwtaut.correlators import (
     apply_puncture_dilaton,
     apply_trr_kappa,
     apply_trr_psi,
+    degree_sum,
     evaluate,
     evaluate_combination,
     evaluate_tree_sum,
@@ -1122,6 +1123,105 @@ def test_kappa_recursion_agrees_on_kappa_zero_of_the_unit():
     assert checked[True] >= 20 and checked[False] >= 20, checked
 
 
+# -- the string equation forward: a tau_0(e_0) point is forgotten -----------------------
+#
+# On a psi-free key with kappa classes of level >= 0, the comparison relation
+# with a level-0 e_0 pivot removes the point and merges kappa classes with it,
+# one factor per term.  evaluate takes it before the kappa recursion, except
+# at degree 0 with three points, where the forgotten space does not exist.
+
+
+def forward_string_keys(target: TargetModel, seed: int) -> list[CorrelatorKey]:
+    """Psi-free keys with one or two tau_0(e_0) points, up to three other
+    level-0 points, degree d <= 2 (>= 4 points at degree 0), with and without
+    a kappa_{-1} class; kappa classes of level >= 0 other than kappa_0(e_0),
+    drawn at random, fill the dimension."""
+    rng = random.Random(seed)
+    rank, gradings = target.rank, target.gradings
+    keys = []
+    for d, units, others, minus_one in product(range(3), (1, 2), range(4), (0, 1)):
+        tau = [(0, 0, units)] + [(0, rng.randrange(rank), 1) for _ in range(others)]
+        kappa = [(-1, rng.randrange(1, rank), 1)][:minus_one]
+        base = make_key(target, tau=tau, kappa=kappa, d=d)
+        if d == 0 and base.n < 4:
+            continue
+        gap = 2 * expected_dimension(base) - degree_sum(base)
+        fill = []
+        while gap > 0:
+            a, beta = rng.randrange(gap // 2 + 1), rng.randrange(rank)
+            if (a, beta) != (0, 0) and 2 * a + gradings[beta] <= gap:
+                fill.append((a, beta, 1))
+                gap -= 2 * a + gradings[beta]
+        if fill and not gap:
+            keys.append(make_key(target, tau=tau, kappa=kappa + fill, d=d))
+    return keys
+
+
+@pytest.mark.parametrize("index", range(5), ids=DIVISOR_TARGET_IDS)
+def test_forward_string_equation_agrees_with_the_oracle(index):
+    target, _ = divisor_targets()[index]
+    shapes, nonzero = Counter(), 0
+    for key in forward_string_keys(target, 83 + index):
+        value = oracle(key)
+        assert evaluate_combination(apply_puncture_dilaton(key, (0, 0))) == value, key
+        assert evaluate(key) == value, key
+        shapes[key.n if key.d else "degree 0", key.p.max_level, key.p[0][0][0] < 0] += 1
+        nonzero += value != 0
+    points = {n for n, _, _ in shapes}
+    assert {1, 2, "degree 0"} <= points and max(n for n in points if n != "degree 0") >= 4
+    assert any(minus_one for _, _, minus_one in shapes)
+    assert any(level >= 1 for _, level, _ in shapes)
+    assert nonzero >= 10, nonzero
+
+
+def test_evaluate_forgets_a_unit_point_of_a_psi_free_kappa_key(monkeypatch):
+    reached = []
+
+    def recording(key, pivot):
+        reached.append((key, pivot))
+        return apply_puncture_dilaton(key, pivot)
+
+    monkeypatch.setattr(correlators, "apply_puncture_dilaton", recording)
+    correlators.clear_caches()
+    key = make_key(P2, tau=[(0, 0, 1), (0, 1, 2)], kappa=[(0, 1, 1), (1, 1, 1)], d=1)
+    assert evaluate(key) == oracle(key) == -1
+    assert reached[0] == (key, (0, 0))
+    assert {pivot for _, pivot in reached} == {(0, 0)}
+    # no unit point; psi on fewer than three points; degree 0 with three points
+    for other in (
+        make_key(P1, kappa=[(0, 1, 4)], d=3),
+        make_key(P2, tau=[(0, 1, 2), (0, 2, 1)], kappa=[(0, 1, 1)], d=1),
+        make_key(P2, tau=[(0, 0, 1), (1, 1, 1)], kappa=[(0, 1, 2)], d=1),
+        make_key(P2, tau=[(0, 0, 2), (0, 1, 1)], kappa=[(0, 1, 1)], d=0),
+    ):
+        count = len(reached)
+        assert selection(other) and evaluate(other) == oracle(other), other
+        assert other not in {k for k, _ in reached[count:]}, other
+
+
+@pytest.mark.parametrize(
+    "target, tau, kappa, value",
+    [
+        (P1, [(0, 0, 3)], [(0, 1, 1)], 1),
+        (P1, [(0, 0, 3)], [(1, 0, 1)], 0),
+        (P2, [(0, 0, 2), (0, 1, 1)], [(0, 1, 1)], 1),
+        (P2, [(0, 0, 3)], [(1, 1, 1)], 0),
+        (P3, [(0, 0, 1), (0, 1, 2)], [(0, 1, 1)], 1),
+        (P3, [(0, 0, 2), (0, 2, 1)], [(0, 1, 1)], 1),
+        (rescaled_p2(2), [(0, 0, 2), (0, 1, 1)], [(0, 1, 1)], 4),
+    ],
+    ids=["P1-k0", "P1-k1", "P2-k0", "P2-k1", "P3-k0-e1", "P3-k0-e2", "c-2-k0"],
+)
+def test_degree_zero_three_point_key_with_a_unit_point_takes_the_kappa_recursion(
+    target, tau, kappa, value
+):
+    # M_{0,3}(V, 0) = V, where kappa_0(g) is g (psi on the P^1 fibre has
+    # degree 1) and kappa_1(g) is 0; the forgotten space would be M_{0,2}
+    key = make_key(target, tau=tau, kappa=kappa, d=0)
+    correlators.clear_caches()
+    assert evaluate(key) == oracle(key) == value, key
+
+
 # -- degree-0 anchors: Weil-Petersson volumes of M_{0,n} ---------------------------------
 
 
@@ -1354,12 +1454,13 @@ def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
             assert move != taken, (key, move)
             lines[move[0], taken is not None and taken[0] == move[0]] += 1
     # lines whose key evaluate reduced by the same recursion, and the rest;
-    # evaluate reads kappa_0(e_0) as n - 2, so it recurses on fewer keys
+    # evaluate reads kappa_0(e_0) as n - 2 and forgets a tau_0(e_0) point of a
+    # psi-free kappa key, so it reduces no key with a kappa line by the kappa
+    # recursion
     assert lines == {
         ("psi", True): 12,
         ("psi", False): 10,
-        ("kappa", True): 5,
-        ("kappa", False): 47,
+        ("kappa", False): 54,
     }, lines
 
 
