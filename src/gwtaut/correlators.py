@@ -336,9 +336,10 @@ def _comparison_terms(
 
     Yields (p2, key, coefficient) for each sub-multiset p2 of the level >= 0
     kappa classes of p: the key carries m, the rest of p and a kappa class
-    of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha."""
+    of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha; the
+    unit e_0 leaves the class as it is, so no cup is taken at alpha = 0."""
     for p2, rest, binm, weight, vec in _comparison_table(target, p):
-        for nu, c_nu in target.cup_vector(vec, alpha).items():
+        for nu, c_nu in (vec if alpha == 0 else target.cup_vector(vec, alpha)).items():
             p1 = rest.add(weight + level, nu)
             yield p2, _valid_key(target, m, p1, d), binm * c_nu
 

@@ -1,13 +1,15 @@
 """Truncated multivariate formal power series over exact rationals.
 
 A series lives over a fixed, ordered registry of graded formal variables
-and is stored sparsely over one common denominator: a dict mapping
-exponent tuples to nonzero ``int`` numerators, and one positive ``int``
-``_den``, in lowest terms across the series (the gcd of ``_den`` and every
-numerator is 1; the zero series is the empty dict over 1).  So equal series
-hold equal data, the inner loops do plain int arithmetic, and the readers
-(``items``, ``coefficient``, ``table``, ``to_json_dict``) hand out
-``Fraction``s.  All arithmetic is exact; no floats appear anywhere.
+and is stored sparsely over one common denominator: a dict mapping packed
+exponent vectors (one ``int`` each, laid out by ``Truncation._packing``) to
+nonzero ``int`` numerators, and one positive ``int`` ``_den``, in lowest
+terms across the series (the gcd of ``_den`` and every numerator is 1; the
+zero series is the empty dict over 1).  So equal series hold equal data,
+the inner loops do plain int arithmetic on keys and numerators, and the
+readers (``items``, ``coefficient``, ``table``, ``to_json_dict``) unpack the
+keys and hand out ``Fraction``s.  All arithmetic is exact; no floats appear
+anywhere.
 
 Variables come in three kinds:
 
@@ -25,13 +27,14 @@ Inputs are checked at the API boundary and trusted inside.  The public
 ``QSeries(...)`` checks every term: the exponent vector (``_check_exponents``,
 which ``coefficient`` shares; the packed product relies on non-negative
 ints) and an exact coefficient (``int`` or ``Fraction``); it drops zero
-coefficients and terms the truncation does not admit.  The operations know
-that their inputs passed those checks and that their results stay in the
-window (a product is cut by the packed bounds check of ``Truncation``, a
-derivative lowers the caps it lowers the exponents by), so they build
-their results through the unchecked ``QSeries._from_valid``, dropping
-zero numerators themselves; it restores lowest terms.  ``restrict`` still
-filters with ``Truncation.admits``, since its window is new.
+coefficients and terms the truncation does not admit, and packs the rest.
+The operations know that their inputs passed those checks and that their
+results stay in the window (a product is cut by the packed bounds check of
+``Truncation``, a derivative lowers the caps it lowers the exponents by),
+so they build their results through the unchecked ``QSeries._from_valid``,
+dropping zero numerators themselves; it restores lowest terms.
+``restrict`` filters with the new window's packed check.  It and a
+derivative repack their keys only when the new window's layout differs.
 
 ``Record``, the base of the package's frozen records, lives here at the
 bottom of the import graph.  It replaces ``dataclass(frozen=True)``, whose
@@ -203,15 +206,20 @@ class VarRegistry:
 class Truncation(Record):
     """Per-variable exponent caps plus an optional total cap on non-q vars.
 
-    Every bound is a non-negative int.  That lets a product test its
-    exponent pairs in one integer operation (``_packing``): each exponent
-    vector is packed into one int, one field per variable plus, when a total
-    cap is set, one field holding the non-q total.  A field for a bound c has
-    w = c.bit_length() value bits and one guard bit above them.  Both factors'
-    terms are admitted, so a field of the sum holds at most 2c, and that plus
-    the field's bias 2^w - 1 - c stays below 2^(w+1): nothing carries out of
-    a field, and its guard bit is set exactly when the sum exceeds c.  So a
-    pair is admitted exactly when ``(x1 + x2 + bias) & guard == 0``.
+    Every bound is a non-negative int.  A series stores each admitted
+    exponent vector packed into one int (``_packing``): one field per
+    variable plus, when a total cap is set, one field holding the non-q
+    total.  A field for a bound c has w = max(c.bit_length(), 4) value bits
+    (exact for any c <= 2^w - 1, so a derivative or restriction of a window
+    with caps <= 15 keeps its layout) and one guard bit above them.  Variable
+    0 takes the highest field and the total the lowest, so packed keys sort
+    as their exponent vectors do.  Both factors of a product are admitted, so
+    a field of the sum holds at most 2c, and that plus the field's bias
+    2^w - 1 - c stays below 2^(w+1): nothing carries out of a field, and its
+    guard bit is set exactly when the sum exceeds c.  So a pair is admitted
+    exactly when ``(x1 + x2 + bias) & guard == 0``.  The layout is a pure
+    function of the bounds and the q index, built once per q index and kept
+    on the record, so equal windows pack alike.
     """
 
     caps: tuple[int, ...]
@@ -225,31 +233,35 @@ class Truncation(Record):
         total = self.total_cap
         if total is not None and (type(total) is not int or total < 0):
             raise ValueError(f"total_cap must be None or a non-negative int, got {total!r}")
+        object.__setattr__(self, "_layouts", {})
 
     def _packing(self, q_index: int | None):
-        """Layout of the packed bounds check, built in O(#variables).
+        """Layout of the packed keys, built in O(#variables) once per q index.
 
         Returns ``(weights, bias, guard, fields)``: an exponent vector packs
         to ``sum(e * w for e, w in zip(exps, weights))`` (each weight places
         the exponent in its own field and, for a non-q variable under a total
-        cap, also in the total field), and ``fields`` holds the (shift, mask)
-        pairs that unpack the per-variable fields of an admitted sum.
+        cap, also in the total field at bit 0), and ``fields`` holds the
+        (shift, mask) pairs that unpack the per-variable fields of a key.
         """
-        n = len(self.caps)
-        bounds = self.caps if self.total_cap is None else (*self.caps, self.total_cap)
-        shift = bias = guard = 0
-        fields = []
-        for bound in bounds:
-            width = bound.bit_length()
-            fields.append((shift, (1 << width) - 1))
-            bias |= ((1 << width) - 1 - bound) << shift
-            guard |= 1 << (shift + width)
-            shift += width + 1
-        weights = [1 << s for s, _ in fields[:n]]
-        if self.total_cap is not None:
-            total_bit = 1 << fields[n][0]
-            weights = [w if i == q_index else w + total_bit for i, w in enumerate(weights)]
-        return weights, bias, guard, fields[:n]
+        layout = self._layouts.get(q_index)
+        if layout is None:
+            n = len(self.caps)
+            bounds = self.caps if self.total_cap is None else (*self.caps, self.total_cap)
+            shift = bias = guard = 0
+            fields = [None] * len(bounds)
+            for j in reversed(range(len(bounds))):
+                bound = bounds[j]
+                width = max(bound.bit_length(), 4)
+                fields[j] = (shift, (1 << width) - 1)
+                bias |= ((1 << width) - 1 - bound) << shift
+                guard |= 1 << (shift + width)
+                shift += width + 1
+            weights = [1 << s for s, _ in fields[:n]]
+            if self.total_cap is not None:
+                weights = [w if i == q_index else w + 1 for i, w in enumerate(weights)]
+            layout = self._layouts[q_index] = (weights, bias, guard, fields[:n])
+        return layout
 
     def admits(self, exps: Exponents, q_index: int | None) -> bool:
         if any(e > c for e, c in zip(exps, self.caps)):
@@ -340,12 +352,13 @@ class QSeries:
         if len(trunc.caps) != len(registry):
             raise ValueError("truncation caps do not match the registry")
         qi = registry.q_index()
-        kept: dict[Exponents, Fraction] = {}
+        weights = trunc._packing(qi)[0]
+        kept: dict[int, Fraction] = {}
         for exps, coef in (terms or {}).items():
             _check_exponents(exps, len(registry))
             coef = exact_rational(coef)
             if coef and trunc.admits(exps, qi):
-                kept[exps] = coef
+                kept[sum(map(mul, exps, weights))] = coef
         # over the lcm of reduced fractions no prime divides every numerator
         den = lcm(*(c.denominator for c in kept.values()))
         nums = {e: c.numerator * (den // c.denominator) for e, c in kept.items()}
@@ -356,12 +369,13 @@ class QSeries:
 
     @classmethod
     def _from_valid(
-        cls, registry: VarRegistry, trunc: Truncation, nums: dict[Exponents, int], den: int
+        cls, registry: VarRegistry, trunc: Truncation, nums: dict[int, int], den: int
     ) -> "QSeries":
-        """Trusted builder of ``nums / den``: every term admitted by ``trunc``, every
-        numerator a nonzero ``int``, ``den`` a positive ``int``.  Nothing is checked;
-        the gcd of ``den`` and all numerators (its running value stops at 1) is
-        divided out, since a sum, product, derivative or restriction can leave one."""
+        """Trusted builder of ``nums / den``: every key an admitted vector packed in
+        ``trunc``'s layout, every numerator a nonzero ``int``, ``den`` a positive
+        ``int``.  Nothing is checked; the gcd of ``den`` and all numerators (its
+        running value stops at 1) is divided out, since a sum, product,
+        derivative or restriction can leave one."""
         g = den
         for n in nums.values():
             if g == 1:
@@ -379,6 +393,10 @@ class QSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
+
+    def __reduce__(self):
+        # pickle and the copies rebuild through the constructor, as a Record does
+        return type(self), (self.registry, self.trunc, dict(self.items()))
 
     # -- constructors ------------------------------------------------------
 
@@ -403,8 +421,11 @@ class QSeries:
     # -- basics ------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
+        fields = self.trunc._packing(self.registry.q_index())[3]
         nums, den = self._terms, self._den
-        return ((e, Fraction(nums[e], den)) for e in sorted(nums))
+        return (
+            (tuple((x >> s) & m for s, m in fields), Fraction(nums[x], den)) for x in sorted(nums)
+        )
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -475,22 +496,17 @@ class QSeries:
                 self.registry, self.trunc, terms, self._den * scalar.denominator
             )
         self._check_compat(other)
-        weights, bias, guard, fields = self.trunc._packing(self.registry.q_index())
-        right = [(sum(map(mul, e, weights)), c) for e, c in other._terms.items()]
+        _, bias, guard, _ = self.trunc._packing(self.registry.q_index())
+        right = list(other._terms.items())
         packed: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            x1 = sum(map(mul, e1, weights))
+        for x1, c1 in self._terms.items():
             biased = x1 + bias
             for x2, c2 in right:
                 if (biased + x2) & guard:
                     continue
                 x = x1 + x2
                 packed[x] = packed.get(x, 0) + c1 * c2
-        terms = {
-            tuple((x >> shift) & mask for shift, mask in fields): c
-            for x, c in packed.items()
-            if c
-        }
+        terms = {x: c for x, c in packed.items() if c}
         return QSeries._from_valid(self.registry, self.trunc, terms, self._den * other._den)
 
     __rmul__ = __mul__
@@ -499,7 +515,7 @@ class QSeries:
 
     def exp(self) -> "QSeries":
         """exp of a series with zero constant term, Taylor-expanded exactly."""
-        const = self._terms.get((0,) * len(self.registry))
+        const = self._terms.get(0)
         if const:
             raise ValueError("exp needs a zero constant term")
         result = QSeries.one(self.registry, self.trunc)
@@ -516,9 +532,11 @@ class QSeries:
     def coefficient(self, exps: Exponents) -> Fraction:
         exps = tuple(exps)
         _check_exponents(exps, len(self.registry))
-        if not self.trunc.admits(exps, self.registry.q_index()):
+        qi = self.registry.q_index()
+        if not self.trunc.admits(exps, qi):
             raise ValueError(f"monomial {exps} lies outside the truncation")
-        return Fraction(self._terms.get(exps, 0), self._den)
+        x = sum(map(mul, exps, self.trunc._packing(qi)[0]))
+        return Fraction(self._terms.get(x, 0), self._den)
 
     def partial_derivative(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
         """Formal d/dv; the cap of the differentiated variable drops by one.
@@ -527,31 +545,31 @@ class QSeries:
         in the old window, so its derivative lies in the new one.
         """
         i = self.registry.index_of(kind, a, alpha)
+        qi = self.registry.q_index()
         caps = list(self.trunc.caps)
         caps[i] = max(caps[i] - 1, 0)
         total = self.trunc.total_cap
-        if total is not None and i != self.registry.q_index():
+        if total is not None and i != qi:
             total = max(total - 1, 0)
+        weights, _, _, fields = self.trunc._packing(qi)
+        step, (shift, mask) = weights[i], fields[i]
         terms = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coef * exps[i]
-            for exps, coef in self._terms.items()
-            if exps[i]
+            x - step: c * k for x, c in self._terms.items() if (k := (x >> shift) & mask)
         }
-        return QSeries._from_valid(
-            self.registry, Truncation(tuple(caps), total), terms, self._den
-        )
+        new = Truncation(tuple(caps), total)
+        new_weights, _, _, new_fields = new._packing(qi)
+        if new_weights == weights and new_fields == fields:
+            return QSeries._from_valid(self.registry, new, terms, self._den)
+        return QSeries._from_valid(self.registry, self.trunc, terms, self._den).restrict(new)
 
     def q_log_derivative(self) -> "QSeries":
         """q d/dq; exponents are preserved so the truncation is unchanged."""
         qi = self.registry.q_index()
         if qi is None:
             raise ValueError("registry has no q variable")
-        return QSeries._from_valid(
-            self.registry,
-            self.trunc,
-            {e: c * e[qi] for e, c in self._terms.items() if e[qi]},
-            self._den,
-        )
+        shift, mask = self.trunc._packing(qi)[3][qi]
+        terms = {x: c * k for x, c in self._terms.items() if (k := (x >> shift) & mask)}
+        return QSeries._from_valid(self.registry, self.trunc, terms, self._den)
 
     def multiply_variable(self, kind: str, a: int = 0, alpha: int = 0) -> "QSeries":
         """Multiply by a single variable; overflowing terms are dropped."""
@@ -566,12 +584,13 @@ class QSeries:
                 f"to {new_trunc}"
             )
         qi = self.registry.q_index()
-        return QSeries._from_valid(
-            self.registry,
-            new_trunc,
-            {e: c for e, c in self._terms.items() if new_trunc.admits(e, qi)},
-            self._den,
-        )
+        weights, bias, guard, fields = new_trunc._packing(qi)
+        old_weights, _, _, old_fields = self.trunc._packing(qi)
+        if weights != old_weights or fields != old_fields:
+            # an exponent may overflow a narrower field: repack through the constructor
+            return QSeries(self.registry, new_trunc, dict(self.items()))
+        terms = {x: c for x, c in self._terms.items() if not (x + bias) & guard}
+        return QSeries._from_valid(self.registry, new_trunc, terms, self._den)
 
     def _loosened(self, new_trunc: Truncation) -> str:
         """Names of the bounds of ``new_trunc`` looser than the current ones."""
@@ -593,7 +612,7 @@ class QSeries:
 
     def gradings(self) -> set[int]:
         """Set of total gradings of the stored monomials."""
-        return {self.registry.grading(e) for e in self._terms}
+        return {self.registry.grading(e) for e, _ in self.items()}
 
     def monomial_name(self, exps: Exponents) -> str:
         parts = []

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -424,6 +426,28 @@ def test_json_round_trip_of_the_cp1_closed_form():
     s = cp1_closed_form_series(3, cp1_spec(q_cap=3, var_cap=3, total_cap=3))
     assert len(list(s.items())) > 10
     assert QSeries.from_json_dict(s.to_json_dict()) == s
+
+
+def test_restrict_narrowing_the_top_field_repacks():
+    # caps 17 and 0 pack x0 in a 5-bit field at bit 5; caps 0 and 0 keep
+    # every shift but narrow that field to 4 bits, so x0^17 must not be
+    # tested by the new guard alone
+    reg = VarRegistry([Variable("t", 0, 0, 0), Variable("t", 0, 1, 0)])
+    a = QSeries(reg, Truncation((17, 0)), {(0, 0): 1, (17, 0): 1, (16, 0): 2})
+    narrow = Truncation((0, 0))
+    assert a.restrict(narrow) == QSeries.one(reg, narrow)
+    assert list(a.restrict(Truncation((16, 0))).items()) == [((0, 0), 1), ((16, 0), 2)]
+
+
+def test_pickle_and_copies_rebuild_the_series():
+    from gwtaut.potentials import cp1_closed_form_series, cp1_spec
+
+    s = cp1_closed_form_series(3, cp1_spec(q_cap=3, var_cap=3, total_cap=3))
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin == s
+        assert hash(twin) == hash(s)
+        assert list(twin.items()) == list(s.items())
+        assert twin * s == s * s
 
 
 def test_readers_yield_fractions():

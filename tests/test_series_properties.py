@@ -32,8 +32,9 @@ def series_pairs(draw):
     registry = VarRegistry(
         Variable("q", 0, 0, -2) if i == qi else Variable("t", 0, i, 0) for i in range(n)
     )
-    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
-    trunc = Truncation(caps, draw(st.none() | st.integers(0, 6)))
+    # caps past 15 and below it, so results cross a change of field width
+    caps = tuple(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+    trunc = Truncation(caps, draw(st.none() | st.integers(0, 24)))
     # exponents up to one past each cap, so the constructor's filter runs too
     exps = st.tuples(*(st.integers(0, c + 1) for c in caps))
     terms = st.dictionaries(exps, coefficients, max_size=8)
@@ -51,7 +52,7 @@ def tighter(draw, trunc: Truncation) -> Truncation:
     """A truncation that ``trunc`` dominates."""
     caps = tuple(draw(st.integers(0, c)) for c in trunc.caps)
     if trunc.total_cap is None:
-        return Truncation(caps, draw(st.none() | st.integers(0, 6)))
+        return Truncation(caps, draw(st.none() | st.integers(0, 24)))
     return Truncation(caps, draw(st.integers(0, trunc.total_cap)))
 
 
@@ -61,6 +62,8 @@ def assert_same(result: QSeries, naive: QSeries):
     assert hash(result) == hash(naive)
     assert gcd(result._den, *result._terms.values()) == 1
     assert all(type(c) is Fraction and c != 0 for _, c in result.items())
+    exponents = [e for e, _ in result.items()]
+    assert exponents == sorted(exponents)
 
 
 def naive(a: QSeries, terms: dict, trunc: Truncation | None = None) -> QSeries:
