@@ -545,9 +545,10 @@ def _exact_sum(terms) -> Fraction:
     return Fraction(num, den)
 
 
-def _combination_terms(terms: list[Term]):
+def _combination_terms(terms):
     """Each nonzero term as its product's int (numerator, denominator); a
-    product stops at its first zero factor."""
+    product stops at its first zero factor.  A term's keys may be any
+    iterable, so a lazy one builds no key after that factor."""
     for keys, coeff in terms:
         num, den = coeff.numerator, coeff.denominator
         for k in keys:
@@ -710,10 +711,11 @@ def evaluate_tree_sum(
 
 def _tree_sum_terms(target: TargetModel, tree_sum: TreeSum, ambient: dict[int, Entry]):
     """Each nonzero term of the tree sum as int (numerator, denominator),
-    scaled by its tree's coefficient and 1/|Aut|."""
+    scaled by its tree's coefficient and 1/|Aut|; each tree's products run
+    through ``_combination_terms``."""
     for tree, coeff in tree_sum.items():
         scale_num, scale_den = coeff.numerator, coeff.denominator * aut_order(tree)
-        for num, den in _decorated_tree_terms(target, tree, ambient):
+        for num, den in _combination_terms(_decorated_tree_terms(target, tree, ambient)):
             yield scale_num * num, scale_den * den
 
 
@@ -726,9 +728,10 @@ def _tree_layout(target: TargetModel, tree: DecoratedTree):
     tail label's [vertex, summed psi power, ev classes]; each vertex's
     (curve degree, kappa index, its integrand degree); each vertex's
     balanced degree 2(dim + valence - 3 + beta c1); and the edges as (child,
-    parent) from the leaves to vertex 0.  Keying trees up to isomorphism is
-    sound: renumbering the vertices leaves the integral as it is, and
-    eta^{-1} is symmetric."""
+    parent) from the leaves to vertex 0, as the tree's connectivity check
+    in ``DecoratedTree.__post_init__`` stored them.  Keying trees up to
+    isomorphism is sound: renumbering the vertices leaves the integral as it
+    is, and eta^{-1} is symmetric."""
     tails = {label: [v, 0, []] for label, v in tree.tails}
     kappa_at: list[list[Entry]] = [[] for _ in tree.betas]
     for v, tok in tree.decorations:
@@ -756,20 +759,13 @@ def _tree_layout(target: TargetModel, tree: DecoratedTree):
     balanced = tuple(
         2 * target.moduli_dimension(tree.valence(v), beta) for v, beta in enumerate(tree.betas)
     )
-    parent, order = {0: None}, [0]
-    for u in order:  # breadth first from vertex 0, so reversed it runs leaf to root
-        for w in tree.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    edges = tuple((v, parent[v]) for v in reversed(order[1:]))
-    return tails, tuple(vertices), balanced, edges
+    return tails, tuple(vertices), balanced, tree._edges_to_root
 
 
 def _decorated_tree_terms(
     target: TargetModel, tree: DecoratedTree, ambient: dict[int, Entry]
 ):
-    """Each nonzero term of one tree's integral as int (numerator, denominator).
+    """Each term of one tree's integral as (vertex keys, coefficient).
 
     The tree is checked once per (target, tree), by ``_tree_layout``, and
     only the ambient labels per call.  For each tail pick the node classes
@@ -777,9 +773,9 @@ def _decorated_tree_terms(
     child vertex balances only for a node class of grading (its balanced
     degree) - (its degree so far), which gives its parent's class the
     grading 2 dim minus that (the pairing is graded).  So only those eta^{-1}
-    pairs are read, and vertex 0 is checked last.  The vertex keys are then
-    built unchecked, one at a time, and a product stops at its first zero
-    factor."""
+    pairs are read, and vertex 0 is checked last.  The vertex keys are a
+    generator, built unchecked one at a time as ``_combination_terms`` reads
+    them, so none is built after a zero factor."""
     tails, vertices, balanced, edges = _tree_layout(target, tree)
     if ambient.keys() != tails.keys():
         raise ValueError(
@@ -817,15 +813,11 @@ def _decorated_tree_terms(
                 coeff *= w
                 at[child].append((0, s1))
                 at[parent].append((0, s2))
-            num, den = coeff.numerator, coeff.denominator
-            for (beta, kappa, _), entries in zip(vertices, at):
-                value = evaluate(_valid_key(target, _index_of(entries), kappa, beta))
-                if not value:
-                    break
-                num *= value.numerator
-                den *= value.denominator
-            else:
-                yield num, den
+            keys = (
+                _valid_key(target, _index_of(entries), kappa, beta)
+                for (beta, kappa, _), entries in zip(vertices, at)
+            )
+            yield keys, coeff
 
 
 # bound at import, so clearing still works if the module names are rebound

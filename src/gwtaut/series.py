@@ -2,14 +2,14 @@
 
 A series lives over a fixed, ordered registry of graded formal variables
 and is stored sparsely over one common denominator: a dict mapping packed
-exponent vectors (one ``int`` each, laid out by ``Truncation._packing``) to
-nonzero ``int`` numerators, and one positive ``int`` ``_den``, in lowest
-terms across the series (the gcd of ``_den`` and every numerator is 1; the
-zero series is the empty dict over 1).  So equal series hold equal data,
-the inner loops do plain int arithmetic on keys and numerators, and the
-readers (``items``, ``coefficient``, ``table``, ``to_json_dict``) unpack the
-keys and hand out ``Fraction``s.  All arithmetic is exact; no floats appear
-anywhere.
+exponent vectors (one ``int`` each, laid out by ``Truncation._packing``, a
+memo holding one layout per window) to nonzero ``int`` numerators, and one
+positive ``int`` ``_den``, in lowest terms across the series (the gcd of
+``_den`` and every numerator is 1; the zero series is the empty dict over
+1).  So equal series hold equal data, the inner loops do plain int
+arithmetic on keys and numerators, and the readers (``items``,
+``coefficient``, ``table``, ``to_json_dict``) unpack the keys and hand out
+``Fraction``s.  All arithmetic is exact; no floats appear anywhere.
 
 Variables come in three kinds:
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd, lcm
 from operator import add, attrgetter, mul, sub
 
@@ -159,13 +160,13 @@ class Variable(Record):
         return f"{self.kind}{self.a},{self.alpha}"
 
 
-class VarRegistry:
-    """Ordered collection of variables; identity is (kind, a, alpha)."""
+class VarRegistry(tuple):
+    """Ordered tuple of variables; identity is (kind, a, alpha)."""
 
-    def __init__(self, variables: Iterable[Variable]):
-        self._vars = tuple(variables)
+    def __new__(cls, variables: Iterable[Variable]) -> "VarRegistry":
+        registry = tuple.__new__(cls, variables)
         index: dict[tuple[str, int, int], int] = {}
-        for i, v in enumerate(self._vars):
+        for i, v in enumerate(registry):
             if v.grading % 2 != 0:
                 raise ValueError(f"odd grading rejected for {v.name}: {v.grading}")
             if v.kind == "q" and (v.a, v.alpha) != (0, 0):
@@ -173,22 +174,8 @@ class VarRegistry:
             if v.key in index:
                 raise ValueError(f"duplicate variable {v.name}")
             index[v.key] = i
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self._vars)
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._vars)
-
-    def __getitem__(self, i: int) -> Variable:
-        return self._vars[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VarRegistry) and self._vars == other._vars
-
-    def __hash__(self) -> int:
-        return hash(self._vars)
+        registry._index = index
+        return registry
 
     def index_of(self, kind: str, a: int = 0, alpha: int = 0) -> int:
         try:
@@ -200,7 +187,7 @@ class VarRegistry:
         return self._index.get(("q", 0, 0))
 
     def grading(self, exps: Exponents) -> int:
-        return sum(k * v.grading for k, v in zip(exps, self._vars))
+        return sum(k * v.grading for k, v in zip(exps, self))
 
 
 class Truncation(Record):
@@ -218,8 +205,8 @@ class Truncation(Record):
     2^w - 1 - c stays below 2^(w+1): nothing carries out of a field, and its
     guard bit is set exactly when the sum exceeds c.  So a pair is admitted
     exactly when ``(x1 + x2 + bias) & guard == 0``.  The layout is a pure
-    function of the bounds and the q index, built once per q index and kept
-    on the record, so equal windows pack alike.
+    function of the bounds and the q index, memoized by ``_packing``, so equal
+    windows pack alike and share one layout.
     """
 
     caps: tuple[int, ...]
@@ -233,35 +220,34 @@ class Truncation(Record):
         total = self.total_cap
         if total is not None and (type(total) is not int or total < 0):
             raise ValueError(f"total_cap must be None or a non-negative int, got {total!r}")
-        object.__setattr__(self, "_layouts", {})
 
+    @cache
     def _packing(self, q_index: int | None):
-        """Layout of the packed keys, built in O(#variables) once per q index.
+        """Layout of the packed keys, built in O(#variables) once per window.
 
         Returns ``(weights, bias, guard, fields)``: an exponent vector packs
         to ``sum(e * w for e, w in zip(exps, weights))`` (each weight places
         the exponent in its own field and, for a non-q variable under a total
         cap, also in the total field at bit 0), and ``fields`` holds the
         (shift, mask) pairs that unpack the per-variable fields of a key.
+        Both are tuples, so no caller can change the shared memo.  It is keyed
+        by (truncation, q index), so a derivative or restriction onto a window
+        seen before reuses that window's layout.  Being a pure function of the
+        bounds, it is never stale, and ``clear_caches()`` leaves it alone.
         """
-        layout = self._layouts.get(q_index)
-        if layout is None:
-            n = len(self.caps)
-            bounds = self.caps if self.total_cap is None else (*self.caps, self.total_cap)
-            shift = bias = guard = 0
-            fields = [None] * len(bounds)
-            for j in reversed(range(len(bounds))):
-                bound = bounds[j]
-                width = max(bound.bit_length(), 4)
-                fields[j] = (shift, (1 << width) - 1)
-                bias |= ((1 << width) - 1 - bound) << shift
-                guard |= 1 << (shift + width)
-                shift += width + 1
-            weights = [1 << s for s, _ in fields[:n]]
-            if self.total_cap is not None:
-                weights = [w if i == q_index else w + 1 for i, w in enumerate(weights)]
-            layout = self._layouts[q_index] = (weights, bias, guard, fields[:n])
-        return layout
+        bounds = self.caps if self.total_cap is None else (*self.caps, self.total_cap)
+        shift = bias = guard = 0
+        fields = []
+        for bound in reversed(bounds):
+            width = max(bound.bit_length(), 4)
+            fields.append((shift, (1 << width) - 1))
+            bias |= ((1 << width) - 1 - bound) << shift
+            guard |= 1 << (shift + width)
+            shift += width + 1
+        fields = tuple(reversed(fields))[: len(self.caps)]
+        in_total = int(self.total_cap is not None)  # a non-q exponent also adds to the total
+        weights = tuple((1 << s) + (i != q_index and in_total) for i, (s, _) in enumerate(fields))
+        return weights, bias, guard, fields
 
     def admits(self, exps: Exponents, q_index: int | None) -> bool:
         if any(e > c for e, c in zip(exps, self.caps)):

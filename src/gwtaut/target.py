@@ -286,19 +286,15 @@ class TargetModel(Record):
 
     @cached_property
     def is_monogenic(self) -> bool:
-        """True when the basis is 1, h, h^2, ... with h the hyperplane class
-        (cached: ``pure_gw`` reads it on every memo miss)."""
+        """True when the basis is 1, h, h^2, ... with h the hyperplane class,
+        read from the sparse cup table (cached: ``pure_gw`` reads it on every
+        memo miss)."""
         r = self.rank - 1
-        if self.gradings != tuple(2 * i for i in range(r + 1)):
-            return False
-        for a in range(r + 1):
-            for b in range(r + 1):
-                expect = a + b if a + b <= r else None
-                for nu in range(r + 1):
-                    want = Fraction(1) if nu == expect else Fraction(0)
-                    if self.cup[a][b][nu] != want:
-                        return False
-        return True
+        return self.gradings == tuple(range(0, 2 * r + 1, 2)) and all(
+            self._cup_table[a][b] == ({a + b: 1} if a + b <= r else {})
+            for a in range(r + 1)
+            for b in range(r + 1)
+        )
 
 
 def _narrow(x: Rational) -> Rational:

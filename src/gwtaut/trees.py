@@ -85,8 +85,17 @@ class DecoratedTree(Record):
                 raise ValueError("decoration on a missing vertex")
         if len(edges) != nv - 1:
             raise ValueError("a tree needs exactly |V| - 1 edges")
-        if self._component(0) != set(range(nv)):
+        parent, order = {0: None}, [0]
+        for u in order:  # breadth first from vertex 0, so reversed it runs leaf to root
+            for w in self.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        if len(order) != nv:
             raise ValueError("tree is not connected")
+        # (child, parent) from the leaves to vertex 0, read by the tree integral
+        edges_to_root = tuple((v, parent[v]) for v in reversed(order[1:]))
+        object.__setattr__(self, "_edges_to_root", edges_to_root)
         for v in range(nv):
             if self.betas[v] == 0 and self.valence(v) < 3:
                 raise ValueError(
@@ -99,18 +108,6 @@ class DecoratedTree(Record):
         object.__setattr__(self, "_aut", len(minimal) * minimal[0])
 
     # -- structure ------------------------------------------------------------
-
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for x, y in self.edges:
-                for a, b in ((x, y), (y, x)):
-                    if a == u and b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-        return seen
 
     @property
     def n_vertices(self) -> int:
@@ -385,24 +382,19 @@ def forgetful_pushforward(t: DecoratedTree, label: int) -> TreeSum:
     for tok in t.decorations_at(v):
         if tok.degree > 0:
             return TreeSum()
-    half_tails = [lab for lab, w in remaining if w == v]
     nbrs = t.neighbors(v)
     keep = [w for w in range(t.n_vertices) if w != v]
     relabel = {w: i for i, w in enumerate(keep)}
     new_edges = [
         (relabel[x], relabel[y]) for x, y in t.edges if v not in (x, y)
     ]
-    if len(nbrs) == 2:
+    if len(nbrs) == 2:  # the forgotten tail was the vertex's only one
         new_edges.append((relabel[nbrs[0]], relabel[nbrs[1]]))
-        if half_tails:
-            raise AssertionError("valence bookkeeping broke")
         new_tails = tuple((lab, relabel[w]) for lab, w in remaining)
-    elif len(nbrs) == 1:
+    else:  # one neighbour, which takes the vertex's other tail
         new_tails = tuple(
             (lab, relabel[nbrs[0]] if w == v else relabel[w]) for lab, w in remaining
         )
-    else:
-        raise ValueError("cannot stabilize an isolated vertex")
     new_decor = tuple(
         (relabel[w], tok) for w, tok in t.decorations if w != v
     )

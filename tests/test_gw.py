@@ -148,22 +148,24 @@ def test_custom_target_without_seed_errors():
         pure_gw(clone, [], 1)
 
 
+# rank-3 ring with a non-hyperplane cup structure: e1*e1 = 2 e2
+QUADRIC_LIKE = {
+    "type": "custom",
+    "name": "quadric-like",
+    "gradings": [0, 2, 4],
+    "eta": [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+    "cup": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 2], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ],
+    "c1_degree": 2,
+    "divisor_pairings": [[1, "1/1"]],
+}
+
+
 def test_non_monogenic_target_needs_seeds():
-    # rank-3 ring with a non-hyperplane cup structure: e1*e1 = 2 e2
-    config = {
-        "type": "custom",
-        "name": "quadric-like",
-        "gradings": [0, 2, 4],
-        "eta": [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
-        "cup": [
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[0, 1, 0], [0, 0, 2], [0, 0, 0]],
-            [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        ],
-        "c1_degree": 2,
-        "divisor_pairings": [[1, "1/1"]],
-    }
-    quadric = target_from_config(config)
+    quadric = target_from_config(QUADRIC_LIKE)
     assert not quadric.is_monogenic
     # selection-valid key: class degrees 12 = 2 * (2 + 3 - 3 + 2*2)
     with pytest.raises(ValueError, match="(seed|hyperplane)"):

@@ -4,6 +4,8 @@ import pytest
 
 from gwtaut.gw import pure_gw
 from gwtaut.target import TargetModel, projective_space, target_from_config
+from test_correlators import rescaled_p2
+from test_gw import QUADRIC_LIKE
 
 
 def test_cup_on_p2():
@@ -269,3 +271,36 @@ def test_seed_classes_are_stored_sorted():
     q3 = target_from_config(config)
     assert q3.seeds == (((2, 3), 1, 4),)
     assert pure_gw(q3, (3, 3, 3), 2) == 8
+
+
+def dense_is_monogenic(target: TargetModel) -> bool:
+    """Gradings 0, 2, ..., 2r and e_a e_b = e_{a+b} (0 past e_r), read entry
+    by entry from the dense ``Fraction`` cup tensor."""
+    r = target.rank - 1
+    if target.gradings != tuple(2 * i for i in range(r + 1)):
+        return False
+    return all(
+        target.cup[a][b][nu] == (Fraction(1) if nu == a + b else Fraction(0))
+        for a in range(r + 1)
+        for b in range(r + 1)
+        for nu in range(r + 1)
+    )
+
+
+POINT = TargetModel(name="point", gradings=(0,), eta=((1,),), cup=(((1,),),), c1_degree=0)
+
+
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        *((projective_space(r), True) for r in range(1, 5)),
+        (rescaled_p2(2), True),
+        (rescaled_p2(Fraction(1, 2)), True),
+        (target_from_config(QUADRIC_LIKE), False),
+        (POINT, True),
+    ],
+    ids=["P1", "P2", "P3", "P4", "P2-basis-2H", "P2-basis-half-H", "quadric-like", "point"],
+)
+def test_is_monogenic_reads_the_sparse_cup_table(target, expected):
+    assert target.is_monogenic is expected
+    assert dense_is_monogenic(target) is expected

@@ -48,6 +48,12 @@ def test_stability_enforced():
         two_vertex_tree((1, 2, 3), (), 1, 0)
 
 
+def test_disconnected_tree_rejected():
+    # a triangle on vertices 1-3 plus an isolated vertex 0: |V| - 1 edges, no tree
+    with pytest.raises(ValueError, match="tree is not connected"):
+        DecoratedTree(betas=(1, 1, 1, 1), edges=((1, 2), (2, 3), (1, 3)), tails=())
+
+
 def test_enumerate_pinned_splits():
     # tail 1 alone on the second side forces its degree to be positive
     trees = enumerate_two_vertex_divisors(3, 2, pin_first=(2, 3), pin_second=(1,))
