@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .correlators import _normal_index, _valid_key, evaluate
 from .series import QSeries, Record, Truncation, Variable, VarRegistry
@@ -115,18 +116,27 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
     Every monomial with the correct homogeneity is filled, in exponent
     order and on the calling thread, with the exact correlator value
     weighted by 1/m! 1/p!.  The spec has checked its entries (valid and
-    increasing), so each cell's key is built without checks.
+    increasing), so each cell's key is built without checks.  The walk
+    yields only admitted cells, so each nonzero one is packed straight into
+    its key and kept as (numerator, denominator * m! p!) without dividing
+    ``Fraction``s; ``QSeries._from_valid`` over the lcm of those
+    denominators divides out the common gcd, which leaves the lowest-terms
+    series the public constructor would build.
     """
     registry, trunc = spec.context()
     t, s = spec.t_entries, spec.s_entries
-    terms = {}
+    weights = trunc._packing(registry.q_index())[0]
+    cells = {}
     for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
         m = _normal_index(tuple((e, k) for e, k in zip(t, exps) if k))
         p = _normal_index(tuple((e, k) for e, k in zip(s, exps[len(t) :]) if k))
         value = evaluate(_valid_key(spec.target, m, p, exps[-1]))
-        if value != 0:
-            terms[exps] = value / (m.factorial() * p.factorial())
-    return QSeries(registry, trunc, terms)
+        if value:
+            weight = value.denominator * m.factorial() * p.factorial()
+            cells[sum(map(mul, exps, weights))] = (value.numerator, weight)
+    den = lcm(*(weight for _, weight in cells.values()))
+    nums = {x: num * (den // weight) for x, (num, weight) in cells.items()}
+    return QSeries._from_valid(registry, trunc, nums, den)
 
 
 # -- P^1 closed form ---------------------------------------------------------------
@@ -220,7 +230,7 @@ def cp1_penult_residual(
     H is the closed form restricted to x0, x1, s01 and q; primes are
     q d/dq.  Zero exactly when the h-numbers satisfy their recursion.
     """
-    if n_terms < 1:
+    if json_int(n_terms, "a term count") < 1:
         raise ValueError("need at least one q order")
     s01_cap = max(2 * n_terms - 1, 1)
     caps = (n_terms, n_terms, s01_cap)
@@ -254,7 +264,10 @@ def _residual_context(potential: QSeries, target: TargetModel):
     ``ValueError`` is raised.  Both read the window where all third partials
     are exact: every cap but q's, and the total cap, lowered by 3.
     ``d(*variables)`` is a partial derivative by ``(kind, a, alpha)`` triples;
-    partials commute, so it is memoized by the sorted variables.
+    partials commute, so it is memoized by the sorted variables.  Behind it
+    a second memo holds the unrestricted derivatives by sorted path, so each
+    new partial is one ``partial_derivative`` of its prefix's entry and only
+    that result is restricted to the window.
     ``G(left, right)`` is sum_{e,f} eta^{ef} d(*left, x_e) d(x_f, *right).  It
     is symmetric within each side and, as eta^{-1} is (``TargetModel``
     enforces it), under swapping the sides: it is memoized by the sorted pair
@@ -277,16 +290,19 @@ def _residual_context(potential: QSeries, target: TargetModel):
     window = Truncation(caps, None if total is None else max(total - 3, 0))
     x = [("t", 0, alpha) for alpha in range(rank)]
     pairs = target.eta_inverse_pairs()
+    derivatives: dict[tuple, QSeries] = {(): potential}
     partials: dict[tuple, QSeries] = {}
     contractions: dict[tuple, QSeries] = {}
+
+    def derivative(path: tuple) -> QSeries:
+        if path not in derivatives:
+            derivatives[path] = derivative(path[:-1]).partial_derivative(*path[-1])
+        return derivatives[path]
 
     def d(*variables) -> QSeries:
         key = tuple(sorted(variables))
         if key not in partials:
-            out = potential
-            for variable in key:
-                out = out.partial_derivative(*variable)
-            partials[key] = out.restrict(window)
+            partials[key] = derivative(key).restrict(window)
         return partials[key]
 
     def G(left: tuple, right: tuple) -> QSeries:

@@ -288,17 +288,24 @@ class Truncation(Record):
     def graded_exponents(self, registry: VarRegistry, grading: int) -> Iterator[Exponents]:
         """Admitted exponent vectors of total ``grading``, in ``itertools.product`` order.
 
-        The variables are walked depth first.  A branch is cut as soon as the
-        grading still needed lies outside the range the remaining variables
-        can reach within their caps, and each non-q exponent is clamped by
-        what is left of the total cap, so only the solutions are visited
-        rather than the whole box.
+        A lazy iterator that meets in the middle.  An exponent is cut as soon
+        as the grading still needed lies outside the range the remaining
+        variables can reach within their caps, and each non-q exponent is
+        clamped by what is left of the total cap, so only the solutions are
+        visited rather than the whole box.  The first ``n // 2`` variables
+        are walked depth first.  The admitted suffixes of the others are
+        listed once per (variable, grading still needed, total left) in a
+        memo local to the call, and every prefix that arrives in that state
+        reuses them, so the deep levels are not walked again per prefix.  The
+        memo holds suffixes only, never whole cells: listing every cell was
+        as fast, but held the whole window in memory at once.
         """
         if len(self.caps) != len(registry):
             raise ValueError("truncation caps do not match the registry")
         gradings = [v.grading for v in registry]
         qi = registry.q_index()
         n = len(gradings)
+        half = n // 2
         # reach[i] = (lowest, highest) grading variables i.. add within their caps
         reach = [(0, 0)] * (n + 1)
         for i in reversed(range(n)):
@@ -306,10 +313,8 @@ class Truncation(Record):
             g = gradings[i] * self.caps[i]
             reach[i] = (lo + min(g, 0), hi + max(g, 0))
 
-        def walk(i: int, prefix: Exponents, need: int, left: int | None):
-            if i == n:
-                yield prefix
-                return
+        def steps(i: int, need: int, left: int | None):
+            """(k, grading still needed, total left) for each admitted exponent k of variable i."""
             lo, hi = reach[i + 1]
             g = gradings[i]
             bounded = left is not None and i != qi
@@ -317,7 +322,28 @@ class Truncation(Record):
             for k in range(top + 1):
                 rest = need - k * g
                 if lo <= rest <= hi:
-                    yield from walk(i + 1, prefix + (k,), rest, left - k if bounded else left)
+                    yield k, rest, left - k if bounded else left
+
+        suffixes: dict[tuple, list[Exponents]] = {}
+
+        def suffix(i: int, need: int, left: int | None) -> list[Exponents]:
+            if i == n:
+                return [()]
+            key = (i, need, left)
+            if key not in suffixes:
+                suffixes[key] = [
+                    (k, *tail) for k, rest, after in steps(i, need, left)
+                    for tail in suffix(i + 1, rest, after)
+                ]
+            return suffixes[key]
+
+        def walk(i: int, prefix: Exponents, need: int, left: int | None):
+            if i == half:
+                for tail in suffix(i, need, left):
+                    yield prefix + tail
+                return
+            for k, rest, after in steps(i, need, left):
+                yield from walk(i + 1, prefix + (k,), rest, after)
 
         lo, hi = reach[0]
         if lo <= grading <= hi:

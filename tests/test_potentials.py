@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
@@ -22,6 +24,7 @@ from gwtaut.potentials import (
 )
 from gwtaut.series import QSeries, Truncation, Variable, VarRegistry
 from gwtaut.target import projective_space
+from test_correlators import rescaled_p2
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -186,6 +189,13 @@ def test_penult_residual():
     assert not cp1_penult_residual(4, hs=hs).is_zero()
 
 
+@pytest.mark.parametrize("count", [True, "3", 2.0])
+def test_penult_residual_reads_its_count_as_a_json_int(count):
+    # True failed on the spec's caps message, "3" with a TypeError
+    with pytest.raises(ValueError, match="a term count must be an integer"):
+        cp1_penult_residual(count)
+
+
 CP1_BAD_COUNTS = {  # counts are ints of a valid size, and hs reaches h_{n_max}
     "bool-h-count": lambda: cp1_h_sequence(True),
     "negative-terms": lambda: cp1_closed_form_series(-1, cp1_spec(2, 3, 3)),
@@ -199,6 +209,45 @@ CP1_BAD_COUNTS = {  # counts are ints of a valid size, and hs reaches h_{n_max}
 def test_cp1_helpers_reject_bad_counts(case):
     with pytest.raises(ValueError):
         CP1_BAD_COUNTS[case]()
+
+
+def _public_build(spec):
+    """The potential through the public constructors: every cell of the box
+    of the right grading, its key from ``make_key`` and its coefficient a
+    ``Fraction`` over the product of the exponents' factorials."""
+    registry, trunc = spec.context()
+    grading = 2 * (spec.target.dim_complex - 3)
+    entries = [("t", e) for e in spec.t_entries] + [("s", e) for e in spec.s_entries]
+    terms = {}
+    for exps in product(*(range(c + 1) for c in trunc.caps)):
+        if registry.grading(exps) != grading or not trunc.admits(exps, len(entries)):
+            continue
+        tau = [(a, alpha, k) for (kind, (a, alpha)), k in zip(entries, exps) if kind == "t" and k]
+        kappa = [(a, alpha, k) for (kind, (a, alpha)), k in zip(entries, exps) if kind == "s" and k]
+        value = evaluate(make_key(spec.target, tau=tau, kappa=kappa, d=exps[-1]))
+        terms[exps] = Fraction(value) / prod(factorial(k) for k in exps[:-1])
+    return QSeries(registry, trunc, terms)
+
+
+BUILD_WINDOWS = {
+    "P1": lambda: make_spec(P1, [(0, 0), (0, 1), (1, 1)], [(-1, 1), (0, 0), (0, 1)], 3, 2, 4),
+    "P2": lambda: make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (0, 1)], 4, 1),
+    "P3": lambda: make_spec(P3, [(0, 0), (0, 1), (0, 2), (0, 3)], [(0, 1)], 3, 1),
+    "c-2": lambda: make_spec(rescaled_p2(2), [(0, 0), (0, 1), (0, 2)], [(0, 1)], 3, 2),
+    "c-1/2": lambda: make_spec(
+        rescaled_p2(Fraction(1, 2)), [(0, 0), (0, 1), (0, 2)], [(-1, 1), (0, 1)], 3, 2, 5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_WINDOWS))
+def test_build_equals_the_public_constructor_build(name):
+    spec = BUILD_WINDOWS[name]()
+    built, reference = build_H_series(spec), _public_build(spec)
+    assert built == reference and hash(built) == hash(reference)
+    assert built._den == reference._den
+    assert list(built.items()) == list(reference.items())
+    assert len(built._terms) > 10
 
 
 def test_homogeneity_cp1():
@@ -344,6 +393,50 @@ def test_trr_pde_residuals_build_each_product_once(monkeypatch):
     residuals = trr_pde_residuals(h, wide)
     assert len(residuals) == 12 and all(r.is_zero() for _, r in residuals)
     assert len(products) <= 48
+
+
+def test_residual_context_takes_one_derivative_per_sorted_prefix(monkeypatch):
+    # the wide P^2 window of the grid benchmark, every sorted path of <= 3
+    # variables asked for in a shuffled, unsorted order; the window keeps q's
+    # cap, so the residual systems never differentiate by q
+    wide = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (-1, 2), (0, 0), (0, 1)], 5, 2, 6)
+    h = build_H_series(wide)
+    variables = [v.key for v in h.registry if v.kind != "q"]
+    paths = [p for n in range(4) for p in combinations_with_replacement(variables, n)]
+    calls = []
+    differentiate = QSeries.partial_derivative
+
+    def counting(self, *variable):
+        calls.append(variable)
+        return differentiate(self, *variable)
+
+    monkeypatch.setattr(QSeries, "partial_derivative", counting)
+    d, _ = _residual_context(h, P2)
+    order = random.Random(5).sample(paths, len(paths))
+    memoized = {path: d(*reversed(path)) for path in order}
+    assert len(calls) == len(paths) - 1  # one per nonempty sorted path, each a prefix
+    monkeypatch.undo()
+    window = d().trunc
+    assert window == Truncation((2,) * 7 + (2,), 3)
+    for path, partial in memoized.items():
+        direct = h
+        for variable in path:
+            direct = direct.partial_derivative(*variable)
+        assert partial == direct.restrict(window), path
+    assert sum(1 for partial in memoized.values() if partial) > 100
+
+
+def test_walk_of_the_217805_cell_window_stays_small():
+    spec = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (-1, 2), (0, 0), (0, 1)], 6, 3)
+    registry, trunc = spec.context()
+    tracemalloc.start()
+    try:
+        cells = sum(1 for _ in trunc.graded_exponents(registry, -2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells == 217_805
+    assert peak < 1_000_000
 
 
 def test_trr_pde_residuals_reject_another_targets_potential():

@@ -282,6 +282,41 @@ def test_graded_exponents_mixed_signs_and_zero_q_grading():
     assert len(list(tr.graded_exponents(reg, 0))) > 1  # zero grading has solutions
 
 
+def _graded_registry(gradings, q_at, q_grading):
+    """Variables t_0^i of the given gradings, with q of ``q_grading`` at index ``q_at``."""
+    variables = [Variable("t", 0, i, g) for i, g in enumerate(gradings)]
+    variables.insert(q_at, Variable("q", 0, 0, q_grading))
+    return VarRegistry(variables)
+
+
+# (gradings of the non-q variables, q index, q grading, caps): 6 to 9
+# variables, so the memoized suffix half holds 3 to 5 of them
+WIDE_WINDOWS = {
+    "six": ((-2, 0, 2, 4, -2), 5, -4, (2, 2, 1, 1, 2, 2)),
+    "seven-q-zero": ((-2, -2, 0, 2, 2, -4), 6, 0, (2, 1, 2, 1, 2, 1, 3)),
+    "eight-q-inside": ((2, -2, 0, -4, 4, -2, 0), 3, -6, (1, 2, 1, 2, 1, 1, 2, 1)),
+    "nine-q-first": ((-2, 0, 2, -2, 4, 0, -2, 2), 0, -4, (2, 1, 2, 1, 1, 1, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("total", [None, 0, 2, 4])
+@pytest.mark.parametrize("name", sorted(WIDE_WINDOWS))
+def test_graded_exponents_match_box_walk_on_wide_registries(name, total):
+    gradings, q_at, q_grading, caps = WIDE_WINDOWS[name]
+    reg = _graded_registry(gradings, q_at, q_grading)
+    tr = Truncation(caps, total)
+    low = sum(min(v.grading * c, 0) for v, c in zip(reg, caps))
+    high = sum(max(v.grading * c, 0) for v, c in zip(reg, caps))
+    found = 0
+    for grading in range(low - 2, high + 3, 2):
+        cells = tr.graded_exponents(reg, grading)
+        assert iter(cells) is cells  # a lazy iterator, not a list
+        cells = list(cells)
+        assert cells == brute_graded(reg, tr, grading)
+        found += len(cells)
+    assert found == sum(1 for exps in product(*(range(c + 1) for c in caps)) if tr.admits(exps, q_at))
+
+
 def test_graded_exponents_unreachable_grading_is_empty():
     reg, tr = ctx()
     assert list(tr.graded_exponents(reg, 2)) == []  # no variable has positive grading
