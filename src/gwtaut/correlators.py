@@ -34,11 +34,16 @@ tuple of its fields, and an empty ``MultiIndex`` is falsy.  Checks run only
 in the public constructors: ``MultiIndex(...)`` normalizes and
 ``CorrelatorKey(...)`` (so ``make_key``) validates, each in its
 ``__post_init__``.  The moves and the tree integrals derive keys through
-``_normal_index`` and ``_valid_key``, plain ``tuple.__new__`` calls that
-check nothing: the ``MultiIndex`` operations keep the normal form, each
-move shifts levels only within their ranges (tau >= 0, kappa >= -1), and
+``_normal_index(entries)`` and ``_valid_key((target, m, p, d))``, which are
+``functools.partial`` objects over ``tuple.__new__``: they build a key in C,
+with no Python frame, and check nothing.  That is sound because the
+``MultiIndex`` operations keep the normal form, each move shifts levels
+only within their ranges (tau >= 0, kappa >= -1), and
 ``evaluate_tree_sum`` checks the ambient insertions once per sum and
-``_tree_layout`` what each tree adds to them, once per (target, tree).  The
+``_tree_layout`` what each tree adds to them, once per (target, tree).
+``MultiIndex.add`` and ``mult`` (so ``remove``) find an entry's slot with
+``bisect_left(index, (key,))``, with no key function: ``(key,)`` sorts
+just before ``(key, mult)`` and after every entry of a smaller key.  The
 selection rule is ``TargetModel.balanced``.
 
 Besides ``evaluate``'s memo, four private ``functools.cache`` memos hold
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import comb, factorial, gcd
 from operator import itemgetter
@@ -130,10 +135,9 @@ class MultiIndex(tuple):
         return self[-1][0][0] if self else -10
 
     def mult(self, a: int, alpha: int) -> int:
-        for key, m in self:
-            if key == (a, alpha):
-                return m
-        return 0
+        key = (a, alpha)
+        i = bisect_left(self, (key,))  # (key,) sorts just before (key, mult)
+        return self[i][1] if i < len(self) and self[i][0] == key else 0
 
     def expand(self) -> tuple[Entry, ...]:
         out: list[Entry] = []
@@ -145,15 +149,15 @@ class MultiIndex(tuple):
         if type(k) is not int:
             raise ValueError(f"multiplicity must be an integer, got {k!r}")
         key = (a, alpha)
-        i = bisect_left(self, key, key=_entry_key)
+        i = j = bisect_left(self, (key,))
         if i < len(self) and self[i][0] == key:
             k += self[i][1]
-            tail = self[i + 1 :]
-        else:
-            tail = self[i:]
-        if k < 0:
+            j += 1
+        if k > 0:
+            return _normal_index(self[:i] + ((key, k),) + self[j:])
+        if k:
             raise ValueError("negative multiplicity")
-        return _normal_index(self[:i] + (((key, k),) if k else ()) + tail)
+        return _normal_index(self[:i] + self[j:])
 
     def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
         if self.mult(a, alpha) < k:
@@ -183,12 +187,8 @@ class MultiIndex(tuple):
         return _normal_index(tuple(sorted(acc.items())))
 
 
-_entry_key = itemgetter(0)
-
-
-def _normal_index(entries: tuple[tuple[Entry, int], ...]) -> MultiIndex:
-    """A ``MultiIndex`` on entries already in normal form; nothing is checked."""
-    return tuple.__new__(MultiIndex, entries)
+# a ``MultiIndex`` on entries already in normal form, built in C; nothing is checked
+_normal_index = partial(tuple.__new__, MultiIndex)
 
 
 @cache
@@ -215,10 +215,15 @@ def _split_table(
 
 def _index_of(entries: list[Entry]) -> MultiIndex:
     """The ``MultiIndex`` counting each of ``entries`` once; nothing is checked."""
-    acc: dict[Entry, int] = {}
-    for e in entries:
-        acc[e] = acc.get(e, 0) + 1
-    return _normal_index(tuple(sorted(acc.items())))
+    out: list[tuple[Entry, int]] = []
+    last = None
+    for e in sorted(entries):  # equal entries are neighbours once sorted
+        if e == last:
+            out[-1] = (e, out[-1][1] + 1)
+        else:
+            out.append((e, 1))
+            last = e
+    return _normal_index(tuple(out))
 
 
 def _check_entries(target: TargetModel, entries, lowest: int, kind: str) -> None:
@@ -269,11 +274,9 @@ class CorrelatorKey(tuple):
         return self.m.size
 
 
-def _valid_key(
-    target: TargetModel, m: MultiIndex, p: MultiIndex, d: int
-) -> CorrelatorKey:
-    """A ``CorrelatorKey`` on parts already known valid; nothing is checked."""
-    return tuple.__new__(CorrelatorKey, (target, m, p, d))
+# a ``CorrelatorKey`` on a (target, m, p, d) tuple whose parts are already
+# known valid, built in C; nothing is checked
+_valid_key = partial(tuple.__new__, CorrelatorKey)
 
 
 def make_key(target: TargetModel, tau=(), kappa=(), d: int = 0) -> CorrelatorKey:
@@ -330,18 +333,19 @@ def _comparison_table(target: TargetModel, p: MultiIndex):
 
 
 def _comparison_terms(
-    target: TargetModel, m: MultiIndex, p: MultiIndex, level: int, alpha: int, d: int
+    target: TargetModel, m: MultiIndex, p: MultiIndex, level: int, alpha: int, d: int,
+    first: int = 0,
 ):
     """The comparison relation's kappa split, for both of its directions.
 
-    Yields (p2, key, coefficient) for each sub-multiset p2 of the level >= 0
+    Yields (key, coefficient) for each sub-multiset p2 of the level >= 0
     kappa classes of p: the key carries m, the rest of p and a kappa class
     of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha; the
-    unit e_0 leaves the class as it is, so no cup is taken at alpha = 0."""
-    for p2, rest, binm, weight, vec in _comparison_table(target, p):
+    unit e_0 leaves the class as it is, so no cup is taken at alpha = 0.
+    ``first=1`` skips p2 = empty, the table's first row."""
+    for _, rest, binm, weight, vec in _comparison_table(target, p)[first:]:
         for nu, c_nu in (vec if alpha == 0 else target.cup_vector(vec, alpha)).items():
-            p1 = rest.add(weight + level, nu)
-            yield p2, _valid_key(target, m, p1, d), binm * c_nu
+            yield _valid_key((target, m, rest.add(weight + level, nu), d)), binm * c_nu
 
 
 def _cup_at_points(
@@ -355,7 +359,7 @@ def _cup_at_points(
             continue
         for nu, c_nu in key.target.cup_product(alpha, g).items():
             shifted = key.m.remove(a, alpha).add(a - drop, nu)
-            yield (_valid_key(key.target, shifted, p, key.d),), mult * c_nu
+            yield (_valid_key((key.target, shifted, p, key.d)),), mult * c_nu
 
 
 def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
@@ -364,8 +368,10 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
     Valid for pivot level a >= 1, or a = 0 when every other tau insertion
     has level 0; never on a three-point degree-0 key.  Returns the list of
     the relation's one-factor terms.  ``evaluate`` applies it at a tau_0(e_0)
-    pivot of a psi-free key with kappa classes of level >= 0; the p2 = empty
-    term then carries kappa_{-1}(e_0), which its number step reads as 0.
+    pivot of a psi-free key with kappa classes of level >= 0.  At a level-0
+    pivot whose class has grading 0 the p2 = empty term would carry kappa_{-1}
+    of a grading-0 class, which is 0 (it pushes forward to degree -2), so
+    that term is not emitted.
     """
     a, alpha = pivot
     if key.m.mult(a, alpha) == 0:
@@ -380,8 +386,9 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
             "the comparison relation needs the forgotten two-point space; "
             "it does not exist at degree 0 with three points"
         )
-    terms = _comparison_terms(key.target, m0, key.p, a - 1, alpha, key.d)
-    return [((sub,), coeff) for _, sub, coeff in terms]
+    first = int(a == 0 and key.target.gradings[alpha] == 0)
+    terms = _comparison_terms(key.target, m0, key.p, a - 1, alpha, key.d, first)
+    return [((sub,), coeff) for sub, coeff in terms]
 
 
 def _boundary_split(
@@ -447,8 +454,8 @@ def _boundary_split(
                         lefts[s1] = left.add(0, s1)
                     if s2 not in rights:
                         rights[s2] = right.add(0, s2)
-                    k1 = _valid_key(target, lefts[s1], p1, b1)
-                    k2 = _valid_key(target, rights[s2], p2, b2)
+                    k1 = _valid_key((target, lefts[s1], p1, b1))
+                    k2 = _valid_key((target, rights[s2], p2, b2))
                     pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
                     terms.append((pair, mbin * pbin * w))
     return terms
@@ -552,11 +559,11 @@ def _combination_terms(terms):
     for keys, coeff in terms:
         num, den = coeff.numerator, coeff.denominator
         for k in keys:
-            value = evaluate(k)
-            if not value:
+            n, d = evaluate(k).as_integer_ratio()
+            if not n:
                 break
-            num *= value.numerator
-            den *= value.denominator
+            num *= n
+            den *= d
         else:
             yield num, den
 
@@ -576,9 +583,9 @@ def _comparison_backwards(key: CorrelatorKey) -> list[Term]:
     """
     b, nu0 = key.p[-1][0]
     p_hat = key.p.remove(b, nu0)
-    augmented = _valid_key(key.target, key.m.add(b + 1, nu0), p_hat, key.d)
-    terms = _comparison_terms(key.target, key.m, p_hat, b, nu0, key.d)
-    return [((augmented,), 1)] + [((sub,), -c) for p2, sub, c in terms if p2]
+    augmented = _valid_key((key.target, key.m.add(b + 1, nu0), p_hat, key.d))
+    terms = _comparison_terms(key.target, key.m, p_hat, b, nu0, key.d, 1)
+    return [((augmented,), 1)] + [((sub,), -c) for sub, c in terms]
 
 
 def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
@@ -596,7 +603,7 @@ def _divisor_backwards(key: CorrelatorKey) -> list[Term]:
         )
     alpha_div, pairing = key.target.divisor_class(key.d)
     inverse = ONE / pairing  # a Fraction division, whatever type pairing has
-    augmented = _valid_key(key.target, key.m.add(0, alpha_div), key.p, key.d)
+    augmented = _valid_key((key.target, key.m.add(0, alpha_div), key.p, key.d))
     terms = _cup_at_points(key, key.m, key.p, alpha_div, 1)
     return [((augmented,), inverse)] + [(keys, -c * inverse) for keys, c in terms]
 
@@ -632,9 +639,10 @@ def evaluate(key: CorrelatorKey) -> Fraction:
        ``pure_gw`` (``lift_kappa_minus_one``).
     """
     global _REDUCTIONS
-    if not selection(key):
-        return ZERO
     target, m, p, d = key
+    g, n = target.gradings, m.size
+    if not target.balanced(_index_degree(g, m) + _index_degree(g, p), n, d):
+        return ZERO
     if p and p[0][0] <= (0, 0):  # kappa_{-1} entries sort first, then kappa_0(e_0)
         per_unit = target.kappa_minus_one_per_unit()
         scale, kept = 1, []
@@ -643,24 +651,24 @@ def evaluate(key: CorrelatorKey) -> Fraction:
             if a < 0 and alpha in per_unit:
                 scale *= (per_unit[alpha] * d) ** mult
             elif a == 0 and alpha == 0:
-                scale *= (m.size - 2) ** mult
+                scale *= (n - 2) ** mult
             else:
                 kept.append(entry)
         if len(kept) < len(p):
             _REDUCTIONS += 1
             if not scale:
                 return ZERO
-            return scale * evaluate(_valid_key(target, m, _normal_index(tuple(kept)), d))
+            return scale * evaluate(_valid_key((target, m, _normal_index(tuple(kept)), d)))
     psi = m.max_level >= 1
     kappa = p.max_level >= 0
-    if psi and key.n >= 3:
+    if psi and n >= 3:
         # entries sort by level, so the deepest psi and kappa classes come last
         points = m.expand()
         terms = apply_trr_psi(key, points[-1], points[:2])
     # tau entries sort by level, then class, so a tau_0(e_0) point comes first
-    elif kappa and not psi and m and m[0][0] == (0, 0) and (d or key.n > 3):
+    elif kappa and not psi and m and m[0][0] == (0, 0) and (d or n > 3):
         terms = apply_puncture_dilaton(key, (0, 0))
-    elif kappa and not psi and key.n >= 2:
+    elif kappa and not psi and n >= 2:
         terms = apply_trr_kappa(key, p[-1][0])
     elif kappa:
         terms = _comparison_backwards(key)
@@ -726,12 +734,14 @@ def _tree_layout(target: TargetModel, tree: DecoratedTree):
     be an int >= 0 and an ev class an int basis index (``bool`` excluded),
     and each kappa token be a valid kappa entry.  Returns, read-only: each
     tail label's [vertex, summed psi power, ev classes]; each vertex's
-    (curve degree, kappa index, its integrand degree); each vertex's
-    balanced degree 2(dim + valence - 3 + beta c1); and the edges as (child,
-    parent) from the leaves to vertex 0, as the tree's connectivity check
-    in ``DecoratedTree.__post_init__`` stored them.  Keying trees up to
-    isomorphism is sound: renumbering the vertices leaves the integral as it
-    is, and eta^{-1} is symmetric."""
+    (curve degree, kappa index); each vertex's degree before the ambient
+    classes (its kappa index's, plus twice the psi powers and the ev
+    classes' gradings of its tails: the cup product is graded); each
+    vertex's balanced degree 2(dim + valence - 3 + beta c1); and the edges
+    as (child, parent) from the leaves to vertex 0, as the tree's
+    connectivity check in ``DecoratedTree.__post_init__`` stored them.
+    Keying trees up to isomorphism is sound: renumbering the vertices leaves
+    the integral as it is, and eta^{-1} is symmetric."""
     tails = {label: [v, 0, []] for label, v in tree.tails}
     kappa_at: list[list[Entry]] = [[] for _ in tree.betas]
     for v, tok in tree.decorations:
@@ -751,15 +761,19 @@ def _tree_layout(target: TargetModel, tree: DecoratedTree):
             if type(value) is not int or not 0 <= value < target.rank:
                 raise ValueError(f"ev token class {value!r} is not a basis index")
             tails[label][2].append(value)
-    vertices = []
+    g = target.gradings
+    vertices, degrees = [], []
     for beta, entries in zip(tree.betas, kappa_at):
         _check_entries(target, entries, -1, "kappa")
         idx = _index_of(entries)
-        vertices.append((beta, idx, _index_degree(target.gradings, idx)))
+        vertices.append((beta, idx))
+        degrees.append(_index_degree(g, idx))
+    for v, power, evs in tails.values():
+        degrees[v] += 2 * power + sum(g[beta] for beta in evs)
     balanced = tuple(
         2 * target.moduli_dimension(tree.valence(v), beta) for v, beta in enumerate(tree.betas)
     )
-    return tails, tuple(vertices), balanced, tree._edges_to_root
+    return tails, tuple(vertices), tuple(degrees), balanced, tree._edges_to_root
 
 
 def _decorated_tree_terms(
@@ -768,56 +782,62 @@ def _decorated_tree_terms(
     """Each term of one tree's integral as (vertex keys, coefficient).
 
     The tree is checked once per (target, tree), by ``_tree_layout``, and
-    only the ambient labels per call.  For each tail pick the node classes
-    are solved from the leaves to vertex 0, as in ``_boundary_split``: a
-    child vertex balances only for a node class of grading (its balanced
-    degree) - (its degree so far), which gives its parent's class the
-    grading 2 dim minus that (the pairing is graded).  So only those eta^{-1}
-    pairs are read, and vertex 0 is checked last.  The vertex keys are a
-    generator, built unchecked one at a time as ``_combination_terms`` reads
-    them, so none is built after a zero factor."""
-    tails, vertices, balanced, edges = _tree_layout(target, tree)
+    only the ambient labels per call.  The cup product is graded, so each
+    vertex's degree is known from the layout and the ambient gradings before
+    any tail class is picked.  The node classes are solved from the leaves
+    to vertex 0, as in ``_boundary_split``: a child vertex balances only for
+    a node class of grading (its balanced degree) - (its degree), which
+    gives its parent's class the grading 2 dim minus that (the pairing is
+    graded).  So only those eta^{-1} pairs are read, and a tree with an
+    unbalanced vertex returns before any cup vector is built.  A term picks
+    one of those pairs per edge and one class of the cup vector per tail
+    with ev tokens; a tail without one keeps its ambient class.  The vertex
+    keys are a generator, built unchecked one at a time as
+    ``_combination_terms`` reads them, so none is built after a zero factor."""
+    tails, vertices, degrees, balanced, edges = _tree_layout(target, tree)
     if ambient.keys() != tails.keys():
         raise ValueError(
             f"ambient labels {sorted(ambient)} differ from the tail labels {sorted(tails)}"
         )
     gradings, top = target.gradings, 2 * target.dim_complex
-    pairs_of_grading = target.eta_inverse_pairs_by_grading()
-    # per tail: (vertex, level, class, coefficient), shifted by psi, cupped by ev
-    tail_choices = []
+    deg, tau_at, cupped = list(degrees), [[] for _ in degrees], []
     for label, (v, power, evs) in tails.items():
         a, alpha = ambient[label]
+        deg[v] += 2 * a + gradings[alpha]
+        if evs:
+            cupped.append((v, a + power, alpha, evs))
+        else:
+            tau_at[v].append((a + power, alpha))
+    # per edge, then per tail with ev tokens: [(coefficient, ((vertex, entry), ...)), ...]
+    choices = []
+    pairs_of_grading = target.eta_inverse_pairs_by_grading()
+    for child, parent in edges:
+        grading = balanced[child] - deg[child]
+        if grading not in pairs_of_grading:
+            return
+        deg[parent] += top - grading
+        choices.append(
+            [(w, ((child, (0, s1)), (parent, (0, s2)))) for s1, s2, w in pairs_of_grading[grading]]
+        )
+    if deg[0] != balanced[0]:
+        return
+    for v, level, alpha, evs in cupped:
         vec = {alpha: 1}
         for beta in evs:
             vec = target.cup_vector(vec, beta)
-        tail_choices.append([(v, a + power, nu, c) for nu, c in vec.items()])
-    for tail_pick in product(*tail_choices):
-        tail_coeff = 1
-        tau_at: list[list[Entry]] = [[] for _ in vertices]
-        deg = [kappa_deg for _, _, kappa_deg in vertices]
-        for v, a, alpha, c in tail_pick:
-            tail_coeff *= c
-            tau_at[v].append((a, alpha))
-            deg[v] += 2 * a + gradings[alpha]
-        node_pairs = []
-        for child, parent in edges:
-            grading = balanced[child] - deg[child]
-            deg[parent] += top - grading
-            node_pairs.append(pairs_of_grading.get(grading, ()))
-        if deg[0] != balanced[0]:
-            continue
-        for node_pick in product(*node_pairs):
-            coeff = tail_coeff
-            at = [list(entries) for entries in tau_at]
-            for (child, parent), (s1, s2, w) in zip(edges, node_pick):
-                coeff *= w
-                at[child].append((0, s1))
-                at[parent].append((0, s2))
-            keys = (
-                _valid_key(target, _index_of(entries), kappa, beta)
-                for (beta, kappa, _), entries in zip(vertices, at)
-            )
-            yield keys, coeff
+        choices.append([(c, ((v, (level, nu)),)) for nu, c in vec.items()])
+    for pick in product(*choices):
+        coeff = 1
+        at = [list(entries) for entries in tau_at]
+        for c, placed in pick:
+            coeff *= c
+            for v, entry in placed:
+                at[v].append(entry)
+        keys = (
+            _valid_key((target, _index_of(entries), kappa, beta))
+            for (beta, kappa), entries in zip(vertices, at)
+        )
+        yield keys, coeff
 
 
 # bound at import, so clearing still works if the module names are rebound

@@ -130,7 +130,7 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
     for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
         m = _normal_index(tuple((e, k) for e, k in zip(t, exps) if k))
         p = _normal_index(tuple((e, k) for e, k in zip(s, exps[len(t) :]) if k))
-        value = evaluate(_valid_key(spec.target, m, p, exps[-1]))
+        value = evaluate(_valid_key((spec.target, m, p, exps[-1])))
         if value:
             weight = value.denominator * m.factorial() * p.factorial()
             cells[sum(map(mul, exps, weights))] = (value.numerator, weight)
@@ -264,10 +264,11 @@ def _residual_context(potential: QSeries, target: TargetModel):
     ``ValueError`` is raised.  Both read the window where all third partials
     are exact: every cap but q's, and the total cap, lowered by 3.
     ``d(*variables)`` is a partial derivative by ``(kind, a, alpha)`` triples;
-    partials commute, so it is memoized by the sorted variables.  Behind it
-    a second memo holds the unrestricted derivatives by sorted path, so each
-    new partial is one ``partial_derivative`` of its prefix's entry and only
-    that result is restricted to the window.
+    partials commute, so it is memoized by the sorted variables.  It refuses
+    q by name: the window keeps q's cap, which a q-derivative would lower.
+    Behind it a second memo holds the unrestricted derivatives by sorted
+    path, so each new partial is one ``partial_derivative`` of its prefix's
+    entry and only that result is restricted to the window.
     ``G(left, right)`` is sum_{e,f} eta^{ef} d(*left, x_e) d(x_f, *right).  It
     is symmetric within each side and, as eta^{-1} is (``TargetModel``
     enforces it), under swapping the sides: it is memoized by the sorted pair
@@ -302,6 +303,8 @@ def _residual_context(potential: QSeries, target: TargetModel):
     def d(*variables) -> QSeries:
         key = tuple(sorted(variables))
         if key not in partials:
+            if any(kind == "q" for kind, _, _ in key):
+                raise ValueError("the residual partials take t and s variables, not q")
             partials[key] = derivative(key).restrict(window)
         return partials[key]
 

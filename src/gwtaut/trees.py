@@ -18,7 +18,8 @@ gives, for every choice of root, the rooted code and the order of the
 root-fixing automorphism group.  The canonical key is the least rooted
 code over all roots; the roots attaining it form one orbit of Aut(T), so
 by orbit-stabilizer |Aut T| is their number times the rooted order at
-one of them.  Both are computed once, when the tree is built.
+one of them.  Both, and the key's hash, are computed once, when the tree
+is built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ class Decoration(Record):
 
 
 class DecoratedTree(Record):
+    """A stable genus-0 tree: per-vertex curve degrees ``betas``, edges
+    between vertices, labeled tails (label, vertex) and decoration tokens
+    (vertex, token).
+
+    The constructor sorts edges, tails and tokens, checks that the tree is
+    stable and connected, and stores the leaf-to-root edges of its
+    breadth-first walk from vertex 0.  It computes each vertex's colour once,
+    then the canonical key and |Aut| (see the module docstring), and caches
+    the key's hash: two trees are equal when isomorphic, and a dict or memo
+    keyed by trees hashes each one once, not once per lookup.
+    """
+
     betas: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     tails: tuple[tuple[int, int], ...]  # (label, vertex)
@@ -101,10 +114,12 @@ class DecoratedTree(Record):
                 raise ValueError(
                     f"vertex {v} is unstable: degree 0 with {self.valence(v)} half-edges"
                 )
-        rooted = [_rooted(self, root, -1) for root in range(nv)]
+        colours = [_vertex_color(self, v) for v in range(nv)]  # once per tree, not per root
+        rooted = [_rooted(self, colours, root, -1) for root in range(nv)]
         key = min(code for code, _ in rooted)
         minimal = [aut for code, aut in rooted if code == key]
         object.__setattr__(self, "_ckey", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_aut", len(minimal) * minimal[0])
 
     # -- structure ------------------------------------------------------------
@@ -152,7 +167,7 @@ class DecoratedTree(Record):
         return isinstance(other, DecoratedTree) and self._ckey == other._ckey
 
     def __hash__(self) -> int:
-        return hash(self._ckey)
+        return self._hash
 
 
 def _vertex_color(t: DecoratedTree, v: int):
@@ -166,16 +181,16 @@ def _vertex_color(t: DecoratedTree, v: int):
     return (t.betas[v], t.tails_at(v), decor)
 
 
-def _rooted(t: DecoratedTree, v: int, parent: int) -> tuple[tuple, int]:
+def _rooted(t: DecoratedTree, colours: list[tuple], v: int, parent: int) -> tuple[tuple, int]:
     """Code of the branch at v away from ``parent``, and the order of its
     root-fixing automorphism group: the product of the children's orders
     times k! for each k children with the same code."""
-    children = sorted(_rooted(t, w, v) for w in t.neighbors(v) if w != parent)
+    children = sorted(_rooted(t, colours, w, v) for w in t.neighbors(v) if w != parent)
     count = 1
     for i, (code, aut) in enumerate(children):
         run = run + 1 if i and code == children[i - 1][0] else 1
         count *= aut * run
-    return (_vertex_color(t, v), tuple(code for code, _ in children)), count
+    return (colours[v], tuple(code for code, _ in children)), count
 
 
 def aut_order(t: DecoratedTree) -> int:

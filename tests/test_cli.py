@@ -151,12 +151,12 @@ P2_PSI_KAPPA = (
     "--kappa", "2,1,1",
 )
 GOLDEN_CORRELATORS = {
-    (H3, "json"): '{"value": "4/1", "expected_dimension": 4, "reductions": 12}\n',
-    (H3, "csv"): "value,expected_dimension,reductions\n4/1,4,12\n",
-    (H3, "text"): "value 4/1\nexpected_dimension 4\nreductions 12\n",
-    (P2_PSI_KAPPA, "json"): '{"value": "-3/1", "expected_dimension": 8, "reductions": 13}\n',
-    (P2_PSI_KAPPA, "csv"): "value,expected_dimension,reductions\n-3/1,8,13\n",
-    (P2_PSI_KAPPA, "text"): "value -3/1\nexpected_dimension 8\nreductions 13\n",
+    (H3, "json"): '{"value": "4/1", "expected_dimension": 4, "reductions": 11}\n',
+    (H3, "csv"): "value,expected_dimension,reductions\n4/1,4,11\n",
+    (H3, "text"): "value 4/1\nexpected_dimension 4\nreductions 11\n",
+    (P2_PSI_KAPPA, "json"): '{"value": "-3/1", "expected_dimension": 8, "reductions": 12}\n',
+    (P2_PSI_KAPPA, "csv"): "value,expected_dimension,reductions\n-3/1,8,12\n",
+    (P2_PSI_KAPPA, "text"): "value -3/1\nexpected_dimension 8\nreductions 12\n",
 }
 
 
@@ -169,17 +169,17 @@ def test_correlator_output_is_golden(capsys, argv, fmt):
 
 def test_correlator_reductions_do_not_depend_on_earlier_commands(capsys):
     h4 = ("correlator", "--r", "1", "--degree", "4", "--kappa", "0,1,6")
-    assert json.loads(run(capsys, *h4)[1])["reductions"] == 38
-    assert json.loads(run(capsys, *H3)[1])["reductions"] == 12
+    assert json.loads(run(capsys, *h4)[1])["reductions"] == 31
+    assert json.loads(run(capsys, *H3)[1])["reductions"] == 11
 
 
 def test_deepest_p2_ladder_key_work_is_pinned(capsys):
     # a split term puts its lower-degree factor first, so a product stops at
     # a zero factor before the costlier one is evaluated; with the factors
-    # in the order the split builds them this key takes 88 reductions
+    # in the order the split builds them this key takes 82 reductions
     p2_k8 = ("correlator", "--r", "2", "--degree", "3", "--kappa", "0,1,8")
     payload = json.loads(run(capsys, *p2_k8)[1])
-    assert payload["value"] == "-420/1" and payload["reductions"] == 54
+    assert payload["value"] == "-420/1" and payload["reductions"] == 52
 
 
 def test_kappa_minus_one_value_may_follow_its_flag(capsys):

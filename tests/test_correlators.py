@@ -5,7 +5,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -1346,8 +1346,8 @@ def _scanned_split(key, m0, p0, left_tau, left_kappa, right_tau):
                     if balanced(deg1 + g[s1], left.size + 1, b1) and balanced(
                         deg2 + g[s2], right.size + 1, d - b1
                     ):
-                        k1 = _valid_key(target, left.add(0, s1), p1, b1)
-                        k2 = _valid_key(target, right.add(0, s2), p2, d - b1)
+                        k1 = _valid_key((target, left.add(0, s1), p1, b1))
+                        k2 = _valid_key((target, right.add(0, s2), p2, d - b1))
                         pair = (k1, k2) if 2 * b1 <= d else (k2, k1)
                         terms.append((pair, mbin * pbin * w))
     return terms
@@ -1477,3 +1477,73 @@ def test_divisor_backwards_rejects_kappa_of_level_zero_or_more():
     # kappa_{-1} classes alone are fine
     lifted = make_key(P1, tau=[(1, 1, 1)], kappa=[(-1, 1, 1)], d=2)
     assert evaluate_combination(_divisor_backwards(lifted)) == evaluate(lifted)
+
+
+# -- degree-0 closed forms: M_{0,n}(V, 0) = M_{0,n} x V ----------------------------------
+
+
+def _points(types, n, budget):
+    """Multisets of n of ``types`` ((level, class, degree) triples, taken in
+    order) whose degrees sum to ``budget``, as lists of (level, class)."""
+    if n == 0:
+        if budget == 0:
+            yield []
+        return
+    for i, (a, alpha, degree) in enumerate(types):
+        if degree <= budget:
+            for rest in _points(types[i:], n - 1, budget - degree):
+                yield [(a, alpha), *rest]
+
+
+def _integral_over_target(target, classes):
+    """int_V of the cup product of ``classes``, read off the cup and pairing
+    tensors: int_V e_nu = eta(e_nu, e_0)."""
+    vec = {0: Fraction(1)}
+    for alpha in classes:
+        out = {}
+        for mu, c in vec.items():
+            for nu, x in enumerate(target.cup[mu][alpha]):
+                if x:
+                    out[nu] = out.get(nu, 0) + c * x
+        vec = out
+    return sum(c * target.eta[nu][0] for nu, c in vec.items())
+
+
+def _triples(entries):
+    return [(a, alpha, count) for (a, alpha), count in Counter(entries).items()]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [P1, P2, P3, rescaled_p2(2), rescaled_p2(Fraction(1, 2))],
+    ids=["P1", "P2", "P3", "c-2", "c-1/2"],
+)
+def test_degree_zero_keys_match_their_closed_forms(target):
+    # at degree 0 a psi class comes from M_{0,n} and kappa_b(f) is kappa_b x f,
+    # of degree b there; kappa_{-1}(f) pushes forward to degree -2, so it is 0.
+    # So int psi^a ev^*(e) = (n-3)!/prod a_i! int_V prod e_i when sum a_i = n - 3,
+    # and a key is 0 when its psi and kappa levels miss n - 3 or it has a kappa_{-1}
+    g, dim = target.gradings, target.dim_complex
+    checked = Counter()
+    for n in range(3, 8):
+        levels = range(0, n - 2)
+        point_types = [(a, alpha, 2 * a + g[alpha]) for a in levels for alpha in range(target.rank)]
+        kappa_types = [(b, beta) for b in range(-1, n - 2) for beta in range(target.rank)]
+        for kappa in [()] + [(k,) for k in kappa_types] + (
+            list(combinations_with_replacement(kappa_types, 2)) if n <= 5 else []
+        ):
+            budget = 2 * (dim + n - 3) - sum(2 * b + g[beta] for b, beta in kappa)
+            for points in _points(point_types, n, budget):
+                key = make_key(target, _triples(points), _triples(kappa), 0)
+                psi = sum(a for a, _ in points)
+                if not kappa:
+                    expected = 0
+                    if psi == n - 3:
+                        expected = Fraction(factorial(n - 3), prod(factorial(a) for a, _ in points))
+                        expected *= _integral_over_target(target, [alpha for _, alpha in points])
+                    assert evaluate(key) == expected, key
+                    checked["psi", bool(expected)] += 1
+                elif psi + sum(b for b, _ in kappa) != n - 3 or min(kappa)[0] < 0:
+                    assert evaluate(key) == 0, key
+                    checked["kappa", 0] += 1
+    assert checked["psi", True] and checked["psi", False] and checked["kappa", 0], checked

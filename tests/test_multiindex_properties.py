@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import gwtaut.correlators as correlators  # noqa: E402
 from gwtaut.correlators import MultiIndex  # noqa: E402
+from gwtaut.target import projective_space  # noqa: E402
 
 entry = st.tuples(st.integers(-1, 3), st.integers(0, 3))
 items = st.lists(st.tuples(entry, st.integers(0, 3)), max_size=6)
@@ -106,3 +107,87 @@ def test_index_degree_memo_agrees_with_direct_sum(raw, grading):
     assert memo(grading, m) == direct and memo.cache_info().hits == hits + 1
     correlators.clear_caches()
     assert memo.cache_info().currsize == 0 and memo(grading, m) == direct
+
+
+def public_shift(m: MultiIndex, key, k):
+    """``MultiIndex`` of m's entries plus ``(key, k)`` through the public
+    constructor, or the ``ValueError`` message it raises."""
+    try:
+        return MultiIndex(tuple(m) + ((key, k),))
+    except ValueError as exc:
+        return str(exc)
+
+
+def moved(op, *args):
+    try:
+        out = op(*args)
+    except ValueError as exc:
+        return str(exc)
+    assert type(out) is MultiIndex
+    return out
+
+
+@given(items, entry, st.integers(-4, 4))
+def test_add_and_remove_match_the_public_constructor(raw, key, k):
+    # add and mult bisect for their slot with no key function; the public
+    # constructor sums and sorts from scratch, so both must agree, errors included
+    m = MultiIndex(tuple(raw))
+    assert m.mult(*key) == counter(m)[key]
+    assert moved(m.add, *key, k) == public_shift(m, key, k)
+    if k < 0 or counter(m)[key] >= k:
+        assert moved(m.remove, *key, k) == public_shift(m, key, -k)
+    else:
+        assert moved(m.remove, *key, k) == f"entry ({key[0]},{key[1]}) not present {k} times"
+
+
+M = MultiIndex.from_list([(-1, 1, 1), (0, 2, 2), (2, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "key, k",
+    [
+        ((-1, 0), 1),  # absent, at the front
+        ((-1, 1), 1),  # present, at the front
+        ((-1, 1), -1),  # the front down to zero
+        ((0, 2), 1),  # in the middle
+        ((0, 2), -2),  # the middle down to zero
+        ((0, 3), 2),  # absent, in the middle
+        ((2, 0), -1),  # the end down to zero
+        ((3, 3), 1),  # absent, at the end
+        ((0, 2), -3),  # below zero
+        ((1, 1), -1),  # absent, below zero
+        ((1, 1), 0),  # absent, by nothing
+    ],
+)
+def test_add_and_remove_at_each_slot(key, k):
+    assert moved(M.add, *key, k) == public_shift(M, key, k)
+    missing = f"entry ({key[0]},{key[1]}) not present {-k} times"
+    assert moved(M.remove, *key, -k) == (public_shift(M, key, k) if counter(M)[key] >= -k else missing)
+
+
+@pytest.mark.parametrize("k", [1.0, 0.5, True, "1"])
+def test_add_refuses_what_the_constructor_refuses(k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        M.add(0, 2, k)
+    with pytest.raises(ValueError, match="must be an integer"):
+        MultiIndex(tuple(M) + (((0, 2), k),))
+
+
+@given(items)
+def test_unchecked_index_is_the_public_one(raw):
+    m = MultiIndex(tuple(raw))
+    built = correlators._normal_index(tuple(m))
+    assert type(built) is MultiIndex and built == m and hash(built) == hash(m)
+    assert repr(built) == repr(m) and correlators._normal_index(()) == MultiIndex()
+
+
+@given(items, items, st.integers(0, 3))
+def test_unchecked_key_is_the_public_one(raw_m, raw_p, d):
+    target = projective_space(3)
+    m = MultiIndex(tuple((key, k) for key, k in raw_m if key[0] >= 0))
+    p = MultiIndex(tuple(raw_p))
+    built = correlators._valid_key((target, m, p, d))
+    public = correlators.CorrelatorKey(target, m, p, d)
+    assert type(built) is correlators.CorrelatorKey
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert (built.target, built.m, built.p, built.d) == (target, m, p, d)

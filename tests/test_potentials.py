@@ -426,6 +426,20 @@ def test_residual_context_takes_one_derivative_per_sorted_prefix(monkeypatch):
     assert sum(1 for partial in memoized.values() if partial) > 100
 
 
+def test_residual_partials_refuse_q_by_name():
+    # the window keeps q's cap, which a q-derivative would lower: d names q
+    # rather than failing inside restrict, in any position of the path
+    h = build_H_series(make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(0, 1)], 3, 2))
+    d, G = _residual_context(h, P2)
+    q, x1 = ("q", 0, 0), ("t", 0, 1)
+    for path in ((q,), (x1, q), (q, x1, x1)):
+        with pytest.raises(ValueError, match="not q"):
+            d(*path)
+    with pytest.raises(ValueError, match="not q"):
+        G((q,), (x1,))
+    assert d(x1, x1) == h.partial_derivative(*x1).partial_derivative(*x1).restrict(d().trunc)
+
+
 def test_walk_of_the_217805_cell_window_stays_small():
     spec = make_spec(P2, [(0, 0), (0, 1), (0, 2)], [(-1, 1), (-1, 2), (0, 0), (0, 1)], 6, 3)
     registry, trunc = spec.context()

@@ -1,6 +1,7 @@
 """Property tests: tree identity and automorphism order under relabelling, and
 the solved tree integral against the brute-force sum over node classes."""
 
+import pickle
 import random
 from collections import Counter
 from itertools import permutations
@@ -117,3 +118,22 @@ def test_solved_tree_integral_is_the_brute_force_sum(integrand):
     target, tree, ambient = integrand
     solved = evaluate_tree_sum(target, TreeSum({tree: 1}), ambient)
     assert solved == brute_force_tree_integral(target, tree, ambient)
+
+
+@given(trees(), st.randoms(use_true_random=False))
+@example(EXAMPLE, random.Random(5))
+def test_cached_hash_is_the_canonical_keys(tree, rng):
+    # the hash is computed once, from the canonical key: a relabelling finds
+    # the tree's slot in a dict, and a pickled copy computes it afresh
+    assert hash(tree) == hash(tree._ckey)
+    memo = {tree: "found"}
+    perm = list(range(tree.n_vertices))
+    rng.shuffle(perm)
+    relabeled = relabel(tree, perm)
+    assert hash(relabeled) == hash(tree) and relabeled == tree and memo[relabeled] == "found"
+    clone = pickle.loads(pickle.dumps(tree))
+    assert hash(clone) == hash(tree) and clone == tree and memo[clone] == "found"
+    other = DecoratedTree(
+        tuple(b + 1 for b in tree.betas), tree.edges, tree.tails, tree.decorations
+    )
+    assert other != tree and other not in memo
