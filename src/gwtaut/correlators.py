@@ -9,18 +9,23 @@ boundary-split loop emitting only dimension-balanced terms); the
 comparison relation along the forgetful map, read forward to forget a
 tau_0(e_0) point of a psi-free key (``apply_puncture_dilaton``, the string
 equation for kappa classes) and backwards to trade a kappa class for a
-point; the divisor equation read backwards; and the lift of kappa_{-1}
-classes to extra marked points (``lift_kappa_minus_one``).  Before all of
-them it reads kappa_{-1} of a divisor and of a class of grading 0, and
-kappa_0(e_0), as numbers: kappa_a(g) is pi_*(psi^{a+1} ev^* g) along the
-map forgetting a point, whose fibre is the curve, so kappa_{-1}(g) is
-(int_d g) times 1 for a divisor (the divisor axiom of Kontsevich-Manin)
-and 0 for a class of grading 0 (it would land in degree -2), and
-kappa_0(e_0) is the degree of psi on the fibre, 2g - 2 + n = n - 2 for a
-key with n points (Arbarello-Cornalba).
+point; the divisor equation read backwards; the lift of kappa_{-1}
+classes to extra marked points (``lift_kappa_minus_one``); and the pure
+step, which reconstructs the pure invariants (level-0 points, no kappa) by
+the unit and divisor axioms and WDVV, itself a boundary split on the space
+with one point more (``gw.pure_gw`` reads them through ``evaluate``, so
+one memo holds every key).  Before all of them it reads kappa_{-1} of a
+divisor and of a class of grading 0, and kappa_0(e_0), as numbers:
+kappa_a(g) is pi_*(psi^{a+1} ev^* g) along the map forgetting a point,
+whose fibre is the curve, so kappa_{-1}(g) is (int_d g) times 1 for a
+divisor (the divisor axiom of Kontsevich-Manin) and 0 for a class of
+grading 0 (it would land in degree -2), and kappa_0(e_0) is the degree of
+psi on the fibre, 2g - 2 + n = n - 2 for a key with n points
+(Arbarello-Cornalba).
 The forward comparison relation at a psi pivot is not on that path; the
 verify suites check it against ``evaluate``, and ``gwtaut.oracle`` checks
-``evaluate`` with code it does not share.
+``evaluate`` with code it does not share, apart from the pure invariants
+(``pure_gw``).
 
 Each move returns a plain list of (keys, coefficient) terms, unmerged.  A
 split term puts its lower-degree factor first, since
@@ -46,14 +51,16 @@ only within their ranges (tau >= 0, kappa >= -1), and
 just before ``(key, mult)`` and after every entry of a smaller key.  The
 selection rule is ``TargetModel.balanced``.
 
-Besides ``evaluate``'s memo, four private ``functools.cache`` memos hold
-what the moves and the tree integrals read, each keyed only by what it
-depends on: ``_split_table`` per ``MultiIndex`` (the rows (sub, complement,
-binomial, sub's size)), ``_index_degree`` per (gradings, index) (the
-integrand degree), ``_comparison_table`` per (target, kappa index) (the
-comparison relation's split rows with their cup vectors), and
-``_tree_layout`` per (target, tree) (the checked tree's tails, vertices and
-leaf-to-root edges).  ``clear_caches()`` empties them with the others.
+Besides ``evaluate``'s memo, which holds the pure invariants too, four
+private ``functools.cache`` memos hold what the moves and the tree
+integrals read, each keyed only by what it depends on: ``_split_table``
+per ``MultiIndex`` (the rows (sub, complement, binomial, sub's size)),
+``_index_degree`` per (gradings, index) (the integrand degree),
+``_comparison_table`` per (target, kappa index) (the comparison relation's
+split rows with their cup vectors), and ``_tree_layout`` per (target,
+tree) (the checked tree's tails, vertices and leaf-to-root edges).
+``clear_caches()`` empties them with the boundary presentations' memos in
+``trees``.
 
 Coefficients stay ``int``s until they are divided (a ``Fraction`` enters
 only through the divisor equation's 1/pairing or non-integral custom-target
@@ -70,7 +77,6 @@ from itertools import product
 from math import comb, factorial, gcd
 from operator import itemgetter
 
-from .gw import _pure_gw, pure_gw
 from .target import Rational, TargetModel, check_degree
 from .trees import DecoratedTree, TreeSum, _kappa_presentation, _psi_presentation, aut_order
 
@@ -410,12 +416,21 @@ def _boundary_split(
     fixed, the left factor (point count n1, integrand degree deg1) is
     balanced only for node classes s1 of grading
     2(dim + n1 - 3 + b1 c1) - deg1, so only the eta^{-1} pairs of that
-    grading are read.  The right factor then balances by itself, for a key
-    that passes the selection rule (else there are no terms): n1 + n2 =
-    n + 2, the fixed insertions take 2 off the key's degree and the node
-    adds |e_s1| + |e_s2| = 2 dim (the pairing is graded).  Every term it
-    skips has a factor that vanishes outright.  The factor of lower degree
-    comes first.
+    grading are read.
+
+    The split's point count n is read from its insertions, m0.size +
+    len(left_tau) + len(right_tau): the key's point count for the psi and
+    kappa recursions, and one more for WDVV (``_pure_step``), which splits
+    the key's e_s point into e_1 and e_{s-1} on the (n+1)-pointed space.
+    The right factor then balances by itself, for a key that passes the
+    selection rule (else there are no terms): n1 + n2 = n + 2, the node
+    adds |e_s1| + |e_s2| = 2 dim (the pairing is graded), so both factors
+    balance once the insertions' degree is twice the dimension of a
+    boundary divisor of the n-pointed space, 2(dim + n - 4 + d c1).  The
+    recursions' fixed insertions take 2 off the key's degree at the key's
+    point count; WDVV's keep it (e_1 e_{s-1} = e_s is graded) at one point
+    more.  Every term it skips has a factor that vanishes outright.  The
+    factor of lower degree comes first.
     """
     if not selection(key):
         return []
@@ -431,7 +446,7 @@ def _boundary_split(
         (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
         for p1, p2, pbin, _ in _split_table(p0)
     ]
-    n = key.n
+    n = m0.size + len(left_tau) + len(right_tau)
     terms = []
     for m1, m2, mbin, size1 in _split_table(m0):
         left, right = m1.merge(left_m), m2.merge(right_m)
@@ -635,8 +650,13 @@ def evaluate(key: CorrelatorKey) -> Fraction:
        backwards, a tau_{b+1} point for the kappa_b class;
     5. psi on < 3 points: the divisor equation read backwards, which adds
        a point;
-    6. otherwise tau levels are 0 and kappa levels -1: the lift to
-       ``pure_gw`` (``lift_kappa_minus_one``).
+    6. otherwise tau levels are 0 and kappa levels -1.  A key with kappa_{-1}
+       classes is the key ``lift_kappa_minus_one`` gives, with a level-0
+       point for each class.  A key of level-0 points alone is a pure
+       Gromov-Witten invariant, which the pure step (``_pure_step``) reads
+       or reconstructs: the triple integral in degree 0, the unit and
+       divisor axioms, the seeds, else WDVV through ``_boundary_split``.
+       Neither counts a reduction.
     """
     global _REDUCTIONS
     target, m, p, d = key
@@ -674,9 +694,57 @@ def evaluate(key: CorrelatorKey) -> Fraction:
         terms = _comparison_backwards(key)
     elif psi:
         terms = _divisor_backwards(key)
+    elif p:
+        classes, d = lift_kappa_minus_one(key)
+        lifted = _index_of([(0, alpha) for alpha in classes])
+        return evaluate(_valid_key((target, lifted, _normal_index(()), d)))
     else:
-        return pure_gw(target, *lift_kappa_minus_one(key))
+        return _pure_step(key)
     _REDUCTIONS += 1
+    return evaluate_combination(terms)
+
+
+def _pure_step(key: CorrelatorKey) -> Fraction:
+    """The pure invariant of a balanced key of level-0 points and no kappa
+    class, by Kontsevich-Manin reconstruction (see ``evaluate``, branch 6).
+
+    WDVV is read on the (n+1)-pointed space, with s and E the two smallest
+    classes of the key and M its largest (all of grading >= 4 once the unit
+    and divisor axioms have run): the split (e_{s-1} e_M | e_1 e_E) minus
+    the split (e_1 e_{s-1} | e_M e_E), the other classes spectating.  Since
+    e_1 e_{s-1} = e_s, the second split holds the key itself once, as the
+    right factor of its degree-0 term with no spectators on the left, whose
+    left factor and eta^{-1} weight multiply to 1; that term is dropped and
+    the rest solve for the key.  Every other factor is strictly smaller in
+    (d, n, -sum of squared class degrees).
+    """
+    target, m, p, d = key
+    classes = tuple(alpha for _, alpha in m.expand())
+    if d == 0:
+        return target.triple_integral(*classes) if len(classes) == 3 else ZERO
+    # unit and divisor axioms: the point carrying e_alpha drops with factor c * d
+    per_unit = target.kappa_minus_one_per_unit()
+    for (_, alpha), _ in m:
+        c = per_unit.get(alpha)
+        if c is not None:
+            return c * d * evaluate(_valid_key((target, m.remove(0, alpha), p, d))) if c else ZERO
+        if target.gradings[alpha] == 2:
+            raise ValueError(f"no divisor pairing configured for e_{alpha}")
+    seed = target.seed_value(classes, d)
+    if seed is not None:
+        return seed
+    if len(classes) < 3:
+        raise ValueError(f"no reconstruction seed for <{classes}>_{d} on {target.name!r}")
+    if not target.is_monogenic:
+        raise ValueError(
+            f"WDVV reconstruction needs a hyperplane-generated ring; "
+            f"{target.name!r} must provide seeds instead"
+        )
+    s, e, top = classes[0], classes[1], classes[-1]
+    spect = m.remove(0, s).remove(0, e).remove(0, top)
+    terms = _boundary_split(key, spect, p, [(0, s - 1), (0, top)], [], ((0, 1), (0, e)))
+    subtracted = _boundary_split(key, spect, p, [(0, 1), (0, s - 1)], [], ((0, top), (0, e)))
+    terms += [(pair, -c) for pair, c in subtracted if key not in pair]
     return evaluate_combination(terms)
 
 
@@ -847,15 +915,14 @@ _CACHE_CLEARS = (
     _index_degree.cache_clear,
     _comparison_table.cache_clear,
     _tree_layout.cache_clear,
-    _pure_gw.cache_clear,
     _psi_presentation.cache_clear,
     _kappa_presentation.cache_clear,
 )
 
 
 def clear_caches():
-    """Empty the memos of ``evaluate``, ``pure_gw`` and the boundary
-    presentations, and the split table (per ``MultiIndex``), the index
+    """Empty the memos of ``evaluate`` and the boundary presentations, and
+    the split table (per ``MultiIndex``), the index
     degree (per gradings and index), the comparison table (per target and
     kappa index) and the tree layout (per target and tree)."""
     for cache_clear in _CACHE_CLEARS:

@@ -1,9 +1,13 @@
 """Reference values of twisted correlators, from code ``correlators`` does not use.
 
-A checker, not an engine: it shares only the pure invariants (``pure_gw``)
-and the target ring with ``correlators.evaluate``, and works on sorted
-tuples of (level, class) insertions.  Each key is reduced by the first of
-these genus-0 relations that applies:
+A checker, not an engine: it imports only the pure invariants
+(``pure_gw``) and the target ring, and works on sorted tuples of (level,
+class) insertions.  ``pure_gw`` reads its values from
+``correlators.evaluate``, whose pure step reconstructs them, so the oracle
+does not check that step: the pure invariants are anchored by the tests
+for Kontsevich's plane-curve counts N_1..N_6, the P^3 line counts and the
+quadric threefold Q^3, and by the golden WDVV residuals.  Each key is
+reduced by the first of these genus-0 relations that applies:
 
   * the selection rule: the integrand degree must be twice the dimension
     of a stable moduli space, else the value is 0;
@@ -25,7 +29,7 @@ these genus-0 relations that applies:
     <prod tau_{a_i}(g_i)>_0 = (n-3)!/prod a_i! int_V prod g_i when
     sum a_i = n - 3, else 0 (Witten, Surveys Diff. Geom. 1 (1991));
   * no psi: ``pure_gw`` (Kontsevich-Manin reconstruction, Comm. Math.
-    Phys. 164 (1994));
+    Phys. 164 (1994), run by ``evaluate``);
   * psi on n >= 3 points: the genus-0 topological recursion
     psi_1 = D(1 | 2, 3) (Witten 1991), summed over the labelled subsets
     of the other points and the degree splits, the node carrying

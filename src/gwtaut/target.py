@@ -17,9 +17,10 @@ unless |e_a| + |e_b| is the top grading, so eta^{-1} is graded too and a
 boundary node's two classes e_s1, e_s2 add up to the top grading.  Each
 divisor pairing must sit on its own basis class of grading 2, and each seed,
 given once, on basis classes (stored sorted, as ``seed_value`` reads them)
-at a degree d >= 1.  A seed must also be one ``pure_gw`` can read: no class
-of grading 0 or 2 (the unit and divisor axioms fire first), and its classes
-and degree pass the selection rule.
+at a degree d >= 1.  A seed must also be one the pure step of
+``correlators.evaluate`` can read: no class of grading 0 or 2 (the unit and
+divisor axioms fire first), and its classes and degree pass the selection
+rule.
 
 Next to the fields, each target builds two sparse tables once: the
 nonzero cup constants of each (alpha, beta) and the nonzero entries of
@@ -31,7 +32,7 @@ kappa_{-1} is a number, c * d at curve degree d, with c the divisor pairing
 or 0 for a class of grading 0.  Forgetting a point that carries e_alpha
 multiplies a genus-0 invariant by the same number, so the table has three
 readers: the kappa_{-1} step of ``correlators.evaluate``, the unit and
-divisor axioms of ``gw.pure_gw``, and ``divisor_class``.  A table entry is
+divisor axioms of its pure step, and ``divisor_class``.  A table entry is
 an ``int`` when it is integral (always, on P^r) and a ``Fraction``
 otherwise, so the correlator engine can keep integer coefficients as
 ``int``s.
@@ -40,7 +41,7 @@ otherwise, so the correlator engine can keep integer coefficients as
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import product
 
 from .series import Record, exact_rational, parse_rational
@@ -120,7 +121,7 @@ class TargetModel(Record):
                 raise ValueError(f"seed class out of range in {classes}")
             if json_int(d, "a seed degree") < 1:
                 raise ValueError(f"a seed needs a degree d >= 1, got {d}")
-            # pure_gw reads a seed only after the unit and divisor axioms
+            # the pure step reads a seed only after the unit and divisor axioms
             if any(self.gradings[c] in (0, 2) for c in classes):
                 raise ValueError(f"a seed class needs a grading other than 0 and 2: {classes}")
             if not self.balanced(sum(self.gradings[c] for c in classes), len(classes), d):
@@ -238,7 +239,8 @@ class TargetModel(Record):
         per-unit pairing of each paired divisor (the divisor axiom) and 0 for
         each class of grading 0 (the unit axiom), the paired divisors in basis
         order; built once, and read-only by contract.  Read by ``evaluate``'s
-        kappa_{-1} step, ``pure_gw``'s axiom loop and ``divisor_class``."""
+        kappa_{-1} step, the axiom loop of its pure step and
+        ``divisor_class``."""
         return self._kappa_minus_one_per_unit
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
@@ -287,8 +289,8 @@ class TargetModel(Record):
     @cached_property
     def is_monogenic(self) -> bool:
         """True when the basis is 1, h, h^2, ... with h the hyperplane class,
-        read from the sparse cup table (cached: ``pure_gw`` reads it on every
-        memo miss)."""
+        read from the sparse cup table (cached: the pure step of
+        ``correlators.evaluate`` reads it before each WDVV split)."""
         r = self.rank - 1
         return self.gradings == tuple(range(0, 2 * r + 1, 2)) and all(
             self._cup_table[a][b] == ({a + b: 1} if a + b <= r else {})
@@ -324,11 +326,18 @@ def _invert(eta: FrMatrix) -> FrMatrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@lru_cache(maxsize=None)
 def projective_space(r: int) -> TargetModel:
-    """H*(P^r) with basis the powers of the hyperplane class."""
-    if r < 1:
+    """H*(P^r) with basis the powers of the hyperplane class, one object per r.
+
+    ``r`` is checked before the memo is read: ``True`` hashes and compares
+    like 1, so unchecked it would meet (or seed) the entry of P^1."""
+    if json_int(r, "r") < 1:
         raise ValueError("projective space needs r >= 1")
+    return _projective_space(r)
+
+
+@cache
+def _projective_space(r: int) -> TargetModel:
     gradings = tuple(2 * i for i in range(r + 1))
     eta = tuple(
         tuple(Fraction(1) if a + b == r else Fraction(0) for b in range(r + 1))

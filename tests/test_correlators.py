@@ -36,13 +36,15 @@ from gwtaut.correlators import (
 from gwtaut.gw import pure_gw
 from gwtaut.oracle import oracle
 from gwtaut.potentials import build_H_series, cp1_h_sequence, make_spec
-from gwtaut.target import TargetModel, projective_space
+from gwtaut.target import TargetModel, projective_space, target_from_config
 from gwtaut.trees import TreeSum, kappa_boundary_presentation, psi_boundary_presentation
 from gwtaut.verify import random_admissible_key, sample_relation_keys, two_sided_checks
+from test_gw import Q3
 
 P1 = projective_space(1)
 P2 = projective_space(2)
 P3 = projective_space(3)
+Q3_TARGET = target_from_config(Q3)
 
 
 def test_multi_index_bookkeeping():
@@ -1405,6 +1407,68 @@ def test_solved_split_emits_the_scanned_terms(monkeypatch, targets):
     names = Counter(name for name, _ in solved)
     assert min(names["trr-psi"], names["trr-kappa"]) >= 5, names
     assert sum(sum(terms.values()) for _, terms in solved) > 200
+
+
+def _pure_key(target, classes, d):
+    return make_key(target, tau=[(0, c, 1) for c in classes], d=d)
+
+
+# pure keys (level-0 points of grading >= 4, no kappa) that the pure step
+# reconstructs by WDVV, with and without spectators
+WDVV_KEYS = [
+    (P2, (2, 2, 2, 2, 2), 2),
+    (P2, (2,) * 8, 3),
+    (P3, (2, 2, 3), 1),
+    (P3, (2, 2, 2, 2), 1),
+    (P3, (3, 3, 3, 3), 2),
+    (P3, (2, 2, 2, 2, 3, 3), 2),
+    (Q3_TARGET, (2, 2, 2), 1),
+    (Q3_TARGET, (3, 3, 3), 2),
+    (Q3_TARGET, (2, 2, 3, 3), 2),
+]
+
+
+def test_solved_split_at_one_point_more_emits_the_scanned_terms():
+    # WDVV splits the key's smallest class e_s into e_1 and e_{s-1}, so the
+    # split runs on the (n+1)-pointed space: two fixed insertions per side,
+    # the key's other classes spectating and no kappa classes
+    calls = []
+    for target, classes, d in WDVV_KEYS:
+        key = _pure_key(target, classes, d)
+        assert selection(key)
+        s, e, top = classes[0], classes[1], classes[-1]
+        spect = key.m.remove(0, s).remove(0, e).remove(0, top)
+        calls.append((key, spect, key.p, [(0, s - 1), (0, top)], [], ((0, 1), (0, e))))
+        calls.append((key, spect, key.p, [(0, 1), (0, s - 1)], [], ((0, top), (0, e))))
+    solved = [Counter(correlators._boundary_split(*call)) for call in calls]
+    assert solved == [Counter(_scanned_split(*call)) for call in calls]
+    assert len(calls) == 18 and all(solved)
+    assert sum(sum(terms.values()) for terms in solved) > 40
+
+
+@pytest.mark.parametrize(
+    "target, classes, d",
+    [
+        (P1, (1, 1, 1), 1),
+        (P2, (2, 2, 2, 2, 2), 2),
+        (P2, (1, 2, 2, 2, 2, 2), 2),
+        (P3, (2, 2, 2, 2), 1),
+        (P3, (3, 3, 3, 2, 2), 2),
+        (Q3_TARGET, (3, 3, 3), 2),
+        (Q3_TARGET, (2, 3, 3, 2), 2),
+        (rescaled_p2(2), (2, 2, 2, 2, 2), 2),
+        (rescaled_p2(Fraction(1, 2)), (1, 2, 2, 2, 2, 2), 2),
+    ],
+    ids=["P1", "P2", "P2-divisor", "P3", "P3-mixed", "Q3", "Q3-mixed", "c-2", "c-1/2"],
+)
+def test_pure_gw_is_evaluate_of_the_level_zero_key(target, classes, d):
+    correlators.clear_caches()
+    value = pure_gw(target, iter(classes), d)  # a one-shot iterator, read once
+    assert value != 0
+    hits = evaluate.cache_info().hits
+    assert evaluate(_pure_key(target, classes, d)) == value
+    # pure_gw filled evaluate's memo: one memo holds the pure invariants
+    assert evaluate.cache_info().hits == hits + 1
 
 
 def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):

@@ -164,6 +164,20 @@ QUADRIC_LIKE = {
 }
 
 
+# Q^3 in P^4 on the basis 1, H, H^2, H^3, as in the test below: H^3 is twice
+# the point class, so eta(H^a, H^b) = 2 when a + b = 3; seed <H^2, H^3>_1 = 4
+Q3 = {
+    "type": "custom",
+    "name": "Q3",
+    "gradings": [0, 2, 4, 6],
+    "eta": [[2 if a + b == 3 else 0 for b in range(4)] for a in range(4)],
+    "cup": [[[1 if nu == a + b else 0 for nu in range(4)] for b in range(4)] for a in range(4)],
+    "c1_degree": 3,
+    "divisor_pairings": [[1, 1]],
+    "seeds": [[[2, 3], 1, 4]],
+}
+
+
 def test_non_monogenic_target_needs_seeds():
     quadric = target_from_config(QUADRIC_LIKE)
     assert not quadric.is_monogenic

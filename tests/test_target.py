@@ -304,3 +304,12 @@ POINT = TargetModel(name="point", gradings=(0,), eta=((1,),), cup=(((1,),),), c1
 def test_is_monogenic_reads_the_sparse_cup_table(target, expected):
     assert target.is_monogenic is expected
     assert dense_is_monogenic(target) is expected
+
+
+@pytest.mark.parametrize("r", [True, 2.0], ids=["bool", "float"])
+def test_projective_space_rejects_a_non_integer_r(r):
+    # True hashes and compares like 1, so only a check before the memo keeps
+    # it from meeting or seeding the entry of P^1
+    with pytest.raises(ValueError, match="r must be an integer"):
+        projective_space(r)
+    assert projective_space(1).name == "P1"
