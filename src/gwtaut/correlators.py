@@ -36,9 +36,10 @@ Keys are tuples, so the memo hashes and compares them in C: a
 ``MultiIndex`` is the tuple of its normal-form entries and a
 ``CorrelatorKey`` the tuple (target, m, p, d).  So a key equals the plain
 tuple of its fields, and an empty ``MultiIndex`` is falsy.  Checks run only
-in the public constructors: ``MultiIndex(...)`` normalizes and
-``CorrelatorKey(...)`` (so ``make_key``) validates, each in its
-``__post_init__``.  The moves and the tree integrals derive keys through
+in the public constructors, each in its ``__post_init__``:
+``MultiIndex(...)`` checks each entry's types before the entries merge and
+normalizes, and ``CorrelatorKey(...)`` (so ``make_key``) checks the ranges.
+The moves and the tree integrals derive keys through
 ``_normal_index(entries)`` and ``_valid_key((target, m, p, d))``, which are
 ``functools.partial`` objects over ``tuple.__new__``: they build a key in C,
 with no Python frame, and check nothing.  That is sound because the
@@ -91,10 +92,14 @@ class MultiIndex(tuple):
 
     The tuple of its ((level, alpha), mult) entries in normal form: sorted,
     so by level first, with positive int multiplicities.  The public
-    constructor normalizes: ``entries`` is a signed sum, so repeated entries
-    add up; multiplicities must be ints with non-negative totals; zeros
-    drop, entries sort.  ``add``, ``remove``, ``merge``, the split table and
-    the two parts keep this normal form and skip the constructor.
+    constructor checks and normalizes: each entry needs an int level, an int
+    basis index and an int multiplicity (``bool`` excluded), checked before
+    the entries merge, since ``True == 1`` would merge (0, True) into (0, 1);
+    ``entries`` is a signed sum, so repeated entries add up, to non-negative
+    totals; zeros drop, entries sort.  The ranges of levels and basis
+    indices are the key's to check (``CorrelatorKey``).  ``add``, ``remove``,
+    ``merge``, the split table and the two parts keep this normal form and
+    skip the constructor.
     """
 
     __slots__ = ()
@@ -107,6 +112,9 @@ class MultiIndex(tuple):
         """Check ``entries`` and return their normal form."""
         acc: dict[Entry, int] = {}
         for key, mult in entries:
+            a, alpha = key
+            if type(a) is not int or type(alpha) is not int:
+                raise ValueError(f"level and basis index must be ints, got {key!r}")
             if type(mult) is not int:
                 raise ValueError(f"multiplicity must be an integer, got {mult!r}")
             acc[key] = acc.get(key, 0) + mult
@@ -121,19 +129,9 @@ class MultiIndex(tuple):
     def from_list(cls, items) -> "MultiIndex":
         return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
 
-    # -- size bookkeeping (norms count levels a >= 0 only) ---------------------
-
     @property
     def size(self) -> int:
         return sum(mult for _, mult in self)
-
-    @property
-    def norm(self) -> int:
-        return sum(mult for (a, _), mult in self if a >= 0)
-
-    @property
-    def weight(self) -> int:
-        return sum(a * mult for (a, _), mult in self if a >= 0)
 
     @property
     def max_level(self) -> int:
@@ -323,7 +321,7 @@ def selection(key: CorrelatorKey) -> bool:
 
 @cache
 def _comparison_table(target: TargetModel, p: MultiIndex):
-    """The rows (p2, rest, binomial, p2.weight, cup vector of 1 . (p2's
+    """The rows (p2, rest, binomial, p2's level sum, cup vector of 1 . (p2's
     classes)) of the comparison relation's kappa split of p, built once per
     (target, p): p2 runs over the sub-multisets of the level >= 0 kappa
     classes of p, and rest is their complement merged with p's kappa_{-1}
@@ -334,7 +332,7 @@ def _comparison_table(target: TargetModel, p: MultiIndex):
         vec = {0: 1}
         for _, beta in p2.expand():
             vec = target.cup_vector(vec, beta)
-        rows.append((p2, rest.merge(neg), binm, p2.weight, vec))
+        rows.append((p2, rest.merge(neg), binm, sum(a * k for (a, _), k in p2), vec))
     return tuple(rows)
 
 
@@ -346,7 +344,7 @@ def _comparison_terms(
 
     Yields (key, coefficient) for each sub-multiset p2 of the level >= 0
     kappa classes of p: the key carries m, the rest of p and a kappa class
-    of level p2.weight + ``level`` on 1 . (p2's classes) . e_alpha; the
+    of level (p2's level sum) + ``level`` on 1 . (p2's classes) . e_alpha; the
     unit e_0 leaves the class as it is, so no cup is taken at alpha = 0.
     ``first=1`` skips p2 = empty, the table's first row."""
     for _, rest, binm, weight, vec in _comparison_table(target, p)[first:]:
@@ -524,21 +522,23 @@ def apply_trr_kappa(
     return terms
 
 
-def lift_kappa_minus_one(key: CorrelatorKey) -> tuple[tuple[int, ...], int]:
+def lift_kappa_minus_one(key: CorrelatorKey) -> CorrelatorKey:
     """Convert kappa_{-1} insertions into extra evaluation points.
 
     Only valid once every tau level is 0 and every kappa level is -1;
-    returns the pure Gromov-Witten key (classes, degree).  From ``evaluate``
-    it sees only kappa_{-1} classes of grading >= 4 or of divisors without a
-    configured pairing: the others are numbers, read before the branches.
+    returns the pure Gromov-Witten key of the same degree, with a level-0
+    point for each point and each kappa_{-1} class of ``key`` and no kappa
+    class.  From ``evaluate`` it sees only kappa_{-1} classes of grading >= 4
+    or of divisors without a configured pairing: the others are numbers,
+    read before the branches.
     """
     if key.m.max_level >= 1:
         raise ValueError("psi powers remain; the lift needs plain insertions")
-    if key.p.nonneg_part():
+    if key.p.max_level >= 0:
         raise ValueError("kappa levels >= 0 remain; reduce them first")
-    classes = [alpha for (_, alpha) in key.m.expand()]
-    classes += [alpha for (_, alpha) in key.p.expand()]
-    return tuple(sorted(classes)), key.d
+    # kappa_{-1} entries sort by class, so at level 0 they are in normal form
+    points = _normal_index(tuple(((0, alpha), k) for (_, alpha), k in key.p))
+    return _valid_key((key.target, key.m.merge(points), _normal_index(()), key.d))
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -651,12 +651,12 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     5. psi on < 3 points: the divisor equation read backwards, which adds
        a point;
     6. otherwise tau levels are 0 and kappa levels -1.  A key with kappa_{-1}
-       classes is the key ``lift_kappa_minus_one`` gives, with a level-0
-       point for each class.  A key of level-0 points alone is a pure
-       Gromov-Witten invariant, which the pure step (``_pure_step``) reads
-       or reconstructs: the triple integral in degree 0, the unit and
-       divisor axioms, the seeds, else WDVV through ``_boundary_split``.
-       Neither counts a reduction.
+       classes is evaluated as the pure key ``lift_kappa_minus_one``
+       returns, which carries a level-0 point for each class.  A key of
+       level-0 points alone is a pure Gromov-Witten invariant, which the
+       pure step (``_pure_step``) reads or reconstructs: the triple integral
+       in degree 0, the unit and divisor axioms, the seeds, else WDVV
+       through ``_boundary_split``.  Neither counts a reduction.
     """
     global _REDUCTIONS
     target, m, p, d = key
@@ -695,9 +695,7 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     elif psi:
         terms = _divisor_backwards(key)
     elif p:
-        classes, d = lift_kappa_minus_one(key)
-        lifted = _index_of([(0, alpha) for alpha in classes])
-        return evaluate(_valid_key((target, lifted, _normal_index(()), d)))
+        return evaluate(lift_kappa_minus_one(key))
     else:
         return _pure_step(key)
     _REDUCTIONS += 1

@@ -1,10 +1,11 @@
 """Pure genus-0 Gromov-Witten invariants (no psi, no kappa).
 
 An invariant <e_{a1} ... e_{an}>_d is the correlator key with n level-0
-points, no kappa class and curve degree d, so ``pure_gw`` checks its input
-and hands that key to ``correlators.evaluate``: one memo holds the pure
-invariants with every twisted key.  The evaluator's last branch, the pure
-step, reconstructs them (see ``evaluate``'s docstring):
+points, no kappa class and curve degree d, so ``pure_gw`` builds that key
+with ``make_key``, which checks the classes and the degree, and hands it to
+``correlators.evaluate``: one memo holds the pure invariants with every
+twisted key.  The evaluator's last branch, the pure step, reconstructs
+them (see ``evaluate``'s docstring):
 
   * the selection rule kills keys whose class degrees miss twice the
     moduli dimension;
@@ -29,18 +30,18 @@ from fractions import Fraction
 
 from .correlators import evaluate, make_key
 from .potentials import PotentialSpec, build_H_series
-from .target import TargetModel, check_degree
+from .target import TargetModel
 
 
 def pure_gw(target: TargetModel, classes, d: int) -> Fraction:
-    """Exact genus-0 invariant of the class multiset at curve degree d."""
-    check_degree(d)
-    tau = []
-    for a in classes:
-        if type(a) is not int or not 0 <= a < target.rank:
-            raise ValueError(f"basis index {a} out of range")
-        tau.append((0, a, 1))
-    return evaluate(make_key(target, tau, (), d))
+    """Exact genus-0 invariant of the class multiset at curve degree d.
+
+    ``evaluate`` of the key with a level-0 point per class; ``make_key``
+    refuses a class that is not an int basis index of ``target`` and a
+    degree that is not an int >= 0 (``bool`` excluded).  ``classes`` is read
+    once, so any iterable will do.
+    """
+    return evaluate(make_key(target, [(0, a, 1) for a in classes], (), d))
 
 
 def gw_potential_series(

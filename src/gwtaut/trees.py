@@ -335,10 +335,8 @@ def enumerate_two_vertex_divisors(
     if json_int(n, "a point count") < 0:
         raise ValueError(f"point count must be non-negative, got {n}")
     check_degree(d)
-    seen: dict[DecoratedTree, None] = {}
-    for first, second, b1, b2 in _two_vertex_splits(n, d, pin_first, pin_second):
-        seen.setdefault(two_vertex_tree(first, second, b1, b2))
-    return list(seen)
+    splits = _two_vertex_splits(n, d, pin_first, pin_second)
+    return list(dict.fromkeys(two_vertex_tree(*split) for split in splits))
 
 
 # -- forgetful map -------------------------------------------------------------
@@ -441,12 +439,10 @@ def psi_boundary_presentation(n: int, d: int, a: int) -> TreeSum:
 @cache
 def _psi_presentation(n: int, d: int, a: int) -> tuple[tuple[DecoratedTree, Fraction], ...]:
     decor = (Decoration("psi", (1, a - 1), 2 * (a - 1)),) if a > 1 else ()
-    out = TreeSum(n=n)
-    for first, second, b1, b2 in _two_vertex_splits(
-        n, d, pin_first=(2, 3), pin_second=(1,)
-    ):
-        out.add_term(two_vertex_tree(first, second, b1, b2, decor), Fraction(1))
-    return tuple(out.items())
+    # coefficient 1 each: the pinned tails tell the two vertices apart, so
+    # distinct splits give non-isomorphic trees and no two terms merge
+    splits = _two_vertex_splits(n, d, pin_first=(2, 3), pin_second=(1,))
+    return tuple((two_vertex_tree(*split, decor), Fraction(1)) for split in splits)
 
 
 def kappa_boundary_presentation(
@@ -476,15 +472,12 @@ def _kappa_presentation(
 ) -> tuple[tuple[DecoratedTree, Fraction], ...]:
     grade = target.gradings[alpha]
     token = Decoration("kappa", (a - 1, alpha), 2 * (a - 1) + grade)
-    out = TreeSum(n=n)
-    for first, second, b1, b2 in _two_vertex_splits(
-        n, d, pin_first=(1, 2), pin_second=()
-    ):
-        out.add_term(
-            two_vertex_tree(first, second, b1, b2, (token,)), Fraction(1)
-        )
+    # coefficient 1 each, as in ``_psi_presentation``; the ev trees differ by
+    # their token's tail
+    splits = _two_vertex_splits(n, d, pin_first=(1, 2))
+    out = [(two_vertex_tree(*split, (token,)), Fraction(1)) for split in splits]
     if a == 0:
         for i in range(3, n + 1):
             tok = Decoration("ev", (i, alpha), grade)
-            out.add_term(single_vertex_tree(n, d, (tok,)), Fraction(1))
-    return tuple(out.items())
+            out.append((single_vertex_tree(n, d, (tok,)), Fraction(1)))
+    return tuple(out)

@@ -23,7 +23,6 @@ from .correlators import (
     evaluate_combination,
     expected_dimension,
     make_key,
-    selection,
 )
 from .potentials import (
     PotentialSpec,
@@ -49,6 +48,9 @@ from .trees import (
 Entry = tuple[int, int]
 
 MAX_POINTS = 5  # tau points a sampled key starts with, at most
+
+# the tau points each pivot shape pads to, with level-0 points
+PAD_TO = {"psi": 3, "kappa_pos": 2, "kappa_zero": 2}
 
 
 class Report:
@@ -85,7 +87,15 @@ def random_admissible_key(
 
     need: "psi" (a tau of level >= 1 plus two more points), "kappa_pos"
     (a kappa of level >= 1 plus two tau points), "kappa_zero" (a level-0
-    kappa plus two tau points), "pd" (a comparison-relation pivot).
+    kappa plus two tau points), "pd" (a comparison-relation pivot: a tau of
+    level >= 1, at degree d >= 1).  With a ``need`` the degree is >= 1.
+
+    The pivot material is placed before the degree gap is closed, and it
+    survives the two closing loops, since they only add tau_0(e_0) points
+    and raise tau levels: the pivot stays, the point count only grows, and
+    the kappa classes are left as they are.  So the first key whose gap
+    closes is returned; a zero gap is the selection rule, since a degree-0
+    key with fewer than three points is refused before the loops.
     """
     rank = target.rank
     for _ in range(400):
@@ -99,22 +109,14 @@ def random_admissible_key(
             (rng.choice([-1, 0, 0, 1]), rng.randrange(rank))
             for _ in range(rng.randint(0, 3))
         ]
-        if need == "psi":
+        if need in ("psi", "pd"):
             tau.append((rng.randint(1, 2), rng.randrange(rank)))
-            while len(tau) < 3:
-                tau.append((0, rng.randrange(rank)))
-        elif need == "kappa_pos":
-            kappa.append((rng.randint(1, 2), rng.randrange(rank)))
+        elif need in ("kappa_pos", "kappa_zero"):
+            level = rng.randint(1, 2) if need == "kappa_pos" else 0
+            kappa.append((level, rng.randrange(rank)))
             tau = [(0, alpha) for _, alpha in tau]
-            while len(tau) < 2:
-                tau.append((0, rng.randrange(rank)))
-        elif need == "kappa_zero":
-            kappa.append((0, rng.randrange(rank)))
-            tau = [(0, alpha) for _, alpha in tau]
-            while len(tau) < 2:
-                tau.append((0, rng.randrange(rank)))
-        elif need == "pd":
-            tau.append((rng.randint(1, 2), rng.randrange(rank)))
+        while len(tau) < PAD_TO.get(need, 0):
+            tau.append((0, rng.randrange(rank)))
 
         m = MultiIndex(tuple((e, 1) for e in tau))
         p = MultiIndex(tuple((e, 1) for e in kappa))
@@ -127,26 +129,10 @@ def random_admissible_key(
             gap = _degree_gap(key)
         while gap < 0 and key.m:
             a, alpha = max(key.m.expand())
-            step = (((a, alpha), -1), ((a + 1, alpha), 1))
-            key = CorrelatorKey(target, MultiIndex(key.m + step), key.p, key.d)
+            key = CorrelatorKey(target, key.m.remove(a, alpha).add(a + 1, alpha), key.p, key.d)
             gap = _degree_gap(key)
-        if gap != 0 or not selection(key):
-            continue
-        if need == "psi" and (key.m.max_level < 1 or key.n < 3):
-            continue
-        if need == "kappa_pos" and (key.p.max_level < 1 or key.m.norm < 2):
-            continue
-        if need == "kappa_zero" and (
-            not any(a == 0 for (a, _), _ in key.p) or key.m.norm < 2
-        ):
-            continue
-        if need == "pd":
-            pivots = [e for e in key.m.expand() if e[0] >= 1]
-            if not pivots:
-                continue
-            if key.d == 0 and key.n == 3:
-                continue
-        return key
+        if gap == 0:
+            return key
     raise RuntimeError(f"could not sample an admissible key (need={need})")
 
 
@@ -198,7 +184,7 @@ def two_sided_checks(key: CorrelatorKey) -> list[tuple[str, Fraction, Fraction]]
         others.remove(pivot)
         comb = apply_trr_psi(key, pivot, (others[-2], others[-1]))
         out.append(("trr-psi", lhs, evaluate_combination(comb)))
-    if key.m.norm >= 2:
+    if key.n >= 2:
         for name, pred in (
             ("trr-kappa", lambda a: a >= 1),
             ("trr-kappa0", lambda a: a == 0),
@@ -250,8 +236,8 @@ def verify_dilaton(
             rhs = (base.n - 2) * evaluate(base)
             report.equal("kappa00-law", base, oracle(with_k), rhs)
             # kappa_{-1,divisor} insertion multiplies by the degree pairing
-            alpha_div, pairing = target.divisor_class(max(base.d, 1))
             if base.d >= 1:
+                alpha_div, pairing = target.divisor_class(base.d)
                 with_km = CorrelatorKey(
                     target, base.m, base.p.add(-1, alpha_div), base.d
                 )

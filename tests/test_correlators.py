@@ -49,10 +49,10 @@ Q3_TARGET = target_from_config(Q3)
 
 def test_multi_index_bookkeeping():
     m = MultiIndex.from_list([(0, 1, 2), (1, 0, 1)])
-    assert m.size == 3 and m.norm == 3 and m.weight == 1
+    assert m.size == 3
     assert m.factorial() == 2
     p = MultiIndex.from_list([(-1, 1, 2), (0, 1, 1)])
-    assert p.size == 3 and p.norm == 1 and p.weight == 0
+    assert p.size == 3
     assert p.nonneg_part() == (((0, 1), 1),)
     assert p.neg_part() == (((-1, 1), 2),)
     assert len(_split_table(m)) == 6  # (2+1)*(1+1)
@@ -91,6 +91,14 @@ def test_multi_index_constructor_normalizes():
         lambda: evaluate(make_key(P2, tau=[(0.5, 2, 1), (0, 2, 1)], d=1)),
         lambda: evaluate(make_key(P1, tau=[(0, True, 2)], d=1)),
         lambda: evaluate(make_key(P1, kappa=[(0, 1, 1.5)], tau=[(0, 1, 2)], d=1)),
+        # True == 1 and 1.0 == 1, so each entry is checked before the entries
+        # merge, whatever its position next to its equal twin
+        lambda: evaluate(make_key(P1, tau=[(0, 1, 1), (0, True, 1), (0, 1, 1)], d=1)),
+        lambda: evaluate(make_key(P1, tau=[(0, True, 1), (0, 1, 1), (0, 1, 1)], d=1)),
+        lambda: evaluate(make_key(P1, tau=[(1, 1, 1), (1.0, 1, 1)], d=1)),
+        lambda: evaluate(make_key(P1, tau=[(1.0, 1, 1), (1, 1, 1)], d=1)),
+        lambda: evaluate(make_key(P1, kappa=[(0, 1, 1), (0, True, 1)], tau=[(0, 1, 2)], d=1)),
+        lambda: pure_gw(P2, (2, True), 1),
     ],
     ids=[
         "bool-degree",
@@ -100,6 +108,12 @@ def test_multi_index_constructor_normalizes():
         "float-level",
         "bool-class",
         "float-multiplicity",
+        "bool-class-after-its-twin",
+        "bool-class-before-its-twin",
+        "float-level-after-its-twin",
+        "float-level-before-its-twin",
+        "kappa-bool-class-after-its-twin",
+        "pure-gw-bool-class-last",
     ],
 )
 def test_python_api_rejects_non_integers(build):
@@ -298,9 +312,9 @@ def test_trr_kappa_needs_two_copivots():
 
 def test_lift_to_pure_invariants():
     key = make_key(P1, tau=[(0, 1, 2)], kappa=[(-1, 1, 1)], d=1)
-    classes, d = lift_kappa_minus_one(key)
-    assert classes == (1, 1, 1) and d == 1
-    assert pure_gw(P1, classes, d) == 1
+    lifted = lift_kappa_minus_one(key)
+    assert type(lifted) is CorrelatorKey and lifted == make_key(P1, tau=[(0, 1, 3)], d=1)
+    assert evaluate(lifted) == 1
     assert evaluate(key) == 1
 
 
@@ -404,6 +418,23 @@ def test_pivot_path_independence_on_samples():
         for need in ("psi", "kappa_pos", "kappa_zero"):
             key = random_admissible_key(target, rng, d_max=2, need=need)
             assert evaluate(key) == oracle(key)
+
+
+@pytest.mark.parametrize("need", [None, "psi", "kappa_pos", "kappa_zero", "pd"])
+def test_sampled_keys_keep_the_samplers_promises(need):
+    for target in (P1, P2, P3):
+        for seed in range(200):
+            key = random_admissible_key(target, random.Random(seed), need=need)
+            assert selection(key), (target.name, seed, key)
+            assert need is None or key.d >= 1
+            if need == "psi":
+                assert key.m.max_level >= 1 and key.n >= 3
+            elif need == "kappa_pos":
+                assert key.p.max_level >= 1 and key.n >= 2
+            elif need == "kappa_zero":
+                assert any(a == 0 for (a, _), _ in key.p) and key.n >= 2
+            elif need == "pd":
+                assert key.m.max_level >= 1
 
 
 def test_engine_matches_oracle_on_sampled_keys():
