@@ -33,24 +33,23 @@ split term puts its lower-degree factor first, since
 lower-degree factor is the cheaper one.
 
 Keys are tuples, so the memo hashes and compares them in C: a
-``MultiIndex`` is the tuple of its normal-form entries and a
-``CorrelatorKey`` the tuple (target, m, p, d).  So a key equals the plain
-tuple of its fields, and an empty ``MultiIndex`` is falsy.  Checks run only
-in the public constructors, each in its ``__post_init__``:
-``MultiIndex(...)`` checks each entry's types before the entries merge and
-normalizes, and ``CorrelatorKey(...)`` (so ``make_key``) checks the ranges.
-The moves and the tree integrals derive keys through
-``_normal_index(entries)`` and ``_valid_key((target, m, p, d))``, which are
-``functools.partial`` objects over ``tuple.__new__``: they build a key in C,
-with no Python frame, and check nothing.  That is sound because the
-``MultiIndex`` operations keep the normal form, each move shifts levels
-only within their ranges (tau >= 0, kappa >= -1), and
-``evaluate_tree_sum`` checks the ambient insertions once per sum and
-``_tree_layout`` what each tree adds to them, once per (target, tree).
-``MultiIndex.add`` and ``mult`` (so ``remove``) find an entry's slot with
-``bisect_left(index, (key,))``, with no key function: ``(key,)`` sorts
-just before ``(key, mult)`` and after every entry of a smaller key.  The
-selection rule is ``TargetModel.balanced``.
+``MultiIndex`` is the sorted tuple of its (level, alpha) entries, each
+repeated by its multiplicity, and a ``CorrelatorKey`` the tuple (target, m,
+p, d).  So a key equals the plain tuple of its fields, an empty
+``MultiIndex`` is falsy, a merge is one sort and an entry's copies are one
+slice found by ``bisect``.  Only a few readers need the multiplicities,
+through ``MultiIndex.counts()``.  Checks run only in the public
+constructors, each in its ``__post_init__``: ``MultiIndex(...)`` checks
+each entry's types before the entries merge and sorts, and
+``CorrelatorKey(...)`` (so ``make_key``) checks the ranges.  The moves and
+the tree integrals derive keys through ``_normal_index(entries)`` and
+``_valid_key((target, m, p, d))``, which are ``functools.partial`` objects
+over ``tuple.__new__``: they build a key in C, with no Python frame, and
+check nothing.  That is sound because the ``MultiIndex`` operations keep
+the entries sorted, each move shifts levels only within their ranges (tau
+>= 0, kappa >= -1), and ``evaluate_tree_sum`` checks the ambient insertions
+once per sum and ``_tree_layout`` what each tree adds to them, once per
+(target, tree).  The selection rule is ``TargetModel.balanced``.
 
 Besides ``evaluate``'s memo, which holds the pure invariants too, four
 private ``functools.cache`` memos hold what the moves and the tree
@@ -71,11 +70,11 @@ data), and ``evaluate_combination`` and ``evaluate_tree_sum`` build one
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
-from math import comb, factorial, gcd
+from itertools import chain, groupby, product, repeat
+from math import comb, gcd
 from operator import itemgetter
 
 from .target import Rational, TargetModel, check_degree
@@ -90,16 +89,19 @@ Entry = tuple[int, int]  # (level a, basis index alpha)
 class MultiIndex(tuple):
     """Finitely supported multiplicity function on (level, basis index).
 
-    The tuple of its ((level, alpha), mult) entries in normal form: sorted,
-    so by level first, with positive int multiplicities.  The public
-    constructor checks and normalizes: each entry needs an int level, an int
-    basis index and an int multiplicity (``bool`` excluded), checked before
-    the entries merge, since ``True == 1`` would merge (0, True) into (0, 1);
-    ``entries`` is a signed sum, so repeated entries add up, to non-negative
-    totals; zeros drop, entries sort.  The ranges of levels and basis
-    indices are the key's to check (``CorrelatorKey``).  ``add``, ``remove``,
-    ``merge``, the split table and the two parts keep this normal form and
-    skip the constructor.
+    The sorted tuple of its (level, alpha) entries, each repeated by its
+    multiplicity, so by level first: the index is its own expansion, its
+    size is its length and ``counts()`` gives the ((level, alpha), mult)
+    pairs.  The public constructor takes those pairs, checks and
+    normalizes: each entry needs an int level, an int basis index and an
+    int multiplicity (``bool`` excluded), checked before the entries merge,
+    since ``True == 1`` would merge (0, True) into (0, 1); ``entries`` is a
+    signed sum, so repeated entries add up, to non-negative totals.
+    ``add`` checks its entry the same way.  The ranges of levels and basis
+    indices are the key's to check (``CorrelatorKey``).  ``add``,
+    ``remove``, ``merge`` and the split table keep the sorted form and skip
+    the constructor.  Pickle and ``copy`` rebuild an index through the
+    constructor, so ``__getnewargs__`` hands it the pairs, not the entries.
     """
 
     __slots__ = ()
@@ -108,8 +110,8 @@ class MultiIndex(tuple):
         return tuple.__new__(cls, cls.__post_init__(entries))
 
     @staticmethod
-    def __post_init__(entries) -> tuple[tuple[Entry, int], ...]:
-        """Check ``entries`` and return their normal form."""
+    def __post_init__(entries) -> tuple[Entry, ...]:
+        """Check ``entries`` and return their sorted expansion."""
         acc: dict[Entry, int] = {}
         for key, mult in entries:
             a, alpha = key
@@ -120,78 +122,60 @@ class MultiIndex(tuple):
             acc[key] = acc.get(key, 0) + mult
         if any(mult < 0 for mult in acc.values()):
             raise ValueError("negative multiplicity")
-        return tuple(sorted(item for item in acc.items() if item[1]))
+        return tuple(sorted(chain.from_iterable(map(repeat, acc, acc.values()))))
+
+    def __getnewargs__(self):
+        return (self.counts(),)
 
     def __repr__(self) -> str:
-        return f"MultiIndex(entries={tuple(self)!r})"
+        return f"MultiIndex(entries={self.counts()!r})"
 
     @classmethod
     def from_list(cls, items) -> "MultiIndex":
         return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
 
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self)
+    def counts(self) -> tuple[tuple[Entry, int], ...]:
+        """The ((level, alpha), mult) pairs, sorted."""
+        return tuple((key, len(tuple(run))) for key, run in groupby(self))
+
+    size = property(len)
 
     @property
     def max_level(self) -> int:
         # entries sort by level, so the deepest one comes last
-        return self[-1][0][0] if self else -10
+        return self[-1][0] if self else -10
 
     def mult(self, a: int, alpha: int) -> int:
         key = (a, alpha)
-        i = bisect_left(self, (key,))  # (key,) sorts just before (key, mult)
-        return self[i][1] if i < len(self) and self[i][0] == key else 0
-
-    def expand(self) -> tuple[Entry, ...]:
-        out: list[Entry] = []
-        for key, m in self:
-            out.extend([key] * m)
-        return tuple(out)
+        return bisect_right(self, key) - bisect_left(self, key)
 
     def add(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
+        if type(a) is not int or type(alpha) is not int:
+            raise ValueError(f"level and basis index must be ints, got {(a, alpha)!r}")
         if type(k) is not int:
             raise ValueError(f"multiplicity must be an integer, got {k!r}")
         key = (a, alpha)
-        i = j = bisect_left(self, (key,))
-        if i < len(self) and self[i][0] == key:
-            k += self[i][1]
-            j += 1
-        if k > 0:
-            return _normal_index(self[:i] + ((key, k),) + self[j:])
-        if k:
+        i = bisect_left(self, key)
+        if k >= 0:
+            return _normal_index(self[:i] + (key,) * k + self[i:])
+        if self[i - k - 1 : i - k] != (key,):  # fewer than -k copies from slot i on
             raise ValueError("negative multiplicity")
-        return _normal_index(self[:i] + self[j:])
+        return _normal_index(self[:i] + self[i - k :])
 
     def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
         if self.mult(a, alpha) < k:
             raise ValueError(f"entry ({a},{alpha}) not present {k} times")
         return self.add(a, alpha, -k)
 
-    def factorial(self) -> int:
-        out = 1
-        for _, m in self:
-            out *= factorial(m)
-        return out
-
-    def nonneg_part(self) -> "MultiIndex":
-        return _normal_index(tuple(item for item in self if item[0][0] >= 0))
-
-    def neg_part(self) -> "MultiIndex":
-        return _normal_index(tuple(item for item in self if item[0][0] < 0))
-
     def merge(self, other: "MultiIndex") -> "MultiIndex":
         if not other:
             return self
         if not self:
             return other
-        acc = dict(self)
-        for key, m in other:
-            acc[key] = acc.get(key, 0) + m
-        return _normal_index(tuple(sorted(acc.items())))
+        return _normal_index(sorted(self + other))
 
 
-# a ``MultiIndex`` on entries already in normal form, built in C; nothing is checked
+# a ``MultiIndex`` on entries already sorted, built in C; nothing is checked
 _normal_index = partial(tuple.__new__, MultiIndex)
 
 
@@ -201,33 +185,16 @@ def _split_table(
 ) -> tuple[tuple[MultiIndex, MultiIndex, int, int], ...]:
     """The rows (sub, complement, int binomial, sub's size) over all
     sub-multi-indices of ``idx``, built once per index."""
-    keys = [key for key, _ in idx]
-    mults = [m for _, m in idx]
+    pairs = idx.counts()
     rows = []
-    for counts in product(*(range(m + 1) for m in mults)):
+    for counts in product(*(range(m + 1) for _, m in pairs)):
         sub, rest, mult = [], [], 1
-        for key, m, c in zip(keys, mults, counts):
-            if c:
-                sub.append((key, c))
-            if c < m:
-                rest.append((key, m - c))
+        for (key, m), c in zip(pairs, counts):
+            sub += [key] * c
+            rest += [key] * (m - c)
             mult *= comb(m, c)
-        sub_idx, rest_idx = _normal_index(tuple(sub)), _normal_index(tuple(rest))
-        rows.append((sub_idx, rest_idx, mult, sum(counts)))
+        rows.append((_normal_index(sub), _normal_index(rest), mult, len(sub)))
     return tuple(rows)
-
-
-def _index_of(entries: list[Entry]) -> MultiIndex:
-    """The ``MultiIndex`` counting each of ``entries`` once; nothing is checked."""
-    out: list[tuple[Entry, int]] = []
-    last = None
-    for e in sorted(entries):  # equal entries are neighbours once sorted
-        if e == last:
-            out[-1] = (e, out[-1][1] + 1)
-        else:
-            out.append((e, 1))
-            last = e
-    return _normal_index(tuple(out))
 
 
 def _check_entries(target: TargetModel, entries, lowest: int, kind: str) -> None:
@@ -263,8 +230,8 @@ class CorrelatorKey(tuple):
 
     def __post_init__(self) -> None:
         check_degree(self.d)
-        _check_entries(self.target, (e for e, _ in self.m), 0, "tau")
-        _check_entries(self.target, (e for e, _ in self.p), -1, "kappa")
+        _check_entries(self.target, self.m, 0, "tau")
+        _check_entries(self.target, self.p, -1, "kappa")
 
     def __getnewargs__(self):
         return tuple(self)
@@ -299,7 +266,7 @@ Term = tuple[tuple[CorrelatorKey, ...], Rational]
 
 @cache
 def _index_degree(gradings: tuple[int, ...], idx: MultiIndex) -> int:
-    return sum(mult * (2 * a + gradings[alpha]) for (a, alpha), mult in idx)
+    return sum(2 * a + gradings[alpha] for a, alpha in idx)
 
 
 def degree_sum(key: CorrelatorKey) -> int:
@@ -326,13 +293,14 @@ def _comparison_table(target: TargetModel, p: MultiIndex):
     (target, p): p2 runs over the sub-multisets of the level >= 0 kappa
     classes of p, and rest is their complement merged with p's kappa_{-1}
     part.  The cup vectors are read-only."""
-    neg = p.neg_part()
+    split = bisect_left(p, (0,))  # (0,) sorts after every kappa_{-1} entry
+    neg = _normal_index(p[:split])
     rows = []
-    for p2, rest, binm, _ in _split_table(p.nonneg_part()):
+    for p2, rest, binm, _ in _split_table(_normal_index(p[split:])):
         vec = {0: 1}
-        for _, beta in p2.expand():
+        for _, beta in p2:
             vec = target.cup_vector(vec, beta)
-        rows.append((p2, rest.merge(neg), binm, sum(a * k for (a, _), k in p2), vec))
+        rows.append((p2, rest.merge(neg), binm, sum(a for a, _ in p2), vec))
     return tuple(rows)
 
 
@@ -358,7 +326,7 @@ def _cup_at_points(
     """Yield the terms that replace one point tau_a(e_alpha) of ``points``
     (part of key.m), a >= drop, by tau_{a-drop}(e_alpha . e_g); the keys
     carry the kappa classes p."""
-    for (a, alpha), mult in points:
+    for (a, alpha), mult in points.counts():
         if a < drop:
             continue
         for nu, c_nu in key.target.cup_product(alpha, g).items():
@@ -378,8 +346,6 @@ def apply_puncture_dilaton(key: CorrelatorKey, pivot: Entry) -> list[Term]:
     that term is not emitted.
     """
     a, alpha = pivot
-    if key.m.mult(a, alpha) == 0:
-        raise ValueError(f"pivot tau_{a}^{alpha} not present")
     m0 = key.m.remove(a, alpha)
     if a == 0 and m0.max_level >= 1:
         raise ValueError(
@@ -437,7 +403,7 @@ def _boundary_split(
     pairs_of_grading = target.eta_inverse_pairs_by_grading()
     dim, c1 = target.dim_complex, target.c1_degree
     left_m, left_p, right_m = (
-        _index_of(side) for side in (left_tau, left_kappa, right_tau)
+        _normal_index(sorted(side)) for side in (left_tau, left_kappa, right_tau)
     )
     left_deg = _index_degree(g, left_m) + _index_degree(g, left_p)
     p_sides = [
@@ -502,19 +468,16 @@ def apply_trr_kappa(
     boundary terms, lower-degree factor first (see ``_boundary_split``).
     """
     a1, alpha1 = pivot
-    if key.p.mult(a1, alpha1) == 0:
-        raise ValueError(f"pivot kappa_({a1},{alpha1}) not present")
     if a1 < 0:
         raise ValueError("kappa_{-1} classes are lifted, not recursed")
+    p0 = key.p.remove(a1, alpha1)
     if copivots is None:
-        points = key.m.expand()
-        if len(points) < 2:
+        if key.n < 2:
             raise ValueError("the kappa recursion needs two tau co-pivots")
-        copivots = (points[0], points[1])
+        copivots = key.m[:2]
     m0 = key.m
     for a, alpha in copivots:
         m0 = m0.remove(a, alpha)
-    p0 = key.p.remove(a1, alpha1)
     terms = _boundary_split(key, m0, p0, [], [(a1 - 1, alpha1)], copivots)
     if a1 == 0:
         # e_alpha -> e_alpha . e_alpha1 at one point other than the co-pivots
@@ -536,8 +499,8 @@ def lift_kappa_minus_one(key: CorrelatorKey) -> CorrelatorKey:
         raise ValueError("psi powers remain; the lift needs plain insertions")
     if key.p.max_level >= 0:
         raise ValueError("kappa levels >= 0 remain; reduce them first")
-    # kappa_{-1} entries sort by class, so at level 0 they are in normal form
-    points = _normal_index(tuple(((0, alpha), k) for (_, alpha), k in key.p))
+    # kappa_{-1} entries sort by class, so at level 0 they stay sorted
+    points = _normal_index(tuple((0, alpha) for _, alpha in key.p))
     return _valid_key((key.target, key.m.merge(points), _normal_index(()), key.d))
 
 
@@ -596,7 +559,7 @@ def _comparison_backwards(key: CorrelatorKey) -> list[Term]:
     augmented key minus the terms where kappa classes merged with the
     forgotten point.
     """
-    b, nu0 = key.p[-1][0]
+    b, nu0 = key.p[-1]
     p_hat = key.p.remove(b, nu0)
     augmented = _valid_key((key.target, key.m.add(b + 1, nu0), p_hat, key.d))
     terms = _comparison_terms(key.target, key.m, p_hat, b, nu0, key.d, 1)
@@ -628,13 +591,13 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     """Exact correlator value; the first branch that applies reduces the key.
 
     After the selection rule, one step reads the kappa classes that are
-    numbers, drops their entries and scales the rest of the key by
-    number^mult: each kappa_{-1}(D) of a divisor with a configured pairing c
-    (``TargetModel.kappa_minus_one_per_unit``) is c * d, the divisor axiom on
-    the fibre of the forgetful map; a kappa_{-1} class of grading 0 pushes
-    forward to degree -2, so it is 0; and kappa_0(e_0) = pi_*(psi_{n+1}) is
-    the degree of psi_{n+1} on that fibre, n - 2 for a key with n points (so
-    0 at two points).  A key that is left with kappa_{-1} classes of
+    numbers, drops their entries and scales the rest of the key by each
+    number once per entry: each kappa_{-1}(D) of a divisor with a configured
+    pairing c (``TargetModel.kappa_minus_one_per_unit``) is c * d, the
+    divisor axiom on the fibre of the forgetful map; a kappa_{-1} class of
+    grading 0 pushes forward to degree -2, so it is 0; and kappa_0(e_0) =
+    pi_*(psi_{n+1}) is the degree of psi_{n+1} on that fibre, n - 2 for a
+    key with n points (so 0 at two points).  A key that is left with kappa_{-1} classes of
     grading >= 4, or of divisors without a pairing, goes on to the branches:
 
     1. psi on >= 3 points: the psi recursion (``apply_trr_psi``);
@@ -663,33 +626,32 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     g, n = target.gradings, m.size
     if not target.balanced(_index_degree(g, m) + _index_degree(g, p), n, d):
         return ZERO
-    if p and p[0][0] <= (0, 0):  # kappa_{-1} entries sort first, then kappa_0(e_0)
+    if p and p[0] <= (0, 0):  # kappa_{-1} entries sort first, then kappa_0(e_0)
         per_unit = target.kappa_minus_one_per_unit()
         scale, kept = 1, []
         for entry in p:
-            (a, alpha), mult = entry
+            a, alpha = entry
             if a < 0 and alpha in per_unit:
-                scale *= (per_unit[alpha] * d) ** mult
+                scale *= per_unit[alpha] * d
             elif a == 0 and alpha == 0:
-                scale *= (n - 2) ** mult
+                scale *= n - 2
             else:
                 kept.append(entry)
         if len(kept) < len(p):
             _REDUCTIONS += 1
             if not scale:
                 return ZERO
-            return scale * evaluate(_valid_key((target, m, _normal_index(tuple(kept)), d)))
+            return scale * evaluate(_valid_key((target, m, _normal_index(kept), d)))
     psi = m.max_level >= 1
     kappa = p.max_level >= 0
     if psi and n >= 3:
         # entries sort by level, so the deepest psi and kappa classes come last
-        points = m.expand()
-        terms = apply_trr_psi(key, points[-1], points[:2])
+        terms = apply_trr_psi(key, m[-1], m[:2])
     # tau entries sort by level, then class, so a tau_0(e_0) point comes first
-    elif kappa and not psi and m and m[0][0] == (0, 0) and (d or n > 3):
+    elif kappa and not psi and m and m[0] == (0, 0) and (d or n > 3):
         terms = apply_puncture_dilaton(key, (0, 0))
     elif kappa and not psi and n >= 2:
-        terms = apply_trr_kappa(key, p[-1][0])
+        terms = apply_trr_kappa(key, p[-1])
     elif kappa:
         terms = _comparison_backwards(key)
     elif psi:
@@ -717,12 +679,12 @@ def _pure_step(key: CorrelatorKey) -> Fraction:
     (d, n, -sum of squared class degrees).
     """
     target, m, p, d = key
-    classes = tuple(alpha for _, alpha in m.expand())
+    classes = tuple(alpha for _, alpha in m)
     if d == 0:
         return target.triple_integral(*classes) if len(classes) == 3 else ZERO
     # unit and divisor axioms: the point carrying e_alpha drops with factor c * d
     per_unit = target.kappa_minus_one_per_unit()
-    for (_, alpha), _ in m:
+    for alpha in classes:
         c = per_unit.get(alpha)
         if c is not None:
             return c * d * evaluate(_valid_key((target, m.remove(0, alpha), p, d))) if c else ZERO
@@ -831,7 +793,7 @@ def _tree_layout(target: TargetModel, tree: DecoratedTree):
     vertices, degrees = [], []
     for beta, entries in zip(tree.betas, kappa_at):
         _check_entries(target, entries, -1, "kappa")
-        idx = _index_of(entries)
+        idx = _normal_index(sorted(entries))
         vertices.append((beta, idx))
         degrees.append(_index_degree(g, idx))
     for v, power, evs in tails.values():
@@ -900,7 +862,7 @@ def _decorated_tree_terms(
             for v, entry in placed:
                 at[v].append(entry)
         keys = (
-            _valid_key((target, _index_of(entries), kappa, beta))
+            _valid_key((target, _normal_index(sorted(entries)), kappa, beta))
             for (beta, kappa), entries in zip(vertices, at)
         )
         yield keys, coeff

@@ -59,11 +59,7 @@ Insertions = tuple[tuple[int, int], ...]  # sorted (level, class) pairs
 
 def oracle(key) -> Fraction:
     """Reference value of a ``CorrelatorKey`` (read through its fields only)."""
-    tau, kappa = (
-        tuple(sorted(e for e, mult in idx for _ in range(mult)))
-        for idx in (key.m, key.p)
-    )
-    return _value(key.target, tau, kappa, key.d)
+    return _value(key.target, tuple(key.m), tuple(key.p), key.d)
 
 
 def _sorted(*parts) -> Insertions:

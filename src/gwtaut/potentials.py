@@ -16,8 +16,8 @@ collapse to.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, lcm
+from itertools import chain, combinations_with_replacement, repeat
+from math import factorial, lcm, prod
 from operator import mul
 
 from .correlators import _normal_index, _valid_key, evaluate
@@ -116,23 +116,26 @@ def build_H_series(spec: PotentialSpec) -> QSeries:
     Every monomial with the correct homogeneity is filled, in exponent
     order and on the calling thread, with the exact correlator value
     weighted by 1/m! 1/p!.  The spec has checked its entries (valid and
-    increasing), so each cell's key is built without checks.  The walk
-    yields only admitted cells, so each nonzero one is packed straight into
-    its key and kept as (numerator, denominator * m! p!) without dividing
-    ``Fraction``s; ``QSeries._from_valid`` over the lcm of those
-    denominators divides out the common gcd, which leaves the lowest-terms
-    series the public constructor would build.
+    increasing), so each cell's key is built without checks: m and p are
+    the spec's entries repeated by their exponents, already sorted.  The
+    walk yields only admitted cells, so each nonzero one is packed straight
+    into its key and kept as (numerator, denominator * m! p!) without
+    dividing ``Fraction``s.  The spec's entries are distinct, so m! p! is
+    the product of the factorials of the cell's t and s exponents.
+    ``QSeries._from_valid`` over the lcm of those denominators divides out
+    the common gcd, which leaves the lowest-terms series the public
+    constructor would build.
     """
     registry, trunc = spec.context()
     t, s = spec.t_entries, spec.s_entries
     weights = trunc._packing(registry.q_index())[0]
     cells = {}
     for exps in trunc.graded_exponents(registry, 2 * (spec.target.dim_complex - 3)):
-        m = _normal_index(tuple((e, k) for e, k in zip(t, exps) if k))
-        p = _normal_index(tuple((e, k) for e, k in zip(s, exps[len(t) :]) if k))
+        m = _normal_index(chain.from_iterable(map(repeat, t, exps)))
+        p = _normal_index(chain.from_iterable(map(repeat, s, exps[len(t) :])))
         value = evaluate(_valid_key((spec.target, m, p, exps[-1])))
         if value:
-            weight = value.denominator * m.factorial() * p.factorial()
+            weight = value.denominator * prod(map(factorial, exps[:-1]))
             cells[sum(map(mul, exps, weights))] = (value.numerator, weight)
     den = lcm(*(weight for _, weight in cells.values()))
     nums = {x: num * (den // weight) for x, (num, weight) in cells.items()}

@@ -50,11 +50,16 @@ Q3_TARGET = target_from_config(Q3)
 def test_multi_index_bookkeeping():
     m = MultiIndex.from_list([(0, 1, 2), (1, 0, 1)])
     assert m.size == 3
-    assert m.factorial() == 2
+    assert m.counts() == (((0, 1), 2), ((1, 0), 1))  # m! = 2! 1!
     p = MultiIndex.from_list([(-1, 1, 2), (0, 1, 1)])
     assert p.size == 3
-    assert p.nonneg_part() == (((0, 1), 1),)
-    assert p.neg_part() == (((-1, 1), 2),)
+    # the comparison table splits only the level >= 0 part and keeps the
+    # kappa_{-1} part in every complement
+    rows = correlators._comparison_table(P1, p)
+    assert [(p2, rest) for p2, rest, *_ in rows] == [
+        ((), ((-1, 1), (-1, 1), (0, 1))),
+        (((0, 1),), ((-1, 1), (-1, 1))),
+    ]
     assert len(_split_table(m)) == 6  # (2+1)*(1+1)
     assert sorted(b for _, _, b, _ in _split_table(m)) == [1, 1, 1, 1, 2, 2]
     assert all(type(b) is int for _, _, b, _ in _split_table(m))
@@ -73,9 +78,10 @@ def test_multi_index_validation():
 
 def test_multi_index_constructor_normalizes():
     m = MultiIndex((((1, 0), 1), ((0, 1), 2), ((1, 0), 2), ((0, 0), 0)))
-    assert m == (((0, 1), 2), ((1, 0), 3))
+    assert m == ((0, 1), (0, 1), (1, 0), (1, 0), (1, 0))
+    assert m.counts() == (((0, 1), 2), ((1, 0), 3))
     # entries are a signed sum: a negative entry cancels a positive one
-    assert MultiIndex(m + (((1, 0), -3),)) == (((0, 1), 2),)
+    assert MultiIndex(m.counts() + (((1, 0), -3),)) == ((0, 1), (0, 1))
     assert m == MultiIndex.from_list([(0, 1, 1), (1, 0, 3), (0, 1, 1)])
     with pytest.raises(ValueError, match="negative multiplicity"):
         MultiIndex((((0, 1), 1), ((0, 1), -2)))
@@ -139,7 +145,7 @@ def test_comparison_single_term():
     assert len(terms) == 1
     (keys, coeff) = terms[0]
     assert coeff == 1
-    assert keys[0].p == (((0, 0), 1),)
+    assert keys[0].p == ((0, 0),)
     assert evaluate_combination(terms) == 0  # kappa_{0,0} gives n - 2 = 0
     assert evaluate(key) == 0
 
@@ -149,7 +155,7 @@ def test_comparison_cup_kills_terms():
     terms = apply_puncture_dilaton(key, (0, 1))
     # the split putting kappa_{0,1} upstairs needs e1 . e1 = 0 on P1
     assert all(
-        min(a for (a, _), _ in k.p) == -1
+        min(a for a, _ in k.p) == -1
         for keys, _ in terms
         for k in keys
     )
@@ -159,6 +165,16 @@ def test_comparison_rejects_missing_space():
     key = make_key(P1, tau=[(1, 0, 1), (0, 1, 2)], d=0)
     with pytest.raises(ValueError, match="does not exist"):
         apply_puncture_dilaton(key, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "move, pivot", [(apply_puncture_dilaton, (1, 1)), (apply_trr_kappa, (1, 0))]
+)
+def test_moves_refuse_an_absent_pivot(move, pivot):
+    # the pivot's removal from the key's multi-index is the check
+    key = make_key(P1, tau=[(1, 0, 1), (0, 1, 2)], kappa=[(0, 1, 1)], d=1)
+    with pytest.raises(ValueError, match="not present"):
+        move(key, pivot)
 
 
 def test_comparison_rejects_level_zero_pivot_with_psi():
@@ -213,7 +229,7 @@ def _moves(key):
     comparison relation and divisor equation that ``evaluate`` reads
     backwards (the latter, as there, only without kappa classes of level
     >= 0, whose pullbacks would add terms)."""
-    points = key.m.expand()
+    points = key.m
     psi_pivots = [e for e in points if e[0] >= 1]
     if psi_pivots and len(points) >= 3:
         pivot = max(psi_pivots)
@@ -221,7 +237,7 @@ def _moves(key):
         others.remove(pivot)
         yield "trr-psi", apply_trr_psi(key, pivot, (others[0], others[1]))
     if len(points) >= 2:
-        for pivot in sorted({e for e in key.p.expand() if e[0] >= 0}):
+        for pivot in sorted({e for e in key.p if e[0] >= 0}):
             yield "trr-kappa", apply_trr_kappa(key, pivot)
     if psi_pivots and not (key.d == 0 and key.n == 3):
         yield "comparison", apply_puncture_dilaton(key, max(psi_pivots))
@@ -270,7 +286,7 @@ def test_moves_build_keys_in_normal_form():
         for k in emitted:
             # rebuilt through the validating, normalizing constructors
             twin = CorrelatorKey(
-                k.target, MultiIndex(tuple(k.m)), MultiIndex(tuple(k.p)), k.d
+                k.target, MultiIndex(k.m.counts()), MultiIndex(k.p.counts()), k.d
             )
             assert tuple(k.m) == tuple(twin.m)
             assert tuple(k.p) == tuple(twin.p)
@@ -291,7 +307,7 @@ def test_trr_kappa_zero_reproduces_point_count():
 
 def test_trr_kappa_copivot_choice_independence():
     key = make_key(P1, tau=[(0, 0, 1), (0, 1, 2)], kappa=[(0, 1, 1)], d=2)
-    points = key.m.expand()
+    points = key.m
     values = set()
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -432,7 +448,7 @@ def test_sampled_keys_keep_the_samplers_promises(need):
             elif need == "kappa_pos":
                 assert key.p.max_level >= 1 and key.n >= 2
             elif need == "kappa_zero":
-                assert any(a == 0 for (a, _), _ in key.p) and key.n >= 2
+                assert any(a == 0 for a, _ in key.p) and key.n >= 2
             elif need == "pd":
                 assert key.m.max_level >= 1
 
@@ -443,7 +459,7 @@ def test_engine_matches_oracle_on_sampled_keys():
     # not vacuous: the pool runs all five branches of evaluate, and 20 keys
     # carry kappa_{-1}
     assert sum(evaluate(k) != 0 for k in keys) >= 30
-    assert sum(k.p[0][0][0] == -1 for k in keys if k.p) >= 15
+    assert sum(k.p[0][0] == -1 for k in keys if k.p) >= 15
 
 
 def test_nonzero_results_pass_selection():
@@ -1135,7 +1151,7 @@ def test_kappa_zero_of_the_unit_agrees_with_the_oracle(index):
             key = CorrelatorKey(target, base.m, base.p.add(0, 0, j), base.d)
             assert evaluate(key) == (base.n - 2) ** j * value == oracle(key), (key, j)
         points[base.n] += 1
-        minus_one.update(target.gradings[alpha] for (a, alpha), _ in base.p if a < 0)
+        minus_one.update(target.gradings[alpha] for a, alpha in set(base.p) if a < 0)
         nonzero += value != 0 and base.n != 2
     assert set(points) == set(range(6)), points
     # kappa_{-1} of the divisor is read as a number; one of grading 4 is lifted
@@ -1198,7 +1214,7 @@ def test_forward_string_equation_agrees_with_the_oracle(index):
         value = oracle(key)
         assert evaluate_combination(apply_puncture_dilaton(key, (0, 0))) == value, key
         assert evaluate(key) == value, key
-        shapes[key.n if key.d else "degree 0", key.p.max_level, key.p[0][0][0] < 0] += 1
+        shapes[key.n if key.d else "degree 0", key.p.max_level, key.p[0][0] < 0] += 1
         nonzero += value != 0
     points = {n for n, _, _ in shapes}
     assert {1, 2, "degree 0"} <= points and max(n for n in points if n != "degree 0") >= 4
@@ -1297,8 +1313,8 @@ def test_move_keys_equal_public_keys():
     for k in built:
         twin = make_key(
             k.target,
-            tau=[(a, alpha, m) for (a, alpha), m in k.m],
-            kappa=[(a, alpha, m) for (a, alpha), m in k.p],
+            tau=[(a, alpha, m) for (a, alpha), m in k.m.counts()],
+            kappa=[(a, alpha, m) for (a, alpha), m in k.p.counts()],
             d=k.d,
         )
         assert (type(k), type(k.m), type(k.p)) == (CorrelatorKey, MultiIndex, MultiIndex)
@@ -1511,7 +1527,7 @@ def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
     def recording(move, kind, record):
         def wrapped(key, pivot, copivots=None):
             # the kappa recursion's default co-pivots are the first two points
-            pair = tuple(sorted(copivots or key.m.expand()[:2]))
+            pair = tuple(sorted(copivots or key.m[:2]))
             record(key, (kind, pivot, pair))
             return move(key, pivot, copivots)
 
@@ -1530,11 +1546,11 @@ def test_two_sided_checks_use_another_move_than_evaluate(monkeypatch):
     def choices(key, kind, level):
         """Every move of ``kind`` on ``key`` with a pivot of the same sort
         (psi; kappa of level >= 1; kappa of level 0) as one of ``level``."""
-        points = key.m.expand()
+        points = key.m
         if kind == "psi":
             pivots = {e for e in points if e[0] >= 1}
         else:
-            pivots = {e for e in key.p.expand() if (e[0] >= 1 if level >= 1 else e[0] == 0)}
+            pivots = {e for e in key.p if (e[0] >= 1 if level >= 1 else e[0] == 0)}
         for pivot in pivots:
             others = list(points)
             if kind == "psi":

@@ -1,6 +1,8 @@
 """Property tests: the MultiIndex algebra agrees with collections.Counter,
 and the memoized split table and index degree with a direct computation."""
 
+import copy
+import pickle
 from collections import Counter
 from itertools import product
 from math import comb, prod
@@ -22,12 +24,10 @@ even = st.integers(0, 4).map(lambda k: 2 * k)
 gradings = st.tuples(even, even, even, even)  # one per basis index of ``entry``
 
 
-def counter(m: MultiIndex) -> Counter:
-    return Counter(dict(m))
-
-
 def canonical(c: Counter) -> tuple:
-    return tuple(sorted((key, k) for key, k in c.items() if k))
+    """The sorted entries of ``c``, each repeated by its count: a
+    ``MultiIndex``'s tuple."""
+    return tuple(sorted(c.elements()))
 
 
 @given(signed_items)
@@ -45,11 +45,11 @@ def test_constructor_is_a_signed_sum(raw):
 @given(items, items, entry, st.integers(0, 3))
 def test_add_remove_merge_agree_with_counter(raw1, raw2, key, k):
     m1, m2 = MultiIndex(tuple(raw1)), MultiIndex(tuple(raw2))
-    c1 = counter(m1)
-    assert m1.merge(m2) == canonical(c1 + counter(m2))
-    assert counter(m1.add(*key, k)) == c1 + Counter({key: k})
+    c1 = Counter(m1)
+    assert m1.merge(m2) == canonical(c1 + Counter(m2))
+    assert Counter(m1.add(*key, k)) == c1 + Counter({key: k})
     if c1[key] >= k:
-        assert counter(m1.remove(*key, k)) == c1 - Counter({key: k})
+        assert Counter(m1.remove(*key, k)) == c1 - Counter({key: k})
     else:
         with pytest.raises(ValueError, match="not present"):
             m1.remove(*key, k)
@@ -58,19 +58,19 @@ def test_add_remove_merge_agree_with_counter(raw1, raw2, key, k):
 @given(items)
 def test_splits_merge_back_with_binomial_counts(raw):
     m = MultiIndex(tuple(raw))
-    c = counter(m)
+    c = Counter(m)
     splits = correlators._split_table(m)
     assert len(splits) == prod(k + 1 for k in c.values())
     for sub, rest, count, _ in splits:
         assert sub.merge(rest) == m
-        assert count == prod(comb(c[key], k) for key, k in sub)
+        assert count == prod(comb(c[key], k) for key, k in Counter(sub).items())
     assert sum(count for _, _, count, _ in splits) == 2 ** m.size
 
 
 def brute_split_rows(m: MultiIndex, grading: tuple) -> list:
     """Every (sub, complement, binomial, size, degree) of m, built from Counters
     in the order of m's sorted entries."""
-    c = counter(m)
+    c = Counter(m)
     keys = sorted(c)
     rows = []
     for counts in product(*(range(c[key] + 1) for key in keys)):
@@ -100,7 +100,7 @@ def test_split_table_agrees_with_counter_enumeration(raw, grading):
 @given(items, gradings)
 def test_index_degree_memo_agrees_with_direct_sum(raw, grading):
     m = MultiIndex(tuple(raw))
-    direct = sum(k * (2 * a + grading[alpha]) for (a, alpha), k in m)
+    direct = sum(k * (2 * a + grading[alpha]) for (a, alpha), k in Counter(m).items())
     memo = correlators._index_degree
     assert memo(grading, m) == direct
     hits = memo.cache_info().hits
@@ -113,7 +113,7 @@ def public_shift(m: MultiIndex, key, k):
     """``MultiIndex`` of m's entries plus ``(key, k)`` through the public
     constructor, or the ``ValueError`` message it raises."""
     try:
-        return MultiIndex(tuple(m) + ((key, k),))
+        return MultiIndex(m.counts() + ((key, k),))
     except ValueError as exc:
         return str(exc)
 
@@ -132,9 +132,9 @@ def test_add_and_remove_match_the_public_constructor(raw, key, k):
     # add and mult bisect for their slot with no key function; the public
     # constructor sums and sorts from scratch, so both must agree, errors included
     m = MultiIndex(tuple(raw))
-    assert m.mult(*key) == counter(m)[key]
+    assert m.mult(*key) == Counter(m)[key]
     assert moved(m.add, *key, k) == public_shift(m, key, k)
-    if k < 0 or counter(m)[key] >= k:
+    if k < 0 or Counter(m)[key] >= k:
         assert moved(m.remove, *key, k) == public_shift(m, key, -k)
     else:
         assert moved(m.remove, *key, k) == f"entry ({key[0]},{key[1]}) not present {k} times"
@@ -162,7 +162,7 @@ M = MultiIndex.from_list([(-1, 1, 1), (0, 2, 2), (2, 0, 1)])
 def test_add_and_remove_at_each_slot(key, k):
     assert moved(M.add, *key, k) == public_shift(M, key, k)
     missing = f"entry ({key[0]},{key[1]}) not present {-k} times"
-    assert moved(M.remove, *key, -k) == (public_shift(M, key, k) if counter(M)[key] >= -k else missing)
+    assert moved(M.remove, *key, -k) == (public_shift(M, key, k) if Counter(M)[key] >= -k else missing)
 
 
 @pytest.mark.parametrize("k", [1.0, 0.5, True, "1"])
@@ -170,7 +170,37 @@ def test_add_refuses_what_the_constructor_refuses(k):
     with pytest.raises(ValueError, match="must be an integer"):
         M.add(0, 2, k)
     with pytest.raises(ValueError, match="must be an integer"):
-        MultiIndex(tuple(M) + (((0, 2), k),))
+        MultiIndex(M.counts() + (((0, 2), k),))
+
+
+@pytest.mark.parametrize("a, alpha", [(0, True), (1.0, 1), (True, 0), (0, 2.0)])
+def test_add_refuses_a_level_or_class_the_constructor_refuses(a, alpha):
+    # True == 1 and 1.0 == 1, so such an entry would sit next to its int twin
+    with pytest.raises(ValueError, match="must be ints"):
+        MultiIndex.from_list([(0, 1, 1)]).add(a, alpha)
+    with pytest.raises(ValueError, match="must be ints"):
+        MultiIndex.from_list([(a, alpha, 1)])
+    # where the int twin is present, remove reaches the same check
+    twin = MultiIndex.from_list([(int(a), int(alpha), 1)])
+    with pytest.raises(ValueError, match="must be ints"):
+        twin.remove(a, alpha)
+
+
+@given(signed_items)
+def test_an_index_is_the_sorted_tuple_of_its_entries(raw):
+    totals = Counter()
+    for key, k in raw:
+        totals[key] += k
+    if any(k < 0 for k in totals.values()):
+        return
+    m = MultiIndex(tuple(raw))
+    assert tuple(m) == tuple(sorted(totals.elements())) and len(m) == m.size
+    assert m.counts() == tuple(sorted((key, k) for key, k in totals.items() if k))
+    rebuilt = MultiIndex(m.counts())
+    assert rebuilt == m and repr(rebuilt) == repr(m)
+    assert m.max_level == (max(a for a, _ in m) if m else -10)
+    for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(clone) is MultiIndex and clone == m and hash(clone) == hash(m)
 
 
 @given(items)
