@@ -81,12 +81,7 @@ def _parse_index_list(raw, what: str) -> list[tuple[int, int, int]]:
             raise UsageError(f"bad {what} entry {item!r}") from exc
         if len(parts) != 3:
             raise UsageError(f"{what} entries need three components a,alpha,mult")
-        a, alpha, mult = parts
-        # MultiIndex reads entries as a signed sum, so a negative multiplicity
-        # would cancel another entry (0,1,2 and 0,1,-1 make one tau_0^1)
-        if mult < 0:
-            raise UsageError(f"{what} multiplicity must be non-negative")
-        out.append((a, alpha, mult))
+        out.append(tuple(parts))
     return out
 
 

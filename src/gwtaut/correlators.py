@@ -36,20 +36,22 @@ Keys are tuples, so the memo hashes and compares them in C: a
 ``MultiIndex`` is the sorted tuple of its (level, alpha) entries, each
 repeated by its multiplicity, and a ``CorrelatorKey`` the tuple (target, m,
 p, d).  So a key equals the plain tuple of its fields, an empty
-``MultiIndex`` is falsy, a merge is one sort and an entry's copies are one
-slice found by ``bisect``.  Only a few readers need the multiplicities,
-through ``MultiIndex.counts()``.  Checks run only in the public
-constructors, each in its ``__post_init__``: ``MultiIndex(...)`` checks
-each entry's types before the entries merge and sorts, and
-``CorrelatorKey(...)`` (so ``make_key``) checks the ranges.  The moves and
-the tree integrals derive keys through ``_normal_index(entries)`` and
-``_valid_key((target, m, p, d))``, which are ``functools.partial`` objects
-over ``tuple.__new__``: they build a key in C, with no Python frame, and
-check nothing.  That is sound because the ``MultiIndex`` operations keep
-the entries sorted, each move shifts levels only within their ranges (tau
->= 0, kappa >= -1), and ``evaluate_tree_sum`` checks the ambient insertions
-once per sum and ``_tree_layout`` what each tree adds to them, once per
-(target, tree).  The selection rule is ``TargetModel.balanced``.
+``MultiIndex`` is falsy, a merge is one sort, an entry's multiplicity is
+``count`` and one copy is added or cut at one ``bisect``.  Only a few
+readers need the multiplicities of all entries, through
+``MultiIndex.counts()``.  Checks run only in the public constructors,
+each in its ``__post_init__``, and in ``MultiIndex.from_list`` (so
+``make_key``): ``MultiIndex(...)`` checks each entry's types and sorts the
+entries, ``from_list``, the one place that takes multiplicities, checks
+each is an int >= 0, and ``CorrelatorKey(...)`` checks the parts' types
+and the ranges.  The moves and the tree integrals derive keys through
+``_normal_index(entries)`` and ``_valid_key((target, m, p, d))``, which
+are ``functools.partial`` objects over ``tuple.__new__``: they build a key
+in C, with no Python frame, and check nothing.  That is sound because the
+``MultiIndex`` operations keep the entries sorted, each move shifts levels
+only within their ranges (tau >= 0, kappa >= -1), and ``evaluate_tree_sum``
+checks the ambient insertions once per sum and ``_tree_layout`` what each
+tree adds to them, once per (target, tree).  The selection rule is ``TargetModel.balanced``.
 
 Besides ``evaluate``'s memo, which holds the pure invariants too, four
 private ``functools.cache`` memos hold what the moves and the tree
@@ -70,10 +72,10 @@ data), and ``evaluate_combination`` and ``evaluate_tree_sum`` build one
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, groupby, product, repeat
+from itertools import groupby, product
 from math import comb, gcd
 from operator import itemgetter
 
@@ -90,82 +92,74 @@ class MultiIndex(tuple):
     """Finitely supported multiplicity function on (level, basis index).
 
     The sorted tuple of its (level, alpha) entries, each repeated by its
-    multiplicity, so by level first: the index is its own expansion, its
-    size is its length and ``counts()`` gives the ((level, alpha), mult)
-    pairs.  The public constructor takes those pairs, checks and
-    normalizes: each entry needs an int level, an int basis index and an
-    int multiplicity (``bool`` excluded), checked before the entries merge,
-    since ``True == 1`` would merge (0, True) into (0, 1); ``entries`` is a
-    signed sum, so repeated entries add up, to non-negative totals.
-    ``add`` checks its entry the same way.  The ranges of levels and basis
-    indices are the key's to check (``CorrelatorKey``).  ``add``,
-    ``remove``, ``merge`` and the split table keep the sorted form and skip
-    the constructor.  Pickle and ``copy`` rebuild an index through the
-    constructor, so ``__getnewargs__`` hands it the pairs, not the entries.
+    multiplicity, so by level first: the index is its own expansion, and
+    ``len`` and ``count`` give its size and an entry's multiplicity.  The
+    public constructor takes the entries in any order, checks each one's
+    types (an int level and an int basis index, ``bool`` excluded, since
+    ``True == 1`` would sort (0, True) in among the (0, 1) copies) and
+    sorts them; ``from_list`` reads (level, alpha, mult) triples instead.
+    ``add`` and ``remove`` check their entry the same way.  The ranges of
+    levels and basis indices are the key's to check (``CorrelatorKey``).
+    ``add``, ``remove``, ``merge`` and the split table keep the sorted form
+    and skip the constructor.  The repr is the constructor call on the entries, which
+    ``eval`` reads back.  Pickle and ``copy`` call the constructor on what
+    the tuple's own ``__getnewargs__`` returns, the entries, so the class
+    needs none of its own.
     """
 
     __slots__ = ()
 
-    def __new__(cls, entries: tuple[tuple[Entry, int], ...] = ()) -> "MultiIndex":
+    def __new__(cls, entries: tuple[Entry, ...] = ()) -> "MultiIndex":
         return tuple.__new__(cls, cls.__post_init__(entries))
 
     @staticmethod
     def __post_init__(entries) -> tuple[Entry, ...]:
-        """Check ``entries`` and return their sorted expansion."""
-        acc: dict[Entry, int] = {}
-        for key, mult in entries:
-            a, alpha = key
+        """Check ``entries`` and return them sorted."""
+        entries = tuple(entries)
+        for a, alpha in entries:
             if type(a) is not int or type(alpha) is not int:
-                raise ValueError(f"level and basis index must be ints, got {key!r}")
-            if type(mult) is not int:
-                raise ValueError(f"multiplicity must be an integer, got {mult!r}")
-            acc[key] = acc.get(key, 0) + mult
-        if any(mult < 0 for mult in acc.values()):
-            raise ValueError("negative multiplicity")
-        return tuple(sorted(chain.from_iterable(map(repeat, acc, acc.values()))))
-
-    def __getnewargs__(self):
-        return (self.counts(),)
+                raise ValueError(f"level and basis index must be ints, got {(a, alpha)!r}")
+        return tuple(sorted(entries))
 
     def __repr__(self) -> str:
-        return f"MultiIndex(entries={self.counts()!r})"
+        return f"MultiIndex({tuple(self)!r})"
 
     @classmethod
     def from_list(cls, items) -> "MultiIndex":
-        return cls(tuple(((a, alpha), mult) for a, alpha, mult in items))
+        """The index of (level, alpha, mult) triples; repeated triples add up.
+
+        The one place that takes a multiplicity, so the one check that each
+        is an int >= 0 (``bool`` excluded); a triple of multiplicity 0 adds
+        no entry."""
+        entries = []
+        for a, alpha, mult in items:
+            if type(mult) is not int or mult < 0:
+                raise ValueError(f"multiplicity must be an int >= 0, got {mult!r}")
+            entries += [(a, alpha)] * mult
+        return cls(entries)
 
     def counts(self) -> tuple[tuple[Entry, int], ...]:
         """The ((level, alpha), mult) pairs, sorted."""
         return tuple((key, len(tuple(run))) for key, run in groupby(self))
-
-    size = property(len)
 
     @property
     def max_level(self) -> int:
         # entries sort by level, so the deepest one comes last
         return self[-1][0] if self else -10
 
-    def mult(self, a: int, alpha: int) -> int:
-        key = (a, alpha)
-        return bisect_right(self, key) - bisect_left(self, key)
-
-    def add(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
+    def add(self, a: int, alpha: int) -> "MultiIndex":
         if type(a) is not int or type(alpha) is not int:
             raise ValueError(f"level and basis index must be ints, got {(a, alpha)!r}")
-        if type(k) is not int:
-            raise ValueError(f"multiplicity must be an integer, got {k!r}")
-        key = (a, alpha)
-        i = bisect_left(self, key)
-        if k >= 0:
-            return _normal_index(self[:i] + (key,) * k + self[i:])
-        if self[i - k - 1 : i - k] != (key,):  # fewer than -k copies from slot i on
-            raise ValueError("negative multiplicity")
-        return _normal_index(self[:i] + self[i - k :])
+        i = bisect_left(self, (a, alpha))
+        return _normal_index(self[:i] + ((a, alpha),) + self[i:])
 
-    def remove(self, a: int, alpha: int, k: int = 1) -> "MultiIndex":
-        if self.mult(a, alpha) < k:
-            raise ValueError(f"entry ({a},{alpha}) not present {k} times")
-        return self.add(a, alpha, -k)
+    def remove(self, a: int, alpha: int) -> "MultiIndex":
+        if type(a) is not int or type(alpha) is not int:
+            raise ValueError(f"level and basis index must be ints, got {(a, alpha)!r}")
+        i = bisect_left(self, (a, alpha))
+        if self[i : i + 1] != ((a, alpha),):
+            raise ValueError(f"entry ({a},{alpha}) not present")
+        return _normal_index(self[:i] + self[i + 1 :])
 
     def merge(self, other: "MultiIndex") -> "MultiIndex":
         if not other:
@@ -211,8 +205,10 @@ def _check_entries(target: TargetModel, entries, lowest: int, kind: str) -> None
 class CorrelatorKey(tuple):
     """Correlator <tau_m kappa_p>_d as the tuple (target, m, p, d).
 
-    The public constructor validates it (int d >= 0; int levels, tau >= 0
-    and kappa >= -1; basis indices in range)."""
+    The public constructor validates it (a ``TargetModel``; m and p
+    ``MultiIndex`` instances, so a plain tuple of entries is refused, though
+    it hashes and compares alike; int d >= 0; int levels, tau >= 0 and kappa
+    >= -1; basis indices in range)."""
 
     __slots__ = ()
 
@@ -229,6 +225,8 @@ class CorrelatorKey(tuple):
         return key
 
     def __post_init__(self) -> None:
+        if not all(map(isinstance, self[:3], (TargetModel, MultiIndex, MultiIndex))):
+            raise ValueError("a key needs a TargetModel, then m and p as MultiIndex instances")
         check_degree(self.d)
         _check_entries(self.target, self.m, 0, "tau")
         _check_entries(self.target, self.p, -1, "kappa")
@@ -242,7 +240,7 @@ class CorrelatorKey(tuple):
 
     @property
     def n(self) -> int:
-        return self.m.size
+        return len(self.m)
 
 
 # a ``CorrelatorKey`` on a (target, m, p, d) tuple whose parts are already
@@ -382,7 +380,7 @@ def _boundary_split(
     2(dim + n1 - 3 + b1 c1) - deg1, so only the eta^{-1} pairs of that
     grading are read.
 
-    The split's point count n is read from its insertions, m0.size +
+    The split's point count n is read from its insertions, len(m0) +
     len(left_tau) + len(right_tau): the key's point count for the psi and
     kappa recursions, and one more for WDVV (``_pure_step``), which splits
     the key's e_s point into e_1 and e_{s-1} on the (n+1)-pointed space.
@@ -410,7 +408,7 @@ def _boundary_split(
         (p1.merge(left_p), p2, pbin, _index_degree(g, p1))
         for p1, p2, pbin, _ in _split_table(p0)
     ]
-    n = m0.size + len(left_tau) + len(right_tau)
+    n = len(m0) + len(left_tau) + len(right_tau)
     terms = []
     for m1, m2, mbin, size1 in _split_table(m0):
         left, right = m1.merge(left_m), m2.merge(right_m)
@@ -623,7 +621,7 @@ def evaluate(key: CorrelatorKey) -> Fraction:
     """
     global _REDUCTIONS
     target, m, p, d = key
-    g, n = target.gradings, m.size
+    g, n = target.gradings, len(m)
     if not target.balanced(_index_degree(g, m) + _index_degree(g, p), n, d):
         return ZERO
     if p and p[0] <= (0, 0):  # kappa_{-1} entries sort first, then kappa_0(e_0)

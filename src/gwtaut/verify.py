@@ -118,9 +118,7 @@ def random_admissible_key(
         while len(tau) < PAD_TO.get(need, 0):
             tau.append((0, rng.randrange(rank)))
 
-        m = MultiIndex(tuple((e, 1) for e in tau))
-        p = MultiIndex(tuple((e, 1) for e in kappa))
-        key = CorrelatorKey(target, m, p, d)
+        key = CorrelatorKey(target, MultiIndex(tau), MultiIndex(kappa), d)
         if key.d == 0 and key.n < 3:
             continue
         gap = _degree_gap(key)

@@ -63,7 +63,7 @@ def test_correlator_value_and_exit_zero(capsys):
             '"cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "c1_degree": 2, '
             '"divisor_pairings": [[1, 1]], "seeds": [[[], 1, 1]]}',
         ),
-        # a signed-sum MultiIndex would read this pair as one tau_0^1 and print 1
+        # a negative multiplicity is refused, not netted to one tau_0^1 (value 1)
         ("correlator", "--r", "1", "--degree", "1", "--tau", "0,1,2", "--tau", "0,1,-1"),
         ("correlator", "--r", "1", "--degree", "-1"),
         ("correlator", "--spec-json", '{"r": 1, "degree": -1}'),

@@ -18,8 +18,12 @@ from gwtaut.correlators import MultiIndex  # noqa: E402
 from gwtaut.target import projective_space  # noqa: E402
 
 entry = st.tuples(st.integers(-1, 3), st.integers(0, 3))
-items = st.lists(st.tuples(entry, st.integers(0, 3)), max_size=6)
-signed_items = st.lists(st.tuples(entry, st.integers(-3, 3)), max_size=6)
+entries = st.lists(entry, max_size=12)  # in any order
+# (level, alpha, mult) triples, as ``MultiIndex.from_list`` reads them
+items = st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 3), st.integers(0, 3)), max_size=6)
+signed_items = st.lists(
+    st.tuples(st.integers(-1, 3), st.integers(0, 3), st.integers(-3, 3)), max_size=6
+)
 even = st.integers(0, 4).map(lambda k: 2 * k)
 gradings = st.tuples(even, even, even, even)  # one per basis index of ``entry``
 
@@ -30,41 +34,59 @@ def canonical(c: Counter) -> tuple:
     return tuple(sorted(c.elements()))
 
 
-@given(signed_items)
-def test_constructor_is_a_signed_sum(raw):
-    totals = Counter()
-    for key, k in raw:
-        totals[key] += k
-    if any(k < 0 for k in totals.values()):
-        with pytest.raises(ValueError, match="negative multiplicity"):
-            MultiIndex(tuple(raw))
-    else:
-        assert MultiIndex(tuple(raw)) == canonical(totals)
+def repeated(m: MultiIndex, op: str, key, k: int):
+    """m after k single ``add``s or ``remove``s of ``key``, or the
+    ``ValueError`` message the first failing one raises."""
+    try:
+        for _ in range(k):
+            m = getattr(m, op)(*key)
+    except ValueError as exc:
+        return str(exc)
+    assert type(m) is MultiIndex
+    return m
+
+
+@given(entries)
+def test_constructor_sorts_entries_in_any_order(es):
+    m = MultiIndex(es)
+    assert type(m) is MultiIndex and m == tuple(sorted(es))
+    rebuilt = MultiIndex(tuple(m))
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert eval(repr(m), {"MultiIndex": MultiIndex}) == m
+    for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(clone) is MultiIndex and clone == m and hash(clone) == hash(m)
+    # one level and one class past the sampled ranges, so every slot is reached
+    for key in product(range(-1, 5), range(5)):
+        assert m.count(key) == Counter(m)[key]
+        added = m.add(*key)
+        assert added == tuple(sorted(es + [key])) and added.remove(*key) == m
+        if key not in m:
+            with pytest.raises(ValueError, match="not present"):
+                m.remove(*key)
 
 
 @given(items, items, entry, st.integers(0, 3))
 def test_add_remove_merge_agree_with_counter(raw1, raw2, key, k):
-    m1, m2 = MultiIndex(tuple(raw1)), MultiIndex(tuple(raw2))
+    m1, m2 = MultiIndex.from_list(raw1), MultiIndex.from_list(raw2)
     c1 = Counter(m1)
     assert m1.merge(m2) == canonical(c1 + Counter(m2))
-    assert Counter(m1.add(*key, k)) == c1 + Counter({key: k})
+    assert Counter(repeated(m1, "add", key, k)) == c1 + Counter({key: k})
     if c1[key] >= k:
-        assert Counter(m1.remove(*key, k)) == c1 - Counter({key: k})
+        assert Counter(repeated(m1, "remove", key, k)) == c1 - Counter({key: k})
     else:
-        with pytest.raises(ValueError, match="not present"):
-            m1.remove(*key, k)
+        assert "not present" in repeated(m1, "remove", key, k)
 
 
 @given(items)
 def test_splits_merge_back_with_binomial_counts(raw):
-    m = MultiIndex(tuple(raw))
+    m = MultiIndex.from_list(raw)
     c = Counter(m)
     splits = correlators._split_table(m)
     assert len(splits) == prod(k + 1 for k in c.values())
     for sub, rest, count, _ in splits:
         assert sub.merge(rest) == m
         assert count == prod(comb(c[key], k) for key, k in Counter(sub).items())
-    assert sum(count for _, _, count, _ in splits) == 2 ** m.size
+    assert sum(count for _, _, count, _ in splits) == 2 ** len(m)
 
 
 def brute_split_rows(m: MultiIndex, grading: tuple) -> list:
@@ -83,7 +105,7 @@ def brute_split_rows(m: MultiIndex, grading: tuple) -> list:
 
 @given(items, gradings)
 def test_split_table_agrees_with_counter_enumeration(raw, grading):
-    m = MultiIndex(tuple(raw))
+    m = MultiIndex.from_list(raw)
     rows = correlators._split_table(m)
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert all(type(sub) is type(rest) is MultiIndex for sub, rest, _, _ in rows)
@@ -99,7 +121,7 @@ def test_split_table_agrees_with_counter_enumeration(raw, grading):
 
 @given(items, gradings)
 def test_index_degree_memo_agrees_with_direct_sum(raw, grading):
-    m = MultiIndex(tuple(raw))
+    m = MultiIndex.from_list(raw)
     direct = sum(k * (2 * a + grading[alpha]) for (a, alpha), k in Counter(m).items())
     memo = correlators._index_degree
     assert memo(grading, m) == direct
@@ -110,34 +132,23 @@ def test_index_degree_memo_agrees_with_direct_sum(raw, grading):
 
 
 def public_shift(m: MultiIndex, key, k):
-    """``MultiIndex`` of m's entries plus ``(key, k)`` through the public
-    constructor, or the ``ValueError`` message it raises."""
-    try:
-        return MultiIndex(m.counts() + ((key, k),))
-    except ValueError as exc:
-        return str(exc)
+    """The public constructor on m's entries with k more copies of ``key``
+    (-k fewer for k < 0), or the message of ``remove`` if m has fewer."""
+    c = Counter(m)
+    c[key] += k
+    if c[key] < 0:
+        return f"entry ({key[0]},{key[1]}) not present"
+    return MultiIndex(c.elements())
 
 
-def moved(op, *args):
-    try:
-        out = op(*args)
-    except ValueError as exc:
-        return str(exc)
-    assert type(out) is MultiIndex
-    return out
-
-
-@given(items, entry, st.integers(-4, 4))
+@given(items, entry, st.integers(0, 4))
 def test_add_and_remove_match_the_public_constructor(raw, key, k):
-    # add and mult bisect for their slot with no key function; the public
-    # constructor sums and sorts from scratch, so both must agree, errors included
-    m = MultiIndex(tuple(raw))
-    assert m.mult(*key) == Counter(m)[key]
-    assert moved(m.add, *key, k) == public_shift(m, key, k)
-    if k < 0 or Counter(m)[key] >= k:
-        assert moved(m.remove, *key, k) == public_shift(m, key, -k)
-    else:
-        assert moved(m.remove, *key, k) == f"entry ({key[0]},{key[1]}) not present {k} times"
+    # add and remove bisect for their slot with no key function; the public
+    # constructor sorts from scratch, so both must agree, errors included
+    m = MultiIndex.from_list(raw)
+    assert m.count(key) == Counter(m)[key]
+    assert repeated(m, "add", key, k) == public_shift(m, key, k)
+    assert repeated(m, "remove", key, k) == public_shift(m, key, -k)
 
 
 M = MultiIndex.from_list([(-1, 1, 1), (0, 2, 2), (2, 0, 1)])
@@ -160,17 +171,26 @@ M = MultiIndex.from_list([(-1, 1, 1), (0, 2, 2), (2, 0, 1)])
     ],
 )
 def test_add_and_remove_at_each_slot(key, k):
-    assert moved(M.add, *key, k) == public_shift(M, key, k)
-    missing = f"entry ({key[0]},{key[1]}) not present {-k} times"
-    assert moved(M.remove, *key, -k) == (public_shift(M, key, k) if Counter(M)[key] >= -k else missing)
+    # k >= 0 adds k copies one at a time, and removing them gives M back;
+    # k < 0 removes -k copies
+    if k >= 0:
+        shifted = repeated(M, "add", key, k)
+        assert repeated(shifted, "remove", key, k) == M
+    else:
+        shifted = repeated(M, "remove", key, -k)
+    assert shifted == public_shift(M, key, k)
 
 
 @pytest.mark.parametrize("k", [1.0, 0.5, True, "1"])
 def test_add_refuses_what_the_constructor_refuses(k):
-    with pytest.raises(ValueError, match="must be an integer"):
-        M.add(0, 2, k)
-    with pytest.raises(ValueError, match="must be an integer"):
-        MultiIndex(M.counts() + (((0, 2), k),))
+    # a multiplicity is only from_list's to check; a level or a class is
+    # checked by add and the constructor alike
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        MultiIndex.from_list([(0, 2, k)])
+    with pytest.raises(ValueError, match="must be ints"):
+        M.add(0, k)
+    with pytest.raises(ValueError, match="must be ints"):
+        MultiIndex(tuple(M) + ((0, k),))
 
 
 @pytest.mark.parametrize("a, alpha", [(0, True), (1.0, 1), (True, 0), (0, 2.0)])
@@ -188,24 +208,26 @@ def test_add_refuses_a_level_or_class_the_constructor_refuses(a, alpha):
 
 @given(signed_items)
 def test_an_index_is_the_sorted_tuple_of_its_entries(raw):
-    totals = Counter()
-    for key, k in raw:
-        totals[key] += k
-    if any(k < 0 for k in totals.values()):
+    # each multiplicity is checked on its own, so a negative one is refused
+    # even where a repeated triple would make up for it
+    if any(k < 0 for *_, k in raw):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            MultiIndex.from_list(raw)
         return
-    m = MultiIndex(tuple(raw))
-    assert tuple(m) == tuple(sorted(totals.elements())) and len(m) == m.size
+    totals = Counter()
+    for a, alpha, k in raw:
+        totals[a, alpha] += k
+    m = MultiIndex.from_list(raw)
+    assert tuple(m) == tuple(sorted(totals.elements()))
     assert m.counts() == tuple(sorted((key, k) for key, k in totals.items() if k))
-    rebuilt = MultiIndex(m.counts())
+    rebuilt = MultiIndex.from_list((a, alpha, k) for (a, alpha), k in m.counts())
     assert rebuilt == m and repr(rebuilt) == repr(m)
     assert m.max_level == (max(a for a, _ in m) if m else -10)
-    for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
-        assert type(clone) is MultiIndex and clone == m and hash(clone) == hash(m)
 
 
 @given(items)
 def test_unchecked_index_is_the_public_one(raw):
-    m = MultiIndex(tuple(raw))
+    m = MultiIndex.from_list(raw)
     built = correlators._normal_index(tuple(m))
     assert type(built) is MultiIndex and built == m and hash(built) == hash(m)
     assert repr(built) == repr(m) and correlators._normal_index(()) == MultiIndex()
@@ -214,8 +236,8 @@ def test_unchecked_index_is_the_public_one(raw):
 @given(items, items, st.integers(0, 3))
 def test_unchecked_key_is_the_public_one(raw_m, raw_p, d):
     target = projective_space(3)
-    m = MultiIndex(tuple((key, k) for key, k in raw_m if key[0] >= 0))
-    p = MultiIndex(tuple(raw_p))
+    m = MultiIndex.from_list(t for t in raw_m if t[0] >= 0)
+    p = MultiIndex.from_list(raw_p)
     built = correlators._valid_key((target, m, p, d))
     public = correlators.CorrelatorKey(target, m, p, d)
     assert type(built) is correlators.CorrelatorKey
