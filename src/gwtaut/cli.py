@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 engine/evaluation error, 2 usage or config error.
 Rationals are always printed as "p/q"; table rows are ordered by exponent
-vector so output is byte-stable for a fixed configuration.
+vector so output is byte-stable for a fixed configuration.  ``potentials``
+and ``verify`` are held as modules and read at call time, so a
+``correlator`` job runs neither (see ``gwtaut``).
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ import argparse
 import json
 import sys
 
-from . import correlators
+from . import correlators, potentials
 from .correlators import evaluate, expected_dimension, make_key
-from .potentials import PotentialSpec, build_H_series, make_spec
-from .series import format_rational
-from .target import TargetModel, json_int, projective_space, target_from_config
+from .target import TargetModel, format_rational, json_int, projective_space, target_from_config
 from . import verify as verify_mod
 
 
@@ -166,12 +166,12 @@ def cmd_potential(args) -> int:
             kind, a, alpha = _parse_var_token(token)
             (t_entries if kind == "t" else s_entries).append((a, alpha))
     try:
-        spec = make_spec(
+        spec = potentials.make_spec(
             target, set(t_entries), set(s_entries), args.cap, args.qmax, args.total
         )
     except ValueError as exc:
         raise UsageError(f"bad --vars: {exc}") from exc
-    series = build_H_series(spec)
+    series = potentials.build_H_series(spec)
     if args.format == "json":
         print(json.dumps(series.to_json_dict()))
     else:
@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
         for target in targets:
             t_0 = tuple((0, alpha) for alpha in range(target.rank))
             caps = (min(cap, 3),) + (cap,) * (target.rank - 1)
-            specs.append(PotentialSpec(target, t_0, (), caps, args.qmax))
+            specs.append(potentials.PotentialSpec(target, t_0, (), caps, args.qmax))
         ok, lines = verify_mod.verify_wdvv(specs)
     elif args.suite == "trr":
         ok, lines = verify_mod.verify_trr(targets, args.samples, args.seed)

@@ -680,14 +680,22 @@ def _pure_step(key: CorrelatorKey) -> Fraction:
     classes = tuple(alpha for _, alpha in m)
     if d == 0:
         return target.triple_integral(*classes) if len(classes) == 3 else ZERO
-    # unit and divisor axioms: the point carrying e_alpha drops with factor c * d
+    # unit and divisor axioms, all points at once: each point carrying e_alpha
+    # drops with factor c * d
     per_unit = target.kappa_minus_one_per_unit()
-    for alpha in classes:
+    scale, kept = 1, []
+    for alpha, entry in zip(classes, m):
         c = per_unit.get(alpha)
-        if c is not None:
-            return c * d * evaluate(_valid_key((target, m.remove(0, alpha), p, d))) if c else ZERO
-        if target.gradings[alpha] == 2:
-            raise ValueError(f"no divisor pairing configured for e_{alpha}")
+        if c is None:
+            if target.gradings[alpha] == 2:
+                raise ValueError(f"no divisor pairing configured for e_{alpha}")
+            kept.append(entry)
+        elif c:
+            scale *= c * d
+        else:
+            return ZERO
+    if len(kept) < len(m):
+        return scale * evaluate(_valid_key((target, _normal_index(kept), p, d)))
     seed = target.seed_value(classes, d)
     if seed is not None:
         return seed

@@ -11,9 +11,10 @@ them (see ``evaluate``'s docstring):
     moduli dimension;
   * degree 0 reduces to triple cup-product integrals (and vanishes for
     n != 3, where the integrand is pulled back from the target);
-  * in positive degree a point carrying e_alpha drops with factor c * d
-    from ``TargetModel.kappa_minus_one_per_unit``: c = 0 for grading 0 (the
-    unit axiom), c the pairing of a divisor (the divisor axiom);
+  * in positive degree every point carrying e_alpha drops, in one step,
+    with factor c * d from ``TargetModel.kappa_minus_one_per_unit``: c = 0
+    for grading 0 (the unit axiom), c the pairing of a divisor (the divisor
+    axiom);
   * what remains is reconstructed through the associativity (WDVV)
     identity of Kontsevich-Manin, a boundary split on the (n+1)-pointed
     space that ``correlators._boundary_split`` solves, down to the
@@ -21,15 +22,16 @@ them (see ``evaluate``'s docstring):
     is the empty degree-one invariant).
 
 ``gw_potential_series`` is the ``potentials.build_H_series`` of the spec
-whose only entries are the t_0^alpha.
+whose only entries are the t_0^alpha.  ``potentials`` is held as a module
+and read at call time, so importing this module does not run it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import potentials
 from .correlators import evaluate, make_key
-from .potentials import PotentialSpec, build_H_series
 from .target import TargetModel
 
 
@@ -56,4 +58,5 @@ def gw_potential_series(
     the x-variables in basis order: the twisted potential with no s.
     """
     t_0 = tuple((0, alpha) for alpha in range(target.rank))
-    return build_H_series(PotentialSpec(target, t_0, (), tuple(x_caps), q_cap, total_cap))
+    spec = potentials.PotentialSpec(target, t_0, (), tuple(x_caps), q_cap, total_cap)
+    return potentials.build_H_series(spec)

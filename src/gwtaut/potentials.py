@@ -21,8 +21,8 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .correlators import _normal_index, _valid_key, evaluate
-from .series import QSeries, Record, Truncation, Variable, VarRegistry
-from .target import TargetModel, json_int, projective_space
+from .series import QSeries, Truncation, Variable, VarRegistry
+from .target import Record, TargetModel, json_int, projective_space
 
 Entry = tuple[int, int]
 

@@ -36,11 +36,12 @@ dropping zero numerators themselves; it restores lowest terms.
 ``restrict`` filters with the new window's packed check.  It and a
 derivative repack their keys only when the new window's layout differs.
 
-``Record``, the base of the package's frozen records, lives here at the
-bottom of the import graph.  It replaces ``dataclass(frozen=True)``, whose
-import pulls ``inspect``, ``ast`` and ``dis`` into every cold start.  Series
-of one window share their registry and truncation, so ``==`` and the
-operations compare those by identity first.
+The records derive from ``target.Record``, and the rational helpers
+(``exact_rational``, ``format_rational``, ``parse_rational``) live in
+``target`` too, which a correlator loads without this module; they are
+imported back here, so ``series.Record`` and the rest still resolve.
+Series of one window share their registry and truncation, so ``==`` and
+the operations compare those by identity first.
 """
 
 from __future__ import annotations
@@ -49,18 +50,11 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
-from operator import add, attrgetter, mul, sub
+from operator import add, mul, sub
+
+from .target import Record, exact_rational, format_rational, parse_rational
 
 Exponents = tuple[int, ...]
-
-
-def exact_rational(value, what: str = "coefficient") -> Fraction:
-    """``value`` as a ``Fraction``; only ``int`` (not ``bool``) and ``Fraction`` pass."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 def _check_exponents(exps: Exponents, n: int) -> None:
@@ -69,68 +63,6 @@ def _check_exponents(exps: Exponents, n: int) -> None:
         raise ValueError("exponent vector length mismatch")
     if any(type(e) is not int or e < 0 for e in exps):
         raise ValueError(f"negative or non-int exponent in {exps!r}")
-
-
-class Record:
-    """Base of the frozen records; a subclass's annotated names are its fields.
-
-    A class attribute named like a field is its default.  The constructor
-    takes fields by position or keyword (``TypeError`` on a missing, unknown
-    or repeated one) and calls ``__post_init__``.  Attributes cannot be
-    assigned or deleted (``AttributeError``); derived data goes in with
-    ``object.__setattr__``.  ``repr`` (the dataclass form, which sort keys
-    rely on), ``==`` (same class only) and ``hash`` read the fields as one tuple.
-    Pickle and ``deepcopy`` rebuild a record through its constructor, so the
-    checks and the derived data (a cached hash, say) are made afresh: string
-    hashes differ between processes.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
-        cls._values = attrgetter(*names)  # two or more fields, so always a tuple
-        cls._repr = f"{cls.__qualname__}({', '.join(f'{name}=%r' for name in names)})"
-
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
-        values = dict(zip(cls._fields, args))
-        for name in cls._fields[len(args) :]:
-            try:
-                values[name] = kwargs.pop(name) if name in kwargs else cls._defaults[name]
-            except KeyError:
-                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}") from None
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got unknown or repeated arguments {[*kwargs]}")
-        self.__dict__.update(values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return self._repr % self._values(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == self._values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __reduce__(self):
-        return type(self), self._values(self)
 
 
 class Variable(Record):
@@ -678,14 +610,3 @@ class QSeries:
         }
         return cls(registry, trunc, terms)
 
-
-def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    den = int(den) if den else 1
-    if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), den)

@@ -36,6 +36,14 @@ divisor axioms of its pure step, and ``divisor_class``.  A table entry is
 an ``int`` when it is integral (always, on P^r) and a ``Fraction``
 otherwise, so the correlator engine can keep integer coefficients as
 ``int``s.
+
+This module is the bottom of the import graph, so it also holds what every
+layer shares: ``Record``, the base of the package's frozen records, and the
+exact-rational helpers ``exact_rational``, ``format_rational`` and
+``parse_rational``.  ``Record`` replaces ``dataclass(frozen=True)``, whose
+import pulls ``inspect``, ``ast`` and ``dis`` into every cold start.  Keeping
+them here, not in ``series``, lets a correlator run without loading
+``series`` at all.
 """
 
 from __future__ import annotations
@@ -43,8 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-
-from .series import Record, exact_rational, parse_rational
+from operator import attrgetter
 
 FrMatrix = tuple[tuple[Fraction, ...], ...]
 Rational = int | Fraction
@@ -61,6 +68,89 @@ def check_degree(d: int) -> int:
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise ValueError(f"curve degree must be a non-negative integer, got {d!r}")
     return d
+
+
+def exact_rational(value, what: str = "coefficient") -> Fraction:
+    """``value`` as a ``Fraction``; only ``int`` (not ``bool``) and ``Fraction`` pass."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def format_rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rational(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
+
+
+class Record:
+    """Base of the frozen records; a subclass's annotated names are its fields.
+
+    A class attribute named like a field is its default.  The constructor
+    takes fields by position or keyword (``TypeError`` on a missing, unknown
+    or repeated one) and calls ``__post_init__``.  Attributes cannot be
+    assigned or deleted (``AttributeError``); derived data goes in with
+    ``object.__setattr__``.  ``repr`` (the dataclass form, which sort keys
+    rely on), ``==`` (same class only) and ``hash`` read the fields as one tuple.
+    Pickle and ``deepcopy`` rebuild a record through its constructor, so the
+    checks and the derived data (a cached hash, say) are made afresh: string
+    hashes differ between processes.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        cls._values = attrgetter(*names)  # two or more fields, so always a tuple
+        cls._repr = f"{cls.__qualname__}({', '.join(f'{name}=%r' for name in names)})"
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args) :]:
+            try:
+                values[name] = kwargs.pop(name) if name in kwargs else cls._defaults[name]
+            except KeyError:
+                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}") from None
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unknown or repeated arguments {[*kwargs]}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return self._repr % self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class TargetModel(Record):

@@ -28,8 +28,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cache
 
-from .series import Record, exact_rational
-from .target import TargetModel, check_degree, json_int
+from .target import Record, TargetModel, check_degree, exact_rational, json_int
 
 
 class Decoration(Record):

@@ -5,7 +5,9 @@ reports, each written by ``Report.check`` (the one home of the
 ``ok  ``/``FAIL`` line format).  Randomized suites take an explicit seed
 and report it.  The ``paths`` and ``dilaton`` suites import the oracle
 themselves, and the randomized suites import ``random``, so a process that
-runs no such suite loads neither.
+runs no such suite loads neither.  The package loads this module on first
+use (see ``gwtaut``), and with it ``potentials`` and ``series``, so a
+process that runs no suite compiles none of the three.
 """
 
 from __future__ import annotations

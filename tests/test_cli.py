@@ -182,6 +182,23 @@ def test_deepest_p2_ladder_key_work_is_pinned(capsys):
     assert payload["value"] == "-420/1" and payload["reductions"] == 52
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--r", "1", "--degree", "1", "--tau", "0,1,1000"),
+        ("--r", "2", "--degree", "1", "--tau", "0,1,400", "--tau", "0,2,2"),
+    ],
+    ids=["P1-1000-divisors", "P2-400-divisors-two-points"],
+)
+def test_many_divisor_points_drop_in_one_step(capsys, argv):
+    # the divisor axiom drops every e_1 point at once; one point per recursive
+    # evaluate call ran past the recursion limit on these keys
+    code, out, err = run(capsys, "correlator", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["value"] == "1/1" and payload["reductions"] == 0
+
+
 def test_kappa_minus_one_value_may_follow_its_flag(capsys):
     # argparse reads a separate "-1,1,2" as an option unless the CLI joins it
     base = ("correlator", "--r", "1", "--degree", "1")

@@ -1036,6 +1036,27 @@ def test_kappa_minus_one_of_an_unpaired_divisor_takes_the_lift(monkeypatch):
     assert len(lifted) == count
 
 
+def test_pure_step_drops_every_divisor_point_at_once():
+    # rescaled P^2 with divisor pairing c = 1/2: each point carrying e_1
+    # scales a pure invariant by c * d, the pure step drops all of them in one
+    # step, and the cold memo gains the one key left after the drops
+    c = Fraction(1, 2)
+    target = rescaled_p2(c)
+    for d, rest in ((1, [2, 2]), (2, [2] * 5)):
+        one_at_a_time = [pure_gw(target, rest, d)]
+        correlators.clear_caches()
+        evaluate(make_key(target, [(0, 2, len(rest))], (), d))
+        memo_without = evaluate.cache_info().currsize
+        for k in range(1, 6):
+            one_at_a_time.append(c * d * one_at_a_time[-1])
+            correlators.clear_caches()
+            assert pure_gw(target, [1] * k + rest, d) == one_at_a_time[k]
+            assert evaluate.cache_info().currsize == memo_without + 1
+            # e_alpha = c^alpha H^alpha, so the value is c^(class sum) times P^2's
+            assert one_at_a_time[k] == c ** (k + 2 * len(rest)) * pure_gw(P2, [1] * k + rest, d)
+        assert one_at_a_time[0] == c ** (2 * len(rest)) != 0
+
+
 def two_points() -> TargetModel:
     """Two points: the unit e_0 and the class e_1 of one point, both of
     grading 0, with no divisor."""
