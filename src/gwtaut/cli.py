@@ -1,6 +1,11 @@
 """Batch command line: evaluate correlators, emit potentials, run suites.
 
 Exit codes: 0 success, 1 engine/evaluation error, 2 usage or config error.
+A job names its target once: ``--r`` and ``--target`` exclude each other, and
+so do ``--spec`` and ``--spec-json``.  A correlator spec is the whole job:
+it may hold only ``target`` or ``r``, ``degree``, ``tau`` and ``kappa`` (the
+last two as lists), and no flag that gives a part of the correlator may join
+it.
 Rationals are always printed as "p/q"; table rows are ordered by exponent
 vector so output is byte-stable for a fixed configuration.  ``potentials``
 and ``verify`` are held as modules and read at call time, so a
@@ -67,6 +72,39 @@ def _load_target(args, config: dict | None = None) -> TargetModel:
     raise UsageError("provide --target or --r")
 
 
+SPEC_FIELDS = ("target", "r", "degree", "tau", "kappa")
+
+
+def _read_spec(args) -> dict:
+    """The correlator spec of ``--spec`` or ``--spec-json``, its fields checked:
+    only ``SPEC_FIELDS``, not both ``target`` and ``r``, and lists for
+    ``tau`` and ``kappa``.  A spec gives the whole correlator, so no flag
+    that gives a part of one may join it."""
+    flags = ("--target", "--r", "--degree", "--tau", "--kappa")
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
+    if given:
+        raise UsageError(f"a correlator spec takes no {', '.join(given)}")
+    try:
+        if args.spec:
+            with open(args.spec) as fh:
+                config = json.load(fh)
+        else:
+            config = json.loads(args.spec_json)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read correlator spec: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError("correlator spec must be a JSON object")
+    unknown = [name for name in config if name not in SPEC_FIELDS]
+    if unknown:
+        raise UsageError(f"unknown spec fields {unknown}; allowed: {list(SPEC_FIELDS)}")
+    if "target" in config and "r" in config:
+        raise UsageError("spec takes a 'target' object or an 'r' shortcut, not both")
+    for name in ("tau", "kappa"):
+        if not isinstance(config.get(name, []), list):
+            raise UsageError(f"spec {name!r} must be a list of [a, alpha, mult] entries")
+    return config
+
+
 def _parse_index_list(raw, what: str) -> list[tuple[int, int, int]]:
     out = []
     if raw is None:
@@ -87,23 +125,14 @@ def _parse_index_list(raw, what: str) -> list[tuple[int, int, int]]:
 
 def cmd_correlator(args) -> int:
     if args.spec or args.spec_json:
-        try:
-            if args.spec:
-                with open(args.spec) as fh:
-                    config = json.load(fh)
-            else:
-                config = json.loads(args.spec_json)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read correlator spec: {exc}") from exc
-        if not isinstance(config, dict):
-            raise UsageError("correlator spec must be a JSON object")
+        config = _read_spec(args)
         target = _load_target(args, config)
         degree = config.get("degree", 0)
         tau = _parse_index_list(config.get("tau", []), "tau")
         kappa = _parse_index_list(config.get("kappa", []), "kappa")
     else:
         target = _load_target(args)
-        degree = args.degree
+        degree = 0 if args.degree is None else args.degree
         tau = _parse_index_list(args.tau, "tau")
         kappa = _parse_index_list(args.kappa, "kappa")
 
@@ -210,6 +239,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _add_target_flags(parser: argparse.ArgumentParser) -> None:
+    """``--target`` and ``--r``, of which a job takes at most one."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--target", help="target config as JSON")
+    group.add_argument("--r", type=_int_at_least(1), help="projective-space dimension")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwtaut",
@@ -218,18 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("correlator", help="evaluate one correlator")
-    c.add_argument("--spec", help="JSON spec file")
-    c.add_argument("--spec-json", help="inline JSON spec")
-    c.add_argument("--target", help="target config as JSON")
-    c.add_argument("--r", type=_int_at_least(1), help="projective-space dimension")
-    c.add_argument("--degree", type=int, default=0)
+    spec = c.add_mutually_exclusive_group()
+    spec.add_argument("--spec", help="JSON spec file (fields target or r, degree, tau, kappa)")
+    spec.add_argument("--spec-json", help="inline JSON spec; a spec takes no flag but --format")
+    _add_target_flags(c)
+    c.add_argument("--degree", type=int, help="curve degree (default 0)")
     c.add_argument("--tau", action="append", help="a,alpha,mult (repeatable)")
     c.add_argument("--kappa", action="append", help="a,alpha,mult (repeatable)")
     c.add_argument("--format", choices=["json", "text", "csv"], default="json")
 
     p = sub.add_parser("potential", help="emit a truncated potential")
-    p.add_argument("--target", help="target config as JSON")
-    p.add_argument("--r", type=_int_at_least(1))
+    _add_target_flags(p)
     p.add_argument("--vars", default="", help="comma list: x0,x1,s-1:1,s0:0,...")
     p.add_argument("--qmax", type=_int_at_least(0), default=2)
     p.add_argument("--cap", type=_int_at_least(0), default=6, help="per-variable exponent cap")

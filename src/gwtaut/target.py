@@ -22,20 +22,30 @@ at a degree d >= 1.  A seed must also be one the pure step of
 divisor axioms fire first), and its classes and degree pass the selection
 rule.
 
-Next to the fields, each target builds two sparse tables once: the
-nonzero cup constants of each (alpha, beta) and the nonzero entries of
-eta^{-1}, the latter also grouped by the grading of their first index.
-``cup_product``, ``cup_vector``, ``eta_inverse_pairs`` and
-``eta_inverse_pairs_by_grading`` read them.  It also keeps the one table
-of per-unit pairings (``kappa_minus_one_per_unit``): the classes whose
-kappa_{-1} is a number, c * d at curve degree d, with c the divisor pairing
-or 0 for a class of grading 0.  Forgetting a point that carries e_alpha
+Next to the fields, each target builds three sparse tables once: the
+nonzero entries of each row of eta, the nonzero cup constants of each
+(alpha, beta), and the nonzero entries of eta^{-1}, the last also grouped by
+the grading of their first index.  The first two are built in the one pass
+that checks each tensor entry exact, and every ring axiom is then checked
+once, on them (``_check_frobenius_axioms``); no check reads the dense
+tensors.  ``cup_product``, ``cup_vector``, ``triple_integral``,
+``eta_inverse_pairs`` and ``eta_inverse_pairs_by_grading`` read the tables.
+It also keeps the one table of per-unit pairings
+(``kappa_minus_one_per_unit``): the classes whose kappa_{-1} is a number,
+c * d at curve degree d, with c the divisor pairing or 0 for a class of
+grading 0.  Forgetting a point that carries e_alpha
 multiplies a genus-0 invariant by the same number, so the table has three
 readers: the kappa_{-1} step of ``correlators.evaluate``, the unit and
 divisor axioms of its pure step, and ``divisor_class``.  A table entry is
 an ``int`` when it is integral (always, on P^r) and a ``Fraction``
 otherwise, so the correlator engine can keep integer coefficients as
 ``int``s.
+
+The constructor is the one home of these checks.  ``target_from_config``
+only converts JSON: lists become tuples, and an entry of a tensor, a
+divisor pairing or a seed value becomes a ``Fraction`` (from an int or a
+"p/q" string).  It leaves every other check to the constructor, and to
+``projective_space`` for ``r``.
 
 This module is the bottom of the import graph, so it also holds what every
 layer shares: ``Record``, the base of the package's frozen records, and the
@@ -177,33 +187,31 @@ class TargetModel(Record):
             raise ValueError("e_0 must have grading 0")
         if len(self.eta) != n or any(len(row) != n for row in self.eta):
             raise ValueError("eta must be a square matrix on the basis")
-        for a in range(n):
-            for b in range(n):
-                if self.eta[a][b] != self.eta[b][a]:
-                    raise ValueError("eta must be symmetric")
         if len(self.cup) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in self.cup
         ):
             raise ValueError("cup tensor must be rank (n, n, n)")
-        for what, values in (
-            ("an eta entry", (x for row in self.eta for x in row)),
-            ("a cup entry", (x for plane in self.cup for row in plane for x in row)),
-            ("a divisor pairing", (value for _, value in self.divisor_pairings)),
-            ("a seed value", (value for *_, value in self.seeds)),
-        ):
-            for x in values:
-                exact_rational(x, what)
-        for b in range(n):
-            for nu in range(n):
-                expected = Fraction(1) if nu == b else Fraction(0)
-                if self.cup[0][b][nu] != expected:
-                    raise ValueError("e_0 must act as the unit in the cup product")
+        # derived data, kept outside the fields, hash and equality
+        object.__setattr__(
+            self, "_eta_table", tuple(_sparse(row, "an eta entry") for row in self.eta)
+        )
+        object.__setattr__(
+            self,
+            "_cup_table",
+            tuple(tuple(_sparse(row, "a cup entry") for row in plane) for plane in self.cup),
+        )
         divisors = [json_int(alpha, "a divisor class") for alpha, _ in self.divisor_pairings]
         if any(not 0 <= alpha < n or self.gradings[alpha] != 2 for alpha in divisors):
             raise ValueError("a divisor pairing needs a basis class of grading 2")
         if len(set(divisors)) != len(divisors):
             raise ValueError("a divisor class may carry only one pairing")
+        per_unit = {alpha: 0 for alpha, g in enumerate(self.gradings) if g == 0}
+        per_unit.update(
+            (alpha, _narrow(exact_rational(c, "a divisor pairing")))
+            for alpha, c in sorted(self.divisor_pairings)
+        )
+        object.__setattr__(self, "_kappa_minus_one_per_unit", per_unit)
         seeds = []
         for classes, d, value in self.seeds:
             classes = tuple(sorted(json_int(c, "a seed class") for c in classes))
@@ -216,20 +224,17 @@ class TargetModel(Record):
                 raise ValueError(f"a seed class needs a grading other than 0 and 2: {classes}")
             if not self.balanced(sum(self.gradings[c] for c in classes), len(classes), d):
                 raise ValueError(f"seed {classes} at degree {d} fails the selection rule")
+            exact_rational(value, "a seed value")
             seeds.append((classes, d, value))
         if len({seed[:2] for seed in seeds}) != len(seeds):
             raise ValueError("a seed may be given only once per classes and degree")
         object.__setattr__(self, "seeds", tuple(seeds))
-        # derived data, kept outside the fields, hash and equality
+        self._check_frobenius_axioms()
         pairs = tuple(
             (s1, s2, _narrow(w))
             for s1, row in enumerate(_invert(self.eta))
             for s2, w in enumerate(row)
             if w
-        )
-        cup_table = tuple(
-            tuple({nu: _narrow(c) for nu, c in enumerate(row) if c} for row in plane)
-            for plane in self.cup
         )
         object.__setattr__(self, "_eta_inverse_pairs", pairs)
         by_grading: dict[int, list] = {}
@@ -240,11 +245,6 @@ class TargetModel(Record):
             "_eta_inverse_by_grading",
             {grading: tuple(group) for grading, group in by_grading.items()},
         )
-        per_unit = {alpha: 0 for alpha, g in enumerate(self.gradings) if g == 0}
-        per_unit.update((alpha, _narrow(c)) for alpha, c in sorted(self.divisor_pairings))
-        object.__setattr__(self, "_kappa_minus_one_per_unit", per_unit)
-        object.__setattr__(self, "_cup_table", cup_table)
-        self._check_frobenius_axioms()
         object.__setattr__(
             self,
             "_cached_hash",
@@ -255,18 +255,23 @@ class TargetModel(Record):
         return self._cached_hash
 
     def _check_frobenius_axioms(self) -> None:
-        """Check on the sparse cup table that the cup product is commutative,
-        graded and associative, that eta(ab, c) = eta(a, bc), and that the
-        pairing is graded."""
-        table, g = self._cup_table, self.gradings
-        eta = [[_narrow(x) for x in row] for row in self.eta]
+        """Check every ring axiom once, on the sparse tables of eta and the
+        cup product: eta is symmetric and graded (eta_ab = 0 unless
+        |e_a| + |e_b| is the top grading), e_0 is the unit, and the cup
+        product is commutative, graded and associative with
+        eta(ab, c) = eta(a, bc)."""
+        eta, table, g = self._eta_table, self._cup_table, self.gradings
         pairs = list(product(range(self.rank), repeat=2))
         triples = list(product(range(self.rank), repeat=3))
-        if any(eta[a][b] and g[a] + g[b] != 2 * self.dim_complex for a, b in pairs):
+        if any(eta[b].get(a) != x for a, row in enumerate(eta) for b, x in row.items()):
+            raise ValueError("eta must be symmetric")
+        if any(g[a] + g[b] != 2 * self.dim_complex for a, row in enumerate(eta) for b in row):
             raise ValueError(
                 "the pairing must be graded: eta_ab = 0 unless |e_a| + |e_b| "
                 "is the top grading"
             )
+        if any(table[0][b] != {b: 1} for b in range(self.rank)):
+            raise ValueError("e_0 must act as the unit in the cup product")
         if any(table[a][b] != table[b][a] for a, b in pairs):
             raise ValueError("the cup product must be commutative")
         if any(g[nu] != g[a] + g[b] for a, b in pairs for nu in table[a][b]):
@@ -276,10 +281,9 @@ class TargetModel(Record):
             for a, b, c in triples
         ):
             raise ValueError("the cup product must be associative")
+        # eta is symmetric, so eta(a, bc) = int_V e_b e_c e_a
         if any(
-            sum(x * eta[nu][c] for nu, x in table[a][b].items())
-            != sum(x * eta[a][nu] for nu, x in table[b][c].items())
-            for a, b, c in triples
+            self.triple_integral(a, b, c) != self.triple_integral(b, c, a) for a, b, c in triples
         ):
             raise ValueError("the pairing must satisfy eta(ab, c) = eta(a, bc)")
 
@@ -334,11 +338,9 @@ class TargetModel(Record):
         return self._kappa_minus_one_per_unit
 
     def triple_integral(self, a: int, b: int, c: int) -> Fraction:
-        """int_V e_a e_b e_c, via cup and the pairing."""
-        return sum(
-            (coef * self.eta[nu][c] for nu, coef in self.cup_product(a, b).items()),
-            Fraction(0),
-        )
+        """int_V e_a e_b e_c = eta(e_a e_b, e_c), read from the sparse tables."""
+        eta = self._eta_table
+        return sum((x * eta[nu].get(c, 0) for nu, x in self._cup_table[a][b].items()), Fraction(0))
 
     # -- moduli bookkeeping -----------------------------------------------------
 
@@ -392,6 +394,12 @@ class TargetModel(Record):
 def _narrow(x: Rational) -> Rational:
     """An exact entry as an ``int`` when it is integral (1 == Fraction(1))."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _sparse(row, what: str) -> dict[int, Rational]:
+    """The nonzero entries of ``row`` by index; every entry is checked exact
+    (``what`` names it in the error) and each kept one narrowed."""
+    return {i: _narrow(x) for i, x in enumerate(row) if exact_rational(x, what)}
 
 
 def _invert(eta: FrMatrix) -> FrMatrix:
@@ -465,38 +473,27 @@ def target_from_config(config: dict) -> TargetModel:
     """
     kind = config.get("type")
     if kind == "projective_space":
-        return projective_space(json_int(config["r"], "r"))
+        return projective_space(config["r"])
     if kind == "custom":
         def rat(x):
             if isinstance(x, str):
                 return parse_rational(x)
             return Fraction(json_int(x, "a rational entry (int or 'p/q')"))
 
-        gradings = tuple(json_int(g, "a grading") for g in config["gradings"])
-        eta = tuple(tuple(rat(x) for x in row) for row in config["eta"])
-        cup = tuple(
-            tuple(tuple(rat(x) for x in row) for row in plane)
-            for plane in config["cup"]
-        )
-        pairings = tuple(
-            (json_int(alpha, "a divisor class"), rat(value))
-            for alpha, value in config.get("divisor_pairings", [])
-        )
-        seeds = tuple(
-            (
-                tuple(json_int(c, "a seed class") for c in classes),
-                json_int(d, "a seed degree"),
-                rat(value),
-            )
-            for classes, d, value in config.get("seeds", [])
-        )
         return TargetModel(
             name=config.get("name", "custom"),
-            gradings=gradings,
-            eta=eta,
-            cup=cup,
-            c1_degree=json_int(config["c1_degree"], "c1_degree"),
-            divisor_pairings=pairings,
-            seeds=seeds,
+            gradings=tuple(config["gradings"]),
+            eta=tuple(tuple(rat(x) for x in row) for row in config["eta"]),
+            cup=tuple(
+                tuple(tuple(rat(x) for x in row) for row in plane) for plane in config["cup"]
+            ),
+            c1_degree=config["c1_degree"],
+            divisor_pairings=tuple(
+                (alpha, rat(value)) for alpha, value in config.get("divisor_pairings", [])
+            ),
+            seeds=tuple(
+                (tuple(classes), d, rat(value))
+                for classes, d, value in config.get("seeds", [])
+            ),
         )
     raise ValueError(f"unknown target type {kind!r}")

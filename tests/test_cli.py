@@ -115,6 +115,76 @@ def test_non_integer_json_is_usage_error(capsys, spec):
     assert "engine error" not in err
 
 
+P1_SPEC = '{"r": 1, "degree": 1, "tau": [[0, 1, 2]]}'  # <tau_0(e_1)^2>_1 = 1 on P^1
+
+
+def test_correlator_spec_gives_the_flags_value(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(P1_SPEC)
+    flags = run(capsys, "correlator", "--r", "1", "--degree", "1", "--tau", "0,1,2")
+    assert flags[0] == 0 and json.loads(flags[1])["value"] == "1/1"
+    assert run(capsys, "correlator", "--spec-json", P1_SPEC) == flags
+    assert run(capsys, "correlator", "--spec", str(spec_file)) == flags
+
+
+def test_spec_file_and_inline_spec_is_usage_error(capsys, tmp_path):
+    # the file was read and the inline spec dropped
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(P1_SPEC)
+    code, out, err = run(capsys, "correlator", "--spec", str(spec_file), "--spec-json", P1_SPEC)
+    assert (code, out) == (2, "")
+    assert "not allowed" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"r": 1, "degree": 1, "tau": 5}',  # was a TypeError traceback, exit 1
+        '{"r": 1, "degree": 1, "kappa": 7}',  # likewise
+        '{"r": 1, "deg": 1, "tau": [[0, 1, 2]]}',  # degree 0 was read: 0/1
+        # the misspelled kappa was dropped: 1/1, where kappa gives 0/1
+        '{"r": 2, "degree": 1, "tau": [[0, 2, 2]], "kapa": [[0, 1, 2]]}',
+        # the target was taken and r dropped
+        '{"target": {"type": "projective_space", "r": 2}, "r": 1, "degree": 1, '
+        '"tau": [[0, 1, 2]]}',
+    ],
+    ids=["tau-int", "kappa-int", "deg", "kapa", "target-and-r"],
+)
+def test_misread_spec_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "correlator", "--spec-json", spec)
+    assert (code, out) == (2, "")
+    assert "error" in err and "Traceback" not in err
+
+
+P2_TARGET = '{"type": "projective_space", "r": 2}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # P^2 was evaluated (0/1) where --r 1 gives 1/1
+        ("correlator", "--r", "1", "--degree", "1", "--tau", "0,1,1", "--target", P2_TARGET),
+        ("potential", "--r", "1", "--target", P2_TARGET),  # built the P^2 window
+        # each flag was dropped and the spec's value printed
+        ("correlator", "--spec-json", P1_SPEC, "--degree", "3"),
+        ("correlator", "--spec-json", P1_SPEC, "--degree", "0"),
+        ("correlator", "--spec-json", P1_SPEC, "--r", "2"),
+        ("correlator", "--spec-json", P1_SPEC, "--target", P2_TARGET),
+        ("correlator", "--spec-json", P1_SPEC, "--tau", "0,1,1"),
+        ("correlator", "--spec-json", P1_SPEC, "--kappa", "0,1,1"),
+    ],
+    ids=[
+        "correlator-r-and-target", "potential-r-and-target", "spec-and-degree",
+        "spec-and-degree-0", "spec-and-r",
+        "spec-and-target", "spec-and-tau", "spec-and-kappa",
+    ],
+)
+def test_ignored_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--qmax", "--total"])
 def test_negative_potential_bound_is_usage_error(capsys, flag):
     code, out, err = run(capsys, "potential", "--r", "1", "--vars", "x0", flag, "-1")

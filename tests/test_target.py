@@ -208,6 +208,11 @@ def _with_product(r, a, b, row):
 # a degree-2 class used to be accepted: with it on e_2, P^2 gave
 # <tau_1(e_2)>_1, <tau_2(e_1)>_1, <tau_3(e_0)>_1 = 0, 0, 0, not 1, -3, 6.
 INVALID = [
+    pytest.param(1, dict(eta=((0, 1), (2, 0))), "eta must be symmetric", id="eta-asymmetric"),
+    # e0 . e0 = 2 e0: commutative and graded, but not associative either
+    pytest.param(
+        1, dict(cup=_with_product(1, 0, 0, (2, 0))), "e_0 must act as the unit", id="unit-broken"
+    ),
     pytest.param(2, dict(divisor_pairings=((2, 1),)), "divisor", id="divisor-on-point"),
     pytest.param(2, dict(divisor_pairings=((0, 1),)), "divisor", id="divisor-on-unit"),
     pytest.param(2, dict(divisor_pairings=((3, 1),)), "divisor", id="divisor-out-of-range"),
@@ -250,6 +255,59 @@ INVALID = [
 def test_frobenius_data_checked(r, changes, message):
     with pytest.raises(ValueError, match=message):
         TargetModel(**_fields(r, **changes))
+
+
+P1_CONFIG = {
+    "type": "custom",
+    "gradings": [0, 2],
+    "eta": [[0, 1], [1, 0]],
+    "cup": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "c1_degree": 2,
+    "divisor_pairings": [[1, 1]],
+    "seeds": [[[], 1, 1]],
+}
+
+# One defect each in P^1's config.  The parser passes these fields on as they
+# are, so the constructor (``projective_space`` for r) refuses each with the
+# words it uses for the same value given directly.
+JSON_DEFECTS = [
+    pytest.param(
+        dict(gradings=[0, 2.0]), "a grading must be an integer, got 2.0", id="grading-float"
+    ),
+    pytest.param(
+        dict(gradings=[False, 2]), "a grading must be an integer, got False", id="grading-bool"
+    ),
+    pytest.param(
+        dict(c1_degree=2.0), "c1_degree must be an integer, got 2.0", id="c1_degree-float"
+    ),
+    pytest.param(
+        dict(divisor_pairings=[[1.0, 1]]),
+        "a divisor class must be an integer, got 1.0",
+        id="divisor-class-float",
+    ),
+    pytest.param(
+        dict(seeds=[[["1"], 1, 1]]), "a seed class must be an integer, got '1'", id="seed-class-str"
+    ),
+    pytest.param(
+        dict(seeds=[[[], 1.5, 1]]),
+        "a seed degree must be an integer, got 1.5",
+        id="seed-degree-float",
+    ),
+    *(
+        pytest.param(
+            dict(type="projective_space", r=r), f"r must be an integer, got {r!r}", id=f"r-{kind}"
+        )
+        for r, kind in ((1.5, "float"), (True, "bool"), ("2", "str"))
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", JSON_DEFECTS)
+def test_config_defects_get_the_constructor_message(changes, message):
+    assert target_from_config(P1_CONFIG).gradings == (0, 2)
+    with pytest.raises(ValueError) as refused:
+        target_from_config({**P1_CONFIG, **changes})
+    assert str(refused.value) == message
 
 
 def test_seed_classes_are_stored_sorted():
